@@ -10,14 +10,15 @@ resolution, so queueing delay under overload is *included*.
 
 Prints a latency histogram with p50/p90/p99, the achieved vs offered
 rate, and the server's own stats — waves, mean batch size, flush-trigger
-attribution (size vs deadline), queue high-water — which together show
-where the configured ``max_wait_ms`` / ``max_batch`` put you on the
-latency/throughput trade-off. Try a rate below and above the store's
-single-request capacity (~130 q/s for 100k × 1024 on one core) to watch
-micro-batching absorb the difference.
+attribution (size vs idle), queue high-water — which together show how
+the work-conserving batcher trades latency for throughput: below the
+store's single-request capacity (~130 q/s for 100k × 1024 on one core)
+requests mostly ride alone and never wait for a batch; above it, they
+queue behind the busy worker and coalesce into larger waves (up to
+``max_batch``), which absorbs the difference.
 
     python examples/serving_demo.py [--http] [--retry] [--timeout-ms=X] \\
-        [num_items] [offered_qps] [max_wait_ms] [max_batch] [num_requests]
+        [num_items] [offered_qps] [max_batch] [num_requests]
 
 With ``--http`` the same open-loop load travels over real sockets: a
 :class:`StoreHTTPServer` on an ephemeral port, requests as JSON bodies
@@ -166,17 +167,15 @@ async def offered_load_http(http, queries, offered_qps, num_requests,
     return np.asarray(latencies) * 1000.0, answers, elapsed, len(clients)
 
 
-async def run(store, queries, offered_qps, max_wait_ms, max_batch,
-              num_requests, http=False, timeout_ms=None, retry=False):
+async def run(store, queries, offered_qps, max_batch, num_requests,
+              http=False, timeout_ms=None, retry=False):
     if http:
-        server = StoreServer(store, max_batch=max_batch,
-                             max_wait_ms=max_wait_ms)
+        server = StoreServer(store, max_batch=max_batch)
         async with StoreHTTPServer(server) as front:
             print(f"\nserving over http://{front.host}:{front.port} — "
                   f"offering {offered_qps:.0f} q/s ({num_requests} "
-                  f"requests, max_wait_ms={max_wait_ms}, "
-                  f"max_batch={max_batch}, timeout_ms={timeout_ms}, "
-                  f"retry={retry})...")
+                  f"requests, max_batch={max_batch}, "
+                  f"timeout_ms={timeout_ms}, retry={retry})...")
             latencies, answers, elapsed, connections = (
                 await offered_load_http(front, queries, offered_qps,
                                         num_requests, timeout_ms=timeout_ms,
@@ -184,18 +183,16 @@ async def run(store, queries, offered_qps, max_wait_ms, max_batch,
             print(f"pool grew to {connections} keep-alive connections")
             stats = server.stats
         return latencies, answers, elapsed, stats
-    return await run_in_process(store, queries, offered_qps, max_wait_ms,
-                                max_batch, num_requests,
-                                timeout_ms=timeout_ms)
+    return await run_in_process(store, queries, offered_qps, max_batch,
+                                num_requests, timeout_ms=timeout_ms)
 
 
-async def run_in_process(store, queries, offered_qps, max_wait_ms, max_batch,
+async def run_in_process(store, queries, offered_qps, max_batch,
                          num_requests, timeout_ms=None):
-    async with StoreServer(store, max_batch=max_batch,
-                           max_wait_ms=max_wait_ms) as server:
+    async with StoreServer(store, max_batch=max_batch) as server:
         print(f"\noffering {offered_qps:.0f} q/s "
-              f"({num_requests} requests, max_wait_ms={max_wait_ms}, "
-              f"max_batch={max_batch}, timeout_ms={timeout_ms})...")
+              f"({num_requests} requests, max_batch={max_batch}, "
+              f"timeout_ms={timeout_ms})...")
         latencies, answers, elapsed = await offered_load(
             server, queries, offered_qps, num_requests,
             timeout_ms=timeout_ms)
@@ -203,15 +200,14 @@ async def run_in_process(store, queries, offered_qps, max_wait_ms, max_batch,
     return latencies, answers, elapsed, stats
 
 
-def main(num_items=100_000, offered_qps=200.0, max_wait_ms=5.0,
-         max_batch=64, num_requests=400, http=False, timeout_ms=None,
-         retry=False):
+def main(num_items=100_000, offered_qps=200.0, max_batch=64,
+         num_requests=400, http=False, timeout_ms=None, retry=False):
     rng = np.random.default_rng(0)
     store, queries = build_store(num_items, rng)
 
     latencies, answers, elapsed, stats = asyncio.run(
-        run(store, queries, offered_qps, max_wait_ms, max_batch,
-            num_requests, http=http, timeout_ms=timeout_ms, retry=retry))
+        run(store, queries, offered_qps, max_batch, num_requests,
+            http=http, timeout_ms=timeout_ms, retry=retry))
 
     p50, p90, p99 = np.percentile(latencies, [50, 90, 99])
     print(f"\nachieved {num_requests / elapsed:,.0f} q/s "
@@ -225,7 +221,7 @@ def main(num_items=100_000, offered_qps=200.0, max_wait_ms=5.0,
 
     print("\nserver stats:")
     for key in ("requests", "waves", "mean_batch_size", "flushed_size",
-                "flushed_deadline", "flushed_drain", "queue_high_water",
+                "flushed_idle", "flushed_drain", "queue_high_water",
                 "timed_out"):
         value = stats[key]
         value = f"{value:.2f}" if isinstance(value, float) else value
@@ -251,9 +247,8 @@ if __name__ == "__main__":
     main(
         int(argv[0]) if len(argv) > 0 else 100_000,
         float(argv[1]) if len(argv) > 1 else 200.0,
-        float(argv[2]) if len(argv) > 2 else 5.0,
-        int(argv[3]) if len(argv) > 3 else 64,
-        int(argv[4]) if len(argv) > 4 else 400,
+        int(argv[2]) if len(argv) > 2 else 64,
+        int(argv[3]) if len(argv) > 3 else 400,
         http="--http" in flags,
         timeout_ms=(float(timeout_flag.split("=", 1)[1])
                     if timeout_flag else None),

@@ -43,13 +43,14 @@ on the wire; retrying clients must send them with ``idempotent=False``.
 ``{"error": {"status": ..., "message": ...}}``:
 
 - :exc:`~.serving.ServerOverloaded` (admission ``"reject"``) → **429**,
-  with a ``Retry-After`` hint derived from the server's ``max_wait_ms``
-  (one micro-batch deadline is how long a slot typically takes to free);
+  with ``Retry-After: 1``, the 1-second floor of the integer header (a
+  slot frees as soon as one wave finishes);
 - :exc:`~.serving.ServerClosed` / server draining → **503** (same
   ``Retry-After`` hint — drains are transient in a restart window);
 - :exc:`~.serving.ServerTimeout` (request deadline expired) → **504**;
 - validation (malformed JSON, missing/ill-typed ``query`` / ``k`` /
-  ``timeout_ms``, wrong dimensionality, unknown body keys) → **400**;
+  ``timeout_ms``, a ``NaN``/``Infinity`` in ``query``, wrong
+  dimensionality, unknown body keys) → **400**;
 - unknown path → **404**; known path, wrong method → **405**; ``POST``
   without ``Content-Length`` → **411**; body over
   ``max_body_bytes`` → **413**; headers over ``max_header_bytes`` →
@@ -93,7 +94,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import random
 
 import numpy as np
@@ -202,6 +202,10 @@ def _parse_body(kind, body):
     query = np.asarray(payload["query"])
     if query.dtype.kind not in "iuf":
         raise ValueError('"query" must be an array of numbers')
+    # json.loads admits NaN/Infinity literals; a query holding one would
+    # answer with bare NaN tokens, which are not JSON (RFC 8259)
+    if query.dtype.kind == "f" and not np.isfinite(query).all():
+        raise ValueError('"query" must hold finite numbers')
     kwargs = {}
     if kind == "topk":
         k = payload.get("k", 5)
@@ -558,15 +562,10 @@ class StoreHTTPServer:
             return 500, _error_payload(
                 500, f"{type(exc).__name__}: {exc}")
 
-    @property
-    def retry_after_hint(self):
-        """``Retry-After`` seconds sent on 429/503 responses.
-
-        One micro-batch deadline (``max_wait_ms``) is how long a queue
-        slot typically takes to free under overload, rounded up to the
-        1-second floor HTTP's integer ``Retry-After`` allows.
-        """
-        return max(1, math.ceil(self._server.max_wait_ms / 1000.0))
+    #: ``Retry-After`` seconds sent on 429/503 responses: the 1-second
+    #: floor HTTP's integer header allows (a queue slot frees as soon as
+    #: one wave finishes, far sooner than that)
+    retry_after_hint = 1
 
     async def _respond(self, writer, status, payload, keep_alive):
         self._status_counts[status] = self._status_counts.get(status, 0) + 1

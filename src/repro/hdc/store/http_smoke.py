@@ -63,9 +63,7 @@ async def _drive(store, queries):
         requests.append(("POST", "/v1/topk", {"query": row, "k": TOPK}))
         requests.append(("POST", "/v1/similarities", {"query": row}))
 
-    async with StoreHTTPServer(
-        StoreServer(store, max_batch=MAX_BATCH, max_wait_ms=1.0)
-    ) as http:
+    async with StoreHTTPServer(StoreServer(store, max_batch=MAX_BATCH)) as http:
         clients = await asyncio.gather(*[
             JSONHTTPClient.connect(http.host, http.port)
             for _ in range(CLIENTS)

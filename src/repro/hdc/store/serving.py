@@ -1,4 +1,4 @@
-"""Async serving front-end: deadline-based micro-batching over the store.
+"""Async serving front-end: work-conserving micro-batching over the store.
 
 Everything below the facade is built for *batches* — the per-call fixed
 cost (query packing, shard fan-out dispatch, bound tracking, merge) is
@@ -10,10 +10,14 @@ one shape into the other:
 - **Coalescing** — awaitable single requests (:meth:`StoreServer.cleanup`
   / :meth:`~StoreServer.topk` / :meth:`~StoreServer.similarities`) queue
   into per-kind groups (top-k requests batch per ``k``);
-- **Flush triggers** — a group is flushed into one *wave* when it
-  reaches ``max_batch`` rows (**size** trigger) or when its oldest
-  request has waited ``max_wait_ms`` (**deadline** trigger); shutdown
-  flushes the remainder (**drain** trigger);
+- **Flush triggers** — work-conserving, with no timer: while fewer than
+  ``dispatch_workers`` waves are in flight (from flush to finish, parked
+  at the mutation barrier included) and no mutation runs, the oldest
+  group is flushed into one *wave* on the next event-loop tick, so
+  same-tick arrivals share it (**idle** trigger); otherwise arrivals
+  coalesce, and each finishing wave or mutation hands its worker to the
+  oldest queued group. A group reaching ``max_batch`` rows flushes at
+  once (**size** trigger); shutdown flushes the rest (**drain**);
 - **Dispatch** — each wave stacks its query rows and runs the store's
   batch kernel (``cleanup_batch`` / ``topk_batch`` /
   ``similarities_batch``) on a dispatch thread pool via
@@ -84,9 +88,9 @@ __all__ = [
 #: raises :exc:`ServerOverloaded` immediately
 ADMISSION_POLICIES = ("wait", "reject")
 
-#: why a wave left the queue: it filled (``size``), its oldest request's
-#: deadline expired (``deadline``), or the server drained it at shutdown
-FLUSH_TRIGGERS = ("size", "deadline", "drain")
+#: why a wave left the queue: it filled (``size``), a dispatch worker was
+#: free for it (``idle``), or the server drained it at shutdown
+FLUSH_TRIGGERS = ("size", "idle", "drain")
 
 #: the request kinds a server coalesces — also the vocabulary transports
 #: use with :func:`jsonable_result`
@@ -149,14 +153,14 @@ class StoreServer:
 
     Accepts concurrent single ``cleanup`` / ``topk`` / ``similarities``
     requests as awaitables, coalesces them into batched waves (flushed
-    on a deadline or a size trigger), dispatches each wave through the
-    store's batch kernels off the event loop, and demultiplexes per-row
-    results — bit-identical to issuing each request alone (see the
-    module docstring for the full contract).
+    as soon as a dispatch worker is free, or on a size trigger),
+    dispatches each wave through the store's batch kernels off the event
+    loop, and demultiplexes per-row results — bit-identical to issuing
+    each request alone (see the module docstring for the full contract).
 
     Use it as an async context manager, inside a running event loop::
 
-        async with StoreServer(store, max_batch=64, max_wait_ms=2.0) as srv:
+        async with StoreServer(store, max_batch=64) as srv:
             label, sim = await srv.cleanup(query)
 
     The server owns no store state: the wrapped ``store`` (anything with
@@ -178,11 +182,6 @@ class StoreServer:
         Size flush trigger: a group reaching this many queued rows is
         dispatched immediately. ``1`` disables coalescing (every request
         is its own wave — the naive baseline the benchmark anchors on).
-    max_wait_ms:
-        Deadline flush trigger: the oldest request of a group waits at
-        most this long before the group is dispatched regardless of
-        size. ``0`` flushes on the next event-loop tick (still
-        coalescing whatever arrived in the same tick).
     max_pending:
         Admission-control bound on requests inside the server (queued
         plus dispatched-but-unfinished).
@@ -190,9 +189,9 @@ class StoreServer:
         Over-capacity policy: ``"wait"`` (park FIFO) or ``"reject"``
         (raise :exc:`ServerOverloaded`). See :data:`ADMISSION_POLICIES`.
     dispatch_workers:
-        Threads executing waves. ``1`` (default) serializes waves —
-        the store sees one batch query at a time; more lets waves of
-        different kinds overlap.
+        Threads executing waves, and the number of waves the idle
+        trigger keeps in flight. ``1`` (default) serializes waves — the
+        store sees one batch query at a time; more lets waves overlap.
     default_timeout_ms:
         Per-request deadline applied when a request passes no
         ``timeout_ms`` of its own. ``None`` (default) means requests
@@ -201,12 +200,10 @@ class StoreServer:
         with :exc:`ServerTimeout` without poisoning its wave.
     """
 
-    def __init__(self, store, max_batch=64, max_wait_ms=2.0, max_pending=4096,
+    def __init__(self, store, max_batch=64, max_pending=4096,
                  admission="wait", dispatch_workers=1, default_timeout_ms=None):
         if int(max_batch) < 1:
             raise ValueError("max_batch must be >= 1")
-        if float(max_wait_ms) < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if int(max_pending) < int(max_batch):
             raise ValueError(
                 f"max_pending ({max_pending}) must be >= max_batch "
@@ -223,7 +220,6 @@ class StoreServer:
             raise ValueError("default_timeout_ms must be > 0 (or None)")
         self._store = store
         self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
         self.max_pending = int(max_pending)
         self.admission = admission
         self.dispatch_workers = int(dispatch_workers)
@@ -234,19 +230,19 @@ class StoreServer:
         self._pool = None
         self._started = False
         self._closed = False
-        #: key -> {"futures": [...], "queries": [...], "timer": handle};
+        #: key -> {"futures": [...], "queries": [...]}, oldest group first;
         #: keys are ("cleanup",) / ("topk", k) / ("similarities",)
         self._groups = {}
         self._pending = 0  # admitted requests not yet resolved
         self._waiters = deque()  # admission="wait" FIFO
-        self._inflight = set()  # running wave tasks
+        self._inflight = set()  # wave tasks, from flush to finish
         self._stats = self._zero_stats()
 
     @staticmethod
     def _zero_stats():
         return dict.fromkeys(
             ("requests", "rejected", "cancelled", "timed_out", "waves",
-             "batched_requests", "flushed_size", "flushed_deadline",
+             "batched_requests", "flushed_size", "flushed_idle",
              "flushed_drain", "queue_high_water", "mutations"), 0,
         )
 
@@ -346,7 +342,7 @@ class StoreServer:
         - ``waves`` — batched kernel dispatches; ``batched_requests`` —
           rows those waves carried (``mean_batch_size`` is the derived
           amortization actually achieved);
-        - ``flushed_size`` / ``flushed_deadline`` / ``flushed_drain`` —
+        - ``flushed_size`` / ``flushed_idle`` / ``flushed_drain`` —
           flush-trigger attribution, one per wave;
         - ``queue_high_water`` — max simultaneous in-server requests
           observed (the backpressure headroom that was actually used);
@@ -371,7 +367,7 @@ class StoreServer:
     def __repr__(self):
         return (
             f"StoreServer(store={self._store!r}, max_batch={self.max_batch}, "
-            f"max_wait_ms={self.max_wait_ms}, max_pending={self.max_pending}, "
+            f"max_pending={self.max_pending}, "
             f"admission={self.admission!r}, pending={self._pending})"
         )
 
@@ -430,9 +426,10 @@ class StoreServer:
         Protocol: take the mutation lock (mutations serialize), close
         the wave gate (waves flushed from now on park before touching
         the store), wait until no wave is executing, run the mutation on
-        the dispatch pool, then reopen the gate. Parked waves — and any
-        request still queued in a group — resolve against the *new*
-        snapshot; waves already executing finished against the old one.
+        the dispatch pool, then reopen the gate and hand the workers to
+        the groups that queued meanwhile. Parked waves — and any request
+        still queued in a group — resolve against the *new* snapshot;
+        waves already executing finished against the old one.
         Either way no kernel ever observes a half-applied mutation, on
         thread and process executors alike.
         """
@@ -456,6 +453,7 @@ class StoreServer:
                 return result
             finally:
                 self._gate.set()
+                self._dispatch_idle()
 
     def _resolve_timeout(self, timeout_ms):
         timeout = self.default_timeout_ms if timeout_ms is None else timeout_ms
@@ -519,12 +517,8 @@ class StoreServer:
                 self._stats["queue_high_water"] = self._pending
             group = self._groups.get(key)
             if group is None:
-                group = self._groups[key] = {
-                    "futures": [], "queries": [], "timer": None,
-                }
-                group["timer"] = self._loop.call_later(
-                    self.max_wait_ms / 1000.0, self._flush, key, "deadline"
-                )
+                group = self._groups[key] = {"futures": [], "queries": []}
+                self._loop.call_soon(self._dispatch_idle)
             future = self._loop.create_future()
             state["future"] = future
             group["futures"].append(future)
@@ -569,16 +563,7 @@ class StoreServer:
         future = state["future"]
         if future is None or future.done():
             return  # resolved first (or _submit will notice "expired")
-        key = state["key"]
-        group = self._groups.get(key)
-        if group is not None and future in group["futures"]:
-            index = group["futures"].index(future)
-            del group["futures"][index]
-            del group["queries"][index]
-            if not group["futures"]:
-                group["timer"].cancel()
-                del self._groups[key]
-            self._release(1)
+        self._discard_queued(state["key"], future)
         self._stats["timed_out"] += 1
         future.set_exception(
             ServerTimeout("request deadline expired before its wave resolved")
@@ -617,10 +602,11 @@ class StoreServer:
                 raise ServerClosed("StoreServer stopped while awaiting admission")
 
     def _discard_queued(self, key, future):
-        """Drop a cancelled request that is still queued (frees its slot).
+        """Drop a cancelled or expired request that is still queued
+        (frees its slot).
 
         A request already dispatched in a wave is not here anymore; its
-        wave completes normally and skips the cancelled future.
+        wave completes normally and skips the done future.
         """
         group = self._groups.get(key)
         if group is None or future not in group["futures"]:
@@ -629,18 +615,29 @@ class StoreServer:
         del group["futures"][index]
         del group["queries"][index]
         if not group["futures"]:
-            group["timer"].cancel()
             del self._groups[key]
         self._release(1)
 
     # -- coalescing core ---------------------------------------------------- #
 
+    def _dispatch_idle(self):
+        """Hand each free dispatch worker the oldest queued group.
+
+        Runs a tick after a group forms, when a wave finishes, and when
+        a mutation reopens the gate; a running mutation holds every
+        worker, so groups that form meanwhile ride the waves after it.
+        """
+        while (self._groups and self._gate.is_set()
+               and len(self._inflight) < self.dispatch_workers):
+            self._flush(next(iter(self._groups)), "idle")
+
+    def _wave_done(self, task):
+        self._inflight.discard(task)
+        self._dispatch_idle()
+
     def _flush(self, key, trigger):
         """Move one group out of the queue and dispatch it as a wave."""
-        group = self._groups.pop(key, None)
-        if group is None:
-            return  # size-flushed before its deadline timer fired
-        group["timer"].cancel()
+        group = self._groups.pop(key)
         live = [
             (future, row)
             for future, row in zip(group["futures"], group["queries"])
@@ -656,7 +653,7 @@ class StoreServer:
         self._stats["batched_requests"] += len(live)
         task = self._loop.create_task(self._run_wave(key, live))
         self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        task.add_done_callback(self._wave_done)
 
     async def _run_wave(self, key, live):
         """Execute one wave off-loop and demultiplex per-row results."""

@@ -52,7 +52,7 @@ def _noisy(vectors, rng, num):
 
 
 async def _serve(store, queries):
-    async with StoreServer(store, max_batch=MAX_BATCH, max_wait_ms=1.0) as srv:
+    async with StoreServer(store, max_batch=MAX_BATCH) as srv:
         cleanup = asyncio.gather(*[srv.cleanup(q) for q in queries])
         topk = asyncio.gather(*[srv.topk(q, k=TOPK) for q in queries])
         sims = asyncio.gather(*[srv.similarities(q) for q in queries])

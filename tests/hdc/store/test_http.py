@@ -98,7 +98,6 @@ def _serve_jobs(store, jobs, clients=6, **server_kwargs):
     """Serve ``jobs`` (method, path, payload) over concurrent keep-alive
     connections; returns ``(status, payload)`` per job, in job order."""
     server_kwargs.setdefault("max_batch", 8)
-    server_kwargs.setdefault("max_wait_ms", 1.0)
 
     async def main():
         async with StoreHTTPServer(StoreServer(store, **server_kwargs)) as http:
@@ -201,7 +200,7 @@ class TestWireAgreement:
             expected.append(jsonable_result("topk", reference.topk(q, k=24)))
 
         for _ in range(3):  # scheduling varies run to run
-            answers = _serve_jobs(store, jobs, max_batch=4, max_wait_ms=0.5)
+            answers = _serve_jobs(store, jobs, max_batch=4)
             assert [payload for _, payload in answers] == expected
         store.memory.close()
 
@@ -237,7 +236,7 @@ class TestWireAgreement:
             expected.append(jsonable_result("cleanup", store.cleanup(q)))
             jobs.append(("POST", "/v1/topk", {"query": _wire(q), "k": 3}))
             expected.append(jsonable_result("topk", store.topk(q, k=3)))
-        answers = _serve_jobs(store, jobs, max_batch=16, max_wait_ms=2.0)
+        answers = _serve_jobs(store, jobs, max_batch=16)
         assert [payload for _, payload in answers] == expected
         store.memory.close()
 
@@ -256,12 +255,19 @@ class TestErrorMapping:
             ("POST", "/v1/topk", {"query": q, "k": "five"}),
             ("POST", "/v1/topk", {"query": q, "k": 0}),
             ("POST", "/v1/similarities", {"query": [q]}),     # 2-d batch
+            # json.loads admits these literals; the answer would not be JSON
+            ("POST", "/v1/cleanup", {"query": [float("nan")] + q[1:]}),
+            ("POST", "/v1/topk", {"query": q[:-1] + [float("inf")]}),
+            ("POST", "/v1/similarities",
+             {"query": [float("-inf")] + q[1:]}),
         ]
         answers = _serve_jobs(store, jobs, clients=1)
         for (status, payload), job in zip(answers, jobs):
             assert status == 400, (job, payload)
             assert payload["error"]["status"] == 400
             assert payload["error"]["message"]
+        for _, payload in answers[-3:]:
+            assert "finite" in payload["error"]["message"]
 
     def test_unknown_route_404_wrong_method_405(self, rng):
         store, _, vectors = _store(rng, shards=1, items=8)
@@ -330,8 +336,8 @@ class TestErrorMapping:
         expected = jsonable_result("cleanup", store.cleanup(vectors[0]))
 
         async def main():
-            server = StoreServer(gated, max_batch=1, max_wait_ms=0.0,
-                                 max_pending=1, admission="reject")
+            server = StoreServer(gated, max_batch=1, max_pending=1,
+                                 admission="reject")
             async with StoreHTTPServer(server) as http:
                 first = await JSONHTTPClient.connect(http.host, http.port)
                 second = await JSONHTTPClient.connect(http.host, http.port)
@@ -456,7 +462,7 @@ class TestWireMutations:
         rows_before = len(store)
 
         async def main():
-            server = StoreServer(gated, max_batch=1, max_wait_ms=0.0)
+            server = StoreServer(gated, max_batch=1)
             http = await StoreHTTPServer(server).start()
             first = await JSONHTTPClient.connect(http.host, http.port)
             inflight = asyncio.ensure_future(first.request(
@@ -493,7 +499,7 @@ class TestLifecycle:
         expected = jsonable_result("cleanup", store.cleanup(vectors[0]))
 
         async def main():
-            server = StoreServer(gated, max_batch=1, max_wait_ms=0.0)
+            server = StoreServer(gated, max_batch=1)
             http = await StoreHTTPServer(server).start()
             port = http.port
             first = await JSONHTTPClient.connect(http.host, port)
@@ -627,7 +633,7 @@ class TestDeadlinesOnTheWire:
         expected = jsonable_result("cleanup", store.cleanup(vectors[1]))
 
         async def main():
-            server = StoreServer(gated, max_batch=1, max_wait_ms=0.0)
+            server = StoreServer(gated, max_batch=1)
             async with StoreHTTPServer(server) as http:
                 timed = await JSONHTTPClient.connect(http.host, http.port)
                 inflight = asyncio.ensure_future(timed.request(
@@ -663,16 +669,16 @@ class TestDeadlinesOnTheWire:
             assert "timeout_ms" in payload["error"]["message"]
 
     def test_429_and_503_carry_the_retry_after_hint(self, rng):
-        """Overload and drain responses advertise when to come back:
-        one micro-batch deadline, rounded up to whole seconds."""
+        """Overload and drain responses advertise when to come back: the
+        1-second floor of HTTP's integer Retry-After."""
         store, _, vectors = _store(rng)
         gated = _GatedStore(store)
 
         async def main():
-            server = StoreServer(gated, max_batch=1, max_wait_ms=0.0,
-                                 max_pending=1, admission="reject")
+            server = StoreServer(gated, max_batch=1, max_pending=1,
+                                 admission="reject")
             async with StoreHTTPServer(server) as http:
-                assert http.retry_after_hint == 1  # ceil(0 ms) floors at 1 s
+                assert http.retry_after_hint == 1
                 first = await JSONHTTPClient.connect(http.host, http.port)
                 second = await JSONHTTPClient.connect(http.host, http.port)
                 inflight = asyncio.ensure_future(first.request(
@@ -691,15 +697,14 @@ class TestDeadlinesOnTheWire:
         asyncio.run(main())
 
         async def drained():
-            async with StoreServer(store, max_wait_ms=2500.0) as server:
+            async with StoreServer(store) as server:
                 async with StoreHTTPServer(server) as http:
-                    assert http.retry_after_hint == 3  # ceil(2.5 s)
                     client = await JSONHTTPClient.connect(http.host, http.port)
                     await server.stop()
                     status, _ = await client.request(
                         "POST", "/v1/cleanup", {"query": _wire(vectors[0])})
                     assert status == 503
-                    assert client.last_headers["retry-after"] == "3"
+                    assert client.last_headers["retry-after"] == "1"
                     await client.close()
 
         asyncio.run(drained())
@@ -815,8 +820,8 @@ class TestClientRetry:
                              clock=lambda: 0.0, sleep=fake_sleep)
 
         async def main():
-            server = StoreServer(gated, max_batch=1, max_wait_ms=0.0,
-                                 max_pending=1, admission="reject")
+            server = StoreServer(gated, max_batch=1, max_pending=1,
+                                 admission="reject")
             async with StoreHTTPServer(server) as http:
                 first = await JSONHTTPClient.connect(http.host, http.port)
                 retrier = await JSONHTTPClient.connect(http.host, http.port,
@@ -853,8 +858,8 @@ class TestClientRetry:
                              sleep=never_sleep)
 
         async def main():
-            server = StoreServer(gated, max_batch=1, max_wait_ms=0.0,
-                                 max_pending=1, admission="reject")
+            server = StoreServer(gated, max_batch=1, max_pending=1,
+                                 admission="reject")
             async with StoreHTTPServer(server) as http:
                 first = await JSONHTTPClient.connect(http.host, http.port)
                 retrier = await JSONHTTPClient.connect(http.host, http.port,

@@ -6,8 +6,9 @@ coalesced wave must be *bit-identical* to the same request issued alone
 against the :class:`AssociativeStore` — across executor kinds, backends,
 batch compositions, tie-heavy inputs, cancellation mid-wave, and
 backpressure. The suite also pins the server's operational semantics:
-flush-trigger attribution, admission control (wait and reject), graceful
-drain on shutdown, and slot accounting under cancellation.
+the work-conserving flush rule and flush-trigger attribution, admission
+control (wait and reject), graceful drain on shutdown, and slot
+accounting under cancellation.
 
 No pytest-asyncio: each test drives its own ``asyncio.run``.
 """
@@ -51,37 +52,50 @@ def _store(rng, backend="packed", shards=3, executor="thread", dim=256,
     return store, vectors
 
 
+async def _until(condition, timeout=10.0):
+    """Poll ``condition`` between loop ticks; fail rather than hang."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not condition():
+        assert loop.time() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
 class _GatedStore:
     """Duck-typed store whose batch kernels block until released.
 
     Lets a test hold a wave *mid-dispatch* deterministically: the wave's
     executor thread parks on ``release`` and the test observes ``entered``
-    before cancelling / stopping / overflowing the queue.
+    before cancelling / stopping / overflowing the queue. With a single
+    dispatch worker, a held wave keeps every later request queued.
+    ``calls`` lists the kernel calls in the order they entered.
     """
 
     def __init__(self, inner):
         self._inner = inner
         self.entered = threading.Event()
         self.release = threading.Event()
+        self.calls = []
 
     @property
     def dim(self):
         return self._inner.dim
 
-    def _gate(self):
+    def _gate(self, call):
+        self.calls.append(call)
         self.entered.set()
         assert self.release.wait(timeout=10), "test never released the gate"
 
     def cleanup_batch(self, queries):
-        self._gate()
+        self._gate("cleanup")
         return self._inner.cleanup_batch(queries)
 
     def topk_batch(self, queries, k=5):
-        self._gate()
+        self._gate(("topk", k))
         return self._inner.topk_batch(queries, k=k)
 
     def similarities_batch(self, queries):
-        self._gate()
+        self._gate("similarities")
         return self._inner.similarities_batch(queries)
 
     def delete(self, labels):  # mutations bypass the gate on purpose
@@ -104,7 +118,7 @@ class TestServedAgreement:
         expected_sims = [store.similarities(q) for q in queries]
 
         async def main():
-            async with StoreServer(store, max_batch=8, max_wait_ms=1.0) as srv:
+            async with StoreServer(store, max_batch=8) as srv:
                 cleanup = asyncio.gather(*[srv.cleanup(q) for q in queries])
                 topk = asyncio.gather(*[srv.topk(q, k=5) for q in queries])
                 sims = asyncio.gather(*[srv.similarities(q) for q in queries])
@@ -121,7 +135,7 @@ class TestServedAgreement:
         assert 0 < stats["waves"] < stats["requests"]
         assert stats["mean_batch_size"] > 1.0
         assert (
-            stats["flushed_size"] + stats["flushed_deadline"]
+            stats["flushed_size"] + stats["flushed_idle"]
             + stats["flushed_drain"] == stats["waves"]
         )
         if store.num_shards > 1:
@@ -134,7 +148,7 @@ class TestServedAgreement:
         expected = [store.cleanup(q) for q in queries]
 
         async def main():
-            async with StoreServer(store, max_batch=4, max_wait_ms=0.5) as srv:
+            async with StoreServer(store, max_batch=4) as srv:
                 return await asyncio.gather(*[srv.cleanup(q) for q in queries])
 
         assert asyncio.run(main()) == expected
@@ -158,7 +172,7 @@ class TestServedAgreement:
         expected_topk = [reference.topk(q, k=24) for q in queries]
 
         async def main():
-            async with StoreServer(store, max_batch=4, max_wait_ms=0.5) as srv:
+            async with StoreServer(store, max_batch=4) as srv:
                 for _ in range(5):  # scheduling varies run to run
                     cleanup = await asyncio.gather(
                         *[srv.cleanup(q) for q in queries])
@@ -177,7 +191,7 @@ class TestServedAgreement:
         queries = _noisy_queries(vectors, rng, num=8)
 
         async def main():
-            async with StoreServer(store, max_batch=32, max_wait_ms=1.0) as srv:
+            async with StoreServer(store, max_batch=32) as srv:
                 jobs = []
                 for q in queries:
                     jobs.append(srv.cleanup(q))
@@ -196,6 +210,162 @@ class TestServedAgreement:
         store.memory.close()
 
 
+class TestWorkConserving:
+    """The idle flush trigger: a group leaves as soon as a dispatch
+    worker is free, so only what queued while every worker was busy
+    coalesces — an idle server never waits, and no timer is armed."""
+
+    def test_lone_request_enters_the_kernel_within_two_ticks(self, rng):
+        store, vectors = _store(rng, shards=1, items=8)
+        gated = _GatedStore(store)
+        armed = []
+
+        def recording(schedule):
+            def wrapper(*args, **kwargs):
+                armed.append(args)
+                return schedule(*args, **kwargs)
+            return wrapper
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.call_later = recording(loop.call_later)
+            loop.call_at = recording(loop.call_at)
+            async with StoreServer(gated, max_batch=64) as srv:
+                request = asyncio.ensure_future(srv.cleanup(vectors[0]))
+                await asyncio.sleep(0)  # tick 0: the request enqueues
+                await asyncio.sleep(0)  # tick 1: its group flushes
+                assert srv.stats["flushed_idle"] == 1
+                await asyncio.sleep(0)  # tick 2: the wave calls the kernel
+                assert gated.entered.wait(timeout=5)
+                gated.release.set()
+                return await request
+
+        assert asyncio.run(main()) == store.cleanup(vectors[0])
+        assert armed == []  # no flush timer, at any point
+
+    def test_arrivals_during_a_busy_wave_ride_one_next_wave(self, rng):
+        store, vectors = _store(rng)
+        gated = _GatedStore(store)
+        queries = _noisy_queries(vectors, rng, num=6)
+
+        async def main():
+            async with StoreServer(gated, max_batch=64) as srv:
+                first = asyncio.ensure_future(srv.cleanup(vectors[0]))
+                await _until(gated.entered.is_set)  # the only worker is busy
+                srv.reset_stats()
+                tasks = []
+                for q in queries:  # one arrival per loop tick
+                    tasks.append(asyncio.ensure_future(srv.cleanup(q)))
+                    await asyncio.sleep(0)
+                assert srv.stats["waves"] == 0  # all queued, none flushed
+                gated.release.set()
+                await first
+                # the finished wave hands its worker on: no request strands
+                results = await asyncio.wait_for(asyncio.gather(*tasks), 10)
+                return results, srv.stats
+
+        results, stats = asyncio.run(main())
+        assert results == [store.cleanup(q) for q in queries]
+        assert stats["waves"] == stats["flushed_idle"] == 1
+        assert stats["batched_requests"] == len(queries)
+        store.memory.close()
+
+    def test_same_tick_burst_coalesces(self, rng):
+        store, vectors = _store(rng)
+        queries = _noisy_queries(vectors, rng, num=12)
+
+        async def main():
+            async with StoreServer(store, max_batch=64) as srv:
+                results = await asyncio.gather(
+                    *[srv.topk(q, k=3) for q in queries])
+                return results, srv.stats
+
+        results, stats = asyncio.run(main())
+        assert results == [store.topk(q, k=3) for q in queries]
+        assert stats["waves"] == stats["flushed_idle"] == 1
+        assert stats["batched_requests"] == len(queries)
+        store.memory.close()
+
+    def test_second_worker_dispatches_while_the_first_wave_is_held(self, rng):
+        store, vectors = _store(rng)
+        gated = _GatedStore(store)
+
+        async def main():
+            async with StoreServer(gated, max_batch=64,
+                                   dispatch_workers=2) as srv:
+                first = asyncio.ensure_future(srv.cleanup(vectors[0]))
+                await _until(gated.entered.is_set)  # one worker is busy
+                second = asyncio.ensure_future(srv.cleanup(vectors[1]))
+                # the other worker takes the next group at once
+                await _until(lambda: len(gated.calls) == 2)
+                assert not first.done()
+                assert srv.stats["waves"] == srv.stats["flushed_idle"] == 2
+                gated.release.set()
+                return await first, await second
+
+        assert asyncio.run(main()) == (store.cleanup(vectors[0]),
+                                       store.cleanup(vectors[1]))
+        store.memory.close()
+
+    def test_queued_groups_dispatch_oldest_first(self, rng):
+        store, vectors = _store(rng)
+        gated = _GatedStore(store)
+
+        async def main():
+            async with StoreServer(gated, max_batch=64) as srv:
+                first = asyncio.ensure_future(srv.cleanup(vectors[0]))
+                await _until(gated.entered.is_set)  # the only worker is busy
+                queued = []
+                for request in (lambda: srv.topk(vectors[1], k=7),
+                                lambda: srv.similarities(vectors[2]),
+                                lambda: srv.cleanup(vectors[3]),
+                                lambda: srv.topk(vectors[4], k=2)):
+                    queued.append(asyncio.ensure_future(request()))
+                    await asyncio.sleep(0)
+                gated.release.set()
+                await asyncio.wait_for(asyncio.gather(first, *queued), 10)
+
+        asyncio.run(main())
+        assert gated.calls == ["cleanup", ("topk", 7), "similarities",
+                               "cleanup", ("topk", 2)]
+        store.memory.close()
+
+    def test_reads_during_a_delete_ride_one_wave_after_it(self, rng):
+        """A running mutation holds the worker too: reads arriving while
+        it commits queue, then ride one wave against the new snapshot."""
+        store, vectors = _store(rng, items=24, dim=128)
+        queries = _noisy_queries(vectors, rng, num=5)
+
+        class _GatedDelete(_GatedStore):
+            def delete(self, labels):
+                self._gate("delete")
+                return self._inner.delete(labels)
+
+        gated = _GatedDelete(store)
+
+        async def main():
+            async with StoreServer(gated, max_batch=64) as srv:
+                mutation = asyncio.ensure_future(srv.delete(["item0"]))
+                await _until(gated.entered.is_set)  # the delete is running
+                reads = []
+                for q in queries:  # one arrival per loop tick
+                    reads.append(asyncio.ensure_future(srv.topk(q, k=5)))
+                    await asyncio.sleep(0)
+                assert srv.stats["waves"] == 0  # all queued, none flushed
+                gated.release.set()
+                await mutation
+                results = await asyncio.wait_for(asyncio.gather(*reads), 10)
+                return results, srv.stats
+
+        results, stats = asyncio.run(main())
+        assert results == [store.topk(q, k=5) for q in queries]
+        assert all(label != "item0" for row in results for label, _ in row)
+        assert stats["waves"] == stats["flushed_idle"] == 1
+        assert stats["batched_requests"] == len(queries)
+        assert gated.calls == ["delete", ("topk", 5)]
+        store.memory.close()
+
+
 class TestCancellation:
     def test_cancel_mid_wave_leaves_the_rest_of_the_wave_intact(self, rng):
         """A request cancelled after its wave dispatched: the wave still
@@ -207,7 +377,7 @@ class TestCancellation:
         expected = [store.cleanup(q) for q in queries]
 
         async def main():
-            async with StoreServer(gated, max_batch=3, max_wait_ms=50.0) as srv:
+            async with StoreServer(gated, max_batch=3) as srv:
                 tasks = [asyncio.ensure_future(srv.cleanup(q)) for q in queries]
                 # size trigger fires at 3: wait for the wave to enter the
                 # kernel, then cancel the middle request mid-wave
@@ -228,20 +398,28 @@ class TestCancellation:
         store.memory.close()
 
     def test_cancel_while_queued_frees_the_slot_before_the_flush(self, rng):
-        """A request cancelled before its deadline flush leaves the queue
-        immediately; the survivors flush by deadline and answer exactly."""
+        """A request cancelled while queued behind a busy worker leaves
+        the queue immediately; the survivors ride the next wave and
+        answer exactly."""
         store, vectors = _store(rng)
+        gated = _GatedStore(store)
         queries = _noisy_queries(vectors, rng, num=3)
         expected = [store.cleanup(q) for q in queries]
 
         async def main():
-            async with StoreServer(store, max_batch=64, max_wait_ms=30.0) as srv:
+            async with StoreServer(gated, max_batch=64) as srv:
+                held = asyncio.ensure_future(srv.topk(vectors[0]))
+                while not gated.entered.is_set():  # the only worker is busy
+                    await asyncio.sleep(0.001)
+                srv.reset_stats()
                 tasks = [asyncio.ensure_future(srv.cleanup(q)) for q in queries]
                 await asyncio.sleep(0)  # let all three enqueue
-                assert srv.pending == 3
+                assert srv.pending == 1 + 3
                 tasks[0].cancel()
                 await asyncio.sleep(0)  # cancellation lands before any flush
-                assert srv.pending == 2
+                assert srv.pending == 1 + 2
+                gated.release.set()
+                await held
                 results = await asyncio.gather(*tasks, return_exceptions=True)
                 return results, srv.stats
 
@@ -249,20 +427,27 @@ class TestCancellation:
         assert isinstance(results[0], asyncio.CancelledError)
         assert results[1:] == expected[1:]
         assert stats["cancelled"] == 1
-        assert stats["flushed_deadline"] == 1
+        assert stats["flushed_idle"] == 1
         assert stats["batched_requests"] == 2  # the cancelled row never ran
         store.memory.close()
 
     def test_cancelling_every_queued_request_dissolves_the_group(self, rng):
         store, vectors = _store(rng)
+        gated = _GatedStore(store)
 
         async def main():
-            async with StoreServer(store, max_batch=64, max_wait_ms=30.0) as srv:
+            async with StoreServer(gated, max_batch=64) as srv:
+                held = asyncio.ensure_future(srv.topk(vectors[2]))
+                while not gated.entered.is_set():  # the only worker is busy
+                    await asyncio.sleep(0.001)
+                srv.reset_stats()
                 task = asyncio.ensure_future(srv.cleanup(vectors[0]))
                 await asyncio.sleep(0)
                 task.cancel()
                 await asyncio.sleep(0)
-                assert srv.pending == 0
+                assert srv.pending == 1  # the held wave's request alone
+                gated.release.set()
+                assert await held == store.topk(vectors[2])
                 assert srv.stats["waves"] == 0  # nothing left to dispatch
                 # ...and the server still serves fresh requests afterwards
                 assert await srv.cleanup(vectors[1]) == store.cleanup(vectors[1])
@@ -281,8 +466,7 @@ class TestBackpressure:
         expected = [store.cleanup(q) for q in queries]
 
         async def main():
-            async with StoreServer(store, max_batch=4, max_wait_ms=0.5,
-                                   max_pending=8) as srv:
+            async with StoreServer(store, max_batch=4, max_pending=8) as srv:
                 results = await asyncio.gather(
                     *[srv.cleanup(q) for q in queries])
                 return results, srv.stats
@@ -302,8 +486,8 @@ class TestBackpressure:
         expected = [store.cleanup(q) for q in queries]
 
         async def main():
-            async with StoreServer(gated, max_batch=2, max_wait_ms=0.5,
-                                   max_pending=4, admission="reject") as srv:
+            async with StoreServer(gated, max_batch=2, max_pending=4,
+                                   admission="reject") as srv:
                 tasks = [asyncio.ensure_future(srv.cleanup(q))
                          for q in queries[:4]]
                 while not gated.entered.is_set():  # first wave is in flight
@@ -333,7 +517,7 @@ class TestShutdown:
         expected = [store.cleanup(q) for q in queries]
 
         async def main():
-            srv = await StoreServer(gated, max_batch=3, max_wait_ms=60.0).start()
+            srv = await StoreServer(gated, max_batch=3).start()
             tasks = [asyncio.ensure_future(srv.cleanup(q)) for q in queries]
             while not gated.entered.is_set():  # wave of 3 dispatched, 2 queued
                 await asyncio.sleep(0.001)
@@ -357,8 +541,7 @@ class TestShutdown:
         gated = _GatedStore(store)
 
         async def main():
-            async with StoreServer(gated, max_batch=1, max_wait_ms=0.0,
-                                   max_pending=1) as srv:
+            async with StoreServer(gated, max_batch=1, max_pending=1) as srv:
                 first = asyncio.ensure_future(srv.cleanup(vectors[0]))
                 while not gated.entered.is_set():
                     await asyncio.sleep(0.001)
@@ -405,19 +588,24 @@ class TestAdmissionShutdownRaces:
         first) runs before ``woken`` resumes — exactly the window where
         the second cancel must not swallow the token."""
         store, vectors = _store(rng, shards=1, items=8)
+        gated = _GatedStore(store)
         expected = [store.cleanup(vectors[1]), store.topk(vectors[0], k=5),
                     store.topk(vectors[1], k=5), store.cleanup(vectors[3])]
 
         async def main():
-            async with StoreServer(store, max_batch=3, max_wait_ms=60.0,
-                                   max_pending=4) as srv:
+            async with StoreServer(gated, max_batch=3,
+                                   max_pending=5) as srv:
+                busy = asyncio.ensure_future(srv.similarities(vectors[4]))
+                while not gated.entered.is_set():  # the only worker is busy
+                    await asyncio.sleep(0.001)
                 held = [asyncio.ensure_future(srv.cleanup(vectors[0])),
                         asyncio.ensure_future(srv.cleanup(vectors[1])),
                         asyncio.ensure_future(srv.topk(vectors[0])),
                         asyncio.ensure_future(srv.topk(vectors[1]))]
                 await asyncio.sleep(0)
-                # two part-filled groups, no wave dispatched, at capacity
-                assert srv.pending == 4
+                # two part-filled groups queued behind it, at capacity
+                assert srv.pending == 5
+                assert srv.stats["waves"] == 1
                 woken = asyncio.ensure_future(srv.cleanup(vectors[2]))
                 starved = asyncio.ensure_future(srv.cleanup(vectors[3]))
                 await asyncio.sleep(0)  # both parked on the admission FIFO
@@ -426,10 +614,13 @@ class TestAdmissionShutdownRaces:
                 woken.cancel()          # cancel-after-wake
                 await asyncio.gather(held[0], woken, return_exceptions=True)
                 await asyncio.sleep(0)  # the passed-on token admits `starved`
-                assert srv.pending == 4, "wake token was lost"
+                assert srv.pending == 5, "wake token was lost"
                 # only held[0] counts: `woken` never got past admission
                 assert srv.stats["cancelled"] == 1
-            # leaving the context drained the queued groups as drain waves
+                gated.release.set()
+                await busy
+            # the freed worker served the queued groups (leaving the
+            # context drains any that were still queued)
             return await asyncio.gather(held[1], held[2], held[3], starved)
 
         assert asyncio.run(main()) == expected
@@ -455,8 +646,7 @@ class TestAdmissionShutdownRaces:
                 await self.proceed.wait()
 
         async def main():
-            async with _GatedAdmission(store, max_batch=64,
-                                       max_wait_ms=60.0) as srv:
+            async with _GatedAdmission(store, max_batch=64) as srv:
                 request = asyncio.ensure_future(srv.cleanup(vectors[0]))
                 await srv.admitted.wait()  # admitted, not yet enqueued
                 stopper = asyncio.ensure_future(srv.stop())
@@ -496,19 +686,24 @@ class TestDeadlines:
         asyncio.run(main())
 
     def test_timeout_while_queued_frees_the_slot(self, rng):
-        """A deadline firing before the group's flush: the request fails
-        with ServerTimeout, the queue drains to empty, no wave ever
-        dispatches, and the server keeps serving."""
+        """A deadline firing while the request is queued behind a busy
+        worker: the request fails with ServerTimeout, its slot frees at
+        once, its group never dispatches, and the server keeps serving."""
         store, vectors = _store(rng, shards=1, items=8)
+        gated = _GatedStore(store)
 
         async def main():
-            async with StoreServer(store, max_batch=64,
-                                   max_wait_ms=60.0) as srv:
+            async with StoreServer(gated, max_batch=64) as srv:
+                held = asyncio.ensure_future(srv.topk(vectors[2]))
+                while not gated.entered.is_set():  # the only worker is busy
+                    await asyncio.sleep(0.001)
                 with pytest.raises(ServerTimeout):
                     await srv.cleanup(vectors[0], timeout_ms=5.0)
-                assert srv.pending == 0
+                assert srv.pending == 1  # the held wave's request alone
                 assert srv.stats["timed_out"] == 1
-                assert srv.stats["waves"] == 0  # the group dissolved
+                gated.release.set()
+                assert await held == store.topk(vectors[2])
+                assert srv.stats["waves"] == 1  # the group dissolved
                 answer = await srv.cleanup(vectors[1], timeout_ms=5000.0)
                 assert answer == store.cleanup(vectors[1])
 
@@ -523,8 +718,7 @@ class TestDeadlines:
         expected = store.cleanup(vectors[1])
 
         async def main():
-            async with StoreServer(gated, max_batch=2,
-                                   max_wait_ms=60.0) as srv:
+            async with StoreServer(gated, max_batch=2) as srv:
                 fast = asyncio.ensure_future(
                     srv.cleanup(vectors[0], timeout_ms=20.0))
                 slow = asyncio.ensure_future(srv.cleanup(vectors[1]))
@@ -552,8 +746,7 @@ class TestDeadlines:
         expected = store.cleanup(vectors[0])
 
         async def main():
-            async with StoreServer(gated, max_batch=1, max_wait_ms=0.0,
-                                   max_pending=1) as srv:
+            async with StoreServer(gated, max_batch=1, max_pending=1) as srv:
                 first = asyncio.ensure_future(srv.cleanup(vectors[0]))
                 while not gated.entered.is_set():
                     await asyncio.sleep(0.001)
@@ -571,15 +764,24 @@ class TestDeadlines:
 
     def test_default_timeout_applies_and_per_request_overrides(self, rng):
         store, vectors = _store(rng, shards=1, items=8)
+        gated = _GatedStore(store)
 
         async def main():
-            async with StoreServer(store, max_batch=64, max_wait_ms=30.0,
+            async with StoreServer(gated, max_batch=64,
                                    default_timeout_ms=5.0) as srv:
+                held = asyncio.ensure_future(
+                    srv.topk(vectors[2], timeout_ms=5000.0))
+                while not gated.entered.is_set():  # the only worker is busy
+                    await asyncio.sleep(0.001)
                 with pytest.raises(ServerTimeout):
                     await srv.cleanup(vectors[0])  # inherits the default
-                # a generous per-request override outlives the 30 ms flush
-                answer = await srv.cleanup(vectors[1], timeout_ms=5000.0)
-                assert answer == store.cleanup(vectors[1])
+                # a generous per-request override outlives 30 ms queued
+                override = asyncio.ensure_future(
+                    srv.cleanup(vectors[1], timeout_ms=5000.0))
+                await asyncio.sleep(0.03)
+                gated.release.set()
+                assert await override == store.cleanup(vectors[1])
+                assert await held == store.topk(vectors[2])
                 assert srv.stats["timed_out"] == 1
 
         asyncio.run(main())
@@ -593,8 +795,7 @@ class TestDeadlines:
         expected = store.cleanup(vectors[1])
 
         async def main():
-            srv = await StoreServer(gated, max_batch=2,
-                                    max_wait_ms=60.0).start()
+            srv = await StoreServer(gated, max_batch=2).start()
             timed = asyncio.ensure_future(
                 srv.cleanup(vectors[0], timeout_ms=30.0))
             other = asyncio.ensure_future(srv.cleanup(vectors[1]))
@@ -643,8 +844,7 @@ class TestRestartability:
         expected = [store.cleanup(q) for q in vectors[:3]]
 
         async def main():
-            srv = await StoreServer(gated, max_batch=3,
-                                    max_wait_ms=60.0).start()
+            srv = await StoreServer(gated, max_batch=3).start()
             tasks = [asyncio.ensure_future(srv.cleanup(q))
                      for q in vectors[:3]]
             while not gated.entered.is_set():  # wave of 3 dispatched
@@ -669,7 +869,7 @@ class TestRestartability:
         gated = _GatedStore(store)
 
         async def main():
-            async with StoreServer(gated, max_batch=2, max_wait_ms=0.0) as srv:
+            async with StoreServer(gated, max_batch=2) as srv:
                 tasks = [asyncio.ensure_future(srv.cleanup(q))
                          for q in vectors[:2]]
                 while not gated.entered.is_set():
@@ -698,8 +898,6 @@ class TestValidationAndStats:
         store, _ = _store(rng, shards=1, items=4)
         with pytest.raises(ValueError, match="max_batch"):
             StoreServer(store, max_batch=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            StoreServer(store, max_wait_ms=-1)
         with pytest.raises(ValueError, match="max_pending"):
             StoreServer(store, max_batch=8, max_pending=4)
         with pytest.raises(ValueError, match="admission"):
@@ -737,7 +935,7 @@ class TestValidationAndStats:
         store, vectors = _store(rng, shards=1, items=8)
 
         async def main():
-            async with StoreServer(store, max_batch=4, max_wait_ms=0.5) as srv:
+            async with StoreServer(store, max_batch=4) as srv:
                 await asyncio.gather(*[srv.cleanup(q) for q in vectors])
                 snapshot = srv.reset_stats()
                 assert snapshot["requests"] == len(vectors)
@@ -756,7 +954,7 @@ class TestValidationAndStats:
         store.reset_pruning_stats()
 
         async def main():
-            async with StoreServer(store, max_batch=4, max_wait_ms=0.5,
+            async with StoreServer(store, max_batch=4,
                                    dispatch_workers=2) as srv:
                 return await asyncio.gather(*[srv.cleanup(q) for q in queries])
 
@@ -781,7 +979,7 @@ class TestServedMutations:
         batch = random_bipolar(2, 128, rng)
 
         async def main():
-            async with StoreServer(store, max_batch=8, max_wait_ms=1.0) as srv:
+            async with StoreServer(store, max_batch=8) as srv:
                 before = await asyncio.gather(
                     *[srv.topk(q, k=5) for q in queries])
                 await srv.delete(["item3", "item17"])
@@ -811,7 +1009,7 @@ class TestServedMutations:
             labels, np.tile(base, (6, 1)), backend="packed", shards=3)
 
         async def main():
-            async with StoreServer(store, max_wait_ms=0.5) as srv:
+            async with StoreServer(store) as srv:
                 first = await srv.cleanup(base)
                 await srv.delete(["dup0"])
                 second = await srv.cleanup(base)
@@ -836,7 +1034,7 @@ class TestServedMutations:
         expected = store.topk(vectors[0], k=3)
 
         async def main():
-            async with StoreServer(gated, max_batch=1, max_wait_ms=0.5) as srv:
+            async with StoreServer(gated, max_batch=1) as srv:
                 wave = asyncio.create_task(srv.topk(vectors[0], k=3))
                 while not gated.entered.is_set():
                     await asyncio.sleep(0.005)
