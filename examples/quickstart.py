@@ -42,7 +42,9 @@ def main():
         result = pipeline.run()
 
     # 4. Zero-shot inference: classify unseen-class images from their
-    #    attribute descriptors alone (all weights stationary).
+    #    attribute descriptors alone (all weights stationary). deploy()
+    #    folds BatchNorm into the convs, so count parameters before it.
+    parameters = result.model.num_parameters(trainable_only=False)
     model = result.model.deploy()
     unseen_attributes = dataset.class_attributes[split.test_classes]
     predictions = model.predict(split.test_images[:5], unseen_attributes)
@@ -56,7 +58,7 @@ def main():
     chance = 100.0 / len(split.test_classes)
     print(f"\nzero-shot top-1: {result.metrics['top1']:.1f}%  "
           f"top-5: {result.metrics['top5']:.1f}%  (chance {chance:.1f}%)")
-    print(f"trainable parameters: {model.num_parameters(trainable_only=False):,} "
+    print(f"trainable parameters: {parameters:,} "
           f"(HDC attribute encoder contributes 0)")
 
     # 5. Store-backed deployment (repro.hdc.store): binarized class

@@ -431,7 +431,9 @@ class StoreServer:
         still queued in a group — resolve against the *new* snapshot;
         waves already executing finished against the old one.
         Either way no kernel ever observes a half-applied mutation, on
-        thread and process executors alike.
+        thread and process executors alike. A caller cancelled while its
+        store call runs sees ``CancelledError`` only after that call
+        returns; the mutation lands and counts in ``stats``.
         """
         if not self._started:
             raise RuntimeError(
@@ -446,11 +448,22 @@ class StoreServer:
             self._gate.clear()
             try:
                 await self._idle.wait()
-                result = await self._loop.run_in_executor(
-                    self._pool, apply, self._store
-                )
-                self._stats["mutations"] += 1
-                return result
+                applying = self._loop.run_in_executor(self._pool, apply, self._store)
+                # A cancelled caller cannot stop the store call on its
+                # dispatch thread: keep the gate shut and the lock held
+                # until the call returns, then let the cancellation out.
+                # (asyncio.wait, unlike a bare await, never cancels it.)
+                cancelled = None
+                while not applying.done():
+                    try:
+                        await asyncio.wait((applying,))
+                    except asyncio.CancelledError as exc:
+                        cancelled = exc
+                if applying.exception() is None:
+                    self._stats["mutations"] += 1
+                if cancelled is not None:
+                    raise cancelled
+                return applying.result()
             finally:
                 self._gate.set()
                 self._dispatch_idle()

@@ -33,6 +33,17 @@ __all__ = [
 ]
 
 
+def _fold(owner, conv_name, bn_name):
+    """Fold ``owner.<bn_name>`` into ``owner.<conv_name>``, then drop it.
+
+    A no-op once folded, so deploying twice changes nothing.
+    """
+    bn = getattr(owner, bn_name)
+    if isinstance(bn, nn.BatchNorm2d):
+        getattr(owner, conv_name).absorb_batchnorm(bn)
+        setattr(owner, bn_name, nn.Identity())
+
+
 class BasicBlock(nn.Module):
     """Two 3×3 convolutions with identity shortcut (expansion 1)."""
 
@@ -57,6 +68,13 @@ class BasicBlock(nn.Module):
         out = self.bn1(self.conv1(x)).relu()
         out = self.bn2(self.conv2(out))
         return (out + self.shortcut(x)).relu()
+
+    def fold_batchnorm(self):
+        """Fold each eval-mode BatchNorm into the conv it follows (deploy)."""
+        _fold(self, "conv1", "bn1")
+        _fold(self, "conv2", "bn2")
+        if isinstance(self.shortcut, nn.Sequential):  # projection conv → BN
+            _fold(self.shortcut, "layer0", "layer1")
 
 
 class Bottleneck(nn.Module):
@@ -86,6 +104,14 @@ class Bottleneck(nn.Module):
         out = self.bn2(self.conv2(out)).relu()
         out = self.bn3(self.conv3(out))
         return (out + self.shortcut(x)).relu()
+
+    def fold_batchnorm(self):
+        """Fold each eval-mode BatchNorm into the conv it follows (deploy)."""
+        _fold(self, "conv1", "bn1")
+        _fold(self, "conv2", "bn2")
+        _fold(self, "conv3", "bn3")
+        if isinstance(self.shortcut, nn.Sequential):  # projection conv → BN
+            _fold(self.shortcut, "layer0", "layer1")
 
 
 class ResNet(nn.Module):
@@ -149,6 +175,11 @@ class ResNet(nn.Module):
         for stage in self.stages:
             out = stage(out)
         return self.head_pool(out)
+
+    def fold_batchnorm(self):
+        """Fold the stem's eval-mode BatchNorm into the stem conv (deploy);
+        each block folds its own pairs."""
+        _fold(self, "conv1", "bn1")
 
     def __repr__(self):
         return (

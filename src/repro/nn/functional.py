@@ -8,6 +8,8 @@ convolution, pooling, dropout and the pairwise cosine-similarity kernel.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .tensor import Tensor
@@ -148,7 +150,14 @@ def mse_loss(prediction, target):
 # --------------------------------------------------------------------- #
 
 
+@lru_cache(maxsize=64)
 def _im2col_indices(channels, kernel_h, kernel_w, out_h, out_w, stride):
+    """Gather indices ``(k, i, j)`` of an im2col over padded NCHW input.
+
+    Cached per geometry, so every caller shares one set of arrays; they
+    are read-only, because a write through one caller would corrupt the
+    next one's gather.
+    """
     i0 = np.repeat(np.arange(kernel_h), kernel_w)
     i0 = np.tile(i0, channels)
     i1 = stride * np.repeat(np.arange(out_h), out_w)
@@ -157,6 +166,8 @@ def _im2col_indices(channels, kernel_h, kernel_w, out_h, out_w, stride):
     i = i0.reshape(-1, 1) + i1.reshape(1, -1)
     j = j0.reshape(-1, 1) + j1.reshape(1, -1)
     k = np.repeat(np.arange(channels), kernel_h * kernel_w).reshape(-1, 1)
+    for index in (k, i, j):
+        index.flags.writeable = False
     return k, i, j
 
 
@@ -165,6 +176,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
 
     Implemented as an im2col primitive with an explicit backward pass;
     this keeps the autograd graph shallow and the inner loop inside BLAS.
+    An unpadded 1×1 convolution reads its columns through a strided view
+    instead of the im2col gather.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -180,14 +193,20 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         raise ValueError("convolution output would be empty; check kernel/stride/padding")
 
     if padding:
-        x_padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        x_padded = np.zeros(
+            (batch, in_channels, height + 2 * padding, width + 2 * padding),
+            dtype=x.data.dtype,
+        )
+        x_padded[:, :, padding:-padding, padding:-padding] = x.data
     else:
         x_padded = x.data
     k, i, j = _im2col_indices(in_channels, kernel_h, kernel_w, out_h, out_w, stride)
-    cols = x_padded[:, k, i, j]  # (B, C*kh*kw, oh*ow)
+    if kernel_h == kernel_w == 1 and not padding:
+        cols = x_padded[:, :, ::stride, ::stride].reshape(batch, in_channels, -1)
+    else:
+        cols = x_padded[:, k, i, j]  # (B, C*kh*kw, oh*ow)
     w_mat = weight.data.reshape(out_channels, -1)
-    out = np.einsum("fc,bcp->bfp", w_mat, cols, optimize=True)
-    out = out.reshape(batch, out_channels, out_h, out_w)
+    out = np.matmul(w_mat, cols).reshape(batch, out_channels, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1, 1)
 

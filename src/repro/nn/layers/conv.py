@@ -43,6 +43,34 @@ class Conv2d(Module):
     def forward(self, x):
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
+    def absorb_batchnorm(self, bn):
+        """Fold the eval-mode ``bn`` applied to this conv's output into it.
+
+        With ``s = γ / √(σ² + ε)`` per output channel (``μ``, ``σ²`` the
+        running statistics), ``bn(conv(x))`` equals this conv with weight
+        ``W·s`` and bias ``(b − μ)·s + β`` (``b = 0`` without a bias).
+        The weight is scaled in place, so the folded conv keeps a single
+        copy of it; the caller removes ``bn`` from the graph. Returns
+        self.
+        """
+        if bn.num_features != self.out_channels:
+            raise ValueError(
+                f"BatchNorm over {bn.num_features} channels cannot fold into a "
+                f"conv with {self.out_channels} output channels"
+            )
+        gamma, beta, mean, var = (
+            t.data.astype(np.float64)
+            for t in (bn.weight, bn.bias, bn.running_mean, bn.running_var)
+        )
+        scale = gamma / np.sqrt(var + bn.eps)
+        shift = beta - mean * scale
+        if self.bias is not None:
+            shift += self.bias.data * scale
+        weight = self.weight.data
+        weight *= scale.reshape(-1, 1, 1, 1)  # in place: one rounding, no copy
+        self.bias = Parameter(shift, dtype=weight.dtype)
+        return self
+
     def __repr__(self):
         return (
             f"Conv2d({self.in_channels}, {self.out_channels}, "

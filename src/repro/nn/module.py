@@ -20,8 +20,8 @@ __all__ = ["Parameter", "Buffer", "Module", "Sequential", "ModuleList"]
 class Parameter(Tensor):
     """A trainable tensor owned by a module."""
 
-    def __init__(self, data, name=None):
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data, name=None, dtype=None):
+        super().__init__(data, requires_grad=True, dtype=dtype, name=name)
 
 
 class Buffer(Tensor):
@@ -166,28 +166,31 @@ class Module:
 
 
 class Sequential(Module):
-    """Apply modules in order."""
+    """Apply modules in order.
+
+    The layers are the registered sub-modules ``layer0``, ``layer1``, …,
+    so replacing one by attribute (as ``deploy()`` does with a folded
+    BatchNorm) replaces it in the forward pass too.
+    """
 
     def __init__(self, *layers):
         super().__init__()
-        self._layers = []
         for index, layer in enumerate(layers):
             setattr(self, f"layer{index}", layer)
-            self._layers.append(layer)
 
     def forward(self, x):
-        for layer in self._layers:
+        for layer in self._modules.values():
             x = layer(x)
         return x
 
     def __iter__(self):
-        return iter(self._layers)
+        return iter(self._modules.values())
 
     def __len__(self):
-        return len(self._layers)
+        return len(self._modules)
 
     def __getitem__(self, index):
-        return self._layers[index]
+        return list(self._modules.values())[index]
 
 
 class ModuleList(Module):

@@ -191,9 +191,22 @@ class HDCZSC(nn.Module):
         return labels
 
     def deploy(self):
-        """Freeze everything for stationary inference (paper Fig 3)."""
-        self.freeze()
+        """Freeze everything for stationary inference (paper Fig 3).
+
+        One-way: every module with conv → BatchNorm pairs (the ResNet
+        blocks and stem) folds each eval-mode BatchNorm into its conv,
+        in place, and replaces it with ``nn.Identity``, so the deployed
+        encoder keeps one copy of its weights and runs one conv per
+        pair. ``num_parameters()`` drops by the folded channel count.
+        To train again, rebuild the model and ``load_state_dict`` a
+        snapshot taken before deploying. Deploying twice changes
+        nothing.
+        """
         self.eval()
+        for module in list(self.modules()):
+            if hasattr(module, "fold_batchnorm"):
+                module.fold_batchnorm()
+        self.freeze()
         return self
 
     def __repr__(self):

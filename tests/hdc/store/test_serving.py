@@ -1050,6 +1050,51 @@ class TestServedMutations:
         assert asyncio.run(main()) == expected
         assert "item0" not in store.labels  # the mutation did land
 
+    def test_cancelled_delete_holds_the_barrier_until_the_store_returns(self, rng):
+        """Cancelling a delete's caller cannot stop the store call on its
+        dispatch thread, so the barrier stays up until it returns: with a
+        second worker free, neither a read nor a second delete may enter
+        the store while the first delete is still applying."""
+        store, vectors = _store(rng, items=24, dim=128)
+
+        class _GatedDelete(_GatedStore):
+            def delete(self, labels):
+                self._gate(("delete", *labels))
+                result = self._inner.delete(labels)
+                self.calls.append(("returned", *labels))
+                return result
+
+        gated = _GatedDelete(store)
+
+        async def main():
+            async with StoreServer(gated, dispatch_workers=2) as srv:
+                try:
+                    first = asyncio.ensure_future(srv.delete(["item0"]))
+                    await _until(gated.entered.is_set)
+                    first.cancel()
+                    await asyncio.sleep(0)
+                    read = asyncio.ensure_future(srv.topk(vectors[3], k=5))
+                    second = asyncio.ensure_future(srv.delete(["item1"]))
+                    await asyncio.sleep(0.1)
+                    assert gated.calls == [("delete", "item0")]
+                    assert not first.done()  # cancelled, but still applying
+                finally:
+                    gated.release.set()
+                with pytest.raises(asyncio.CancelledError):
+                    await first
+                answer = await asyncio.wait_for(read, 10)
+                await asyncio.wait_for(second, 10)
+                return answer, srv.stats
+
+        answer, stats = asyncio.run(main())
+        assert gated.calls[:2] == [("delete", "item0"), ("returned", "item0")]
+        assert sorted(gated.calls[2:], key=str) == [
+            ("delete", "item1"), ("returned", "item1"), ("topk", 5)]
+        assert all(label != "item0" for label, _ in answer)
+        assert stats["mutations"] == 2  # the cancelled delete landed
+        assert "item0" not in store.labels and "item1" not in store.labels
+        store.memory.close()
+
     def test_mutations_refused_after_stop_and_before_start(self, rng):
         store, _ = _store(rng, shards=1, items=4)
         srv = StoreServer(store)

@@ -95,7 +95,44 @@ class TestBCEWithLogits:
         )
 
 
+def _conv2d_gather_einsum(x, w, stride, padding):
+    """Reference conv: the plain im2col gather + einsum, for every geometry."""
+    batch, channels, height, width = x.shape
+    out_channels, _, kh, kw = w.shape
+    out_h = (height + 2 * padding - kh) // stride + 1
+    out_w = (width + 2 * padding - kw) // stride + 1
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    rows = np.tile(np.repeat(np.arange(kh), kw), channels)[:, None]
+    cols = np.tile(np.arange(kw), kh * channels)[:, None]
+    i = rows + stride * np.repeat(np.arange(out_h), out_w)[None, :]
+    j = cols + stride * np.tile(np.arange(out_w), out_h)[None, :]
+    k = np.repeat(np.arange(channels), kh * kw)[:, None]
+    out = np.einsum("fc,bcp->bfp", w.reshape(out_channels, -1), padded[:, k, i, j],
+                    optimize=True)
+    return out.reshape(batch, out_channels, out_h, out_w)
+
+
 class TestConv2d:
+    @pytest.mark.parametrize("kernel,stride,padding,size", [
+        (1, 1, 0, 6),  # 1×1 strided view, no copy
+        (1, 2, 0, 7),  # 1×1 strided view on odd H/W
+        (3, 1, 1, 6),  # zero-padded gather
+        (7, 2, 3, 9),  # the full ResNet stem
+    ])
+    def test_fast_paths_match_gather_einsum(self, rng, kernel, stride, padding, size):
+        x = rng.normal(size=(2, 3, size, size))
+        w = rng.normal(size=(4, 3, kernel, kernel))
+        out = F.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+        np.testing.assert_allclose(
+            out, _conv2d_gather_einsum(x, w, stride, padding), rtol=1e-12)
+
+    def test_cached_im2col_indices_are_read_only(self):
+        indices = F._im2col_indices(2, 3, 3, 4, 4, 1)
+        assert all(a is b for a, b in zip(indices, F._im2col_indices(2, 3, 3, 4, 4, 1)))
+        for index in indices:
+            with pytest.raises(ValueError, match="read-only"):
+                index[0, 0] = 1
+
     def test_matches_scipy(self, rng):
         x = rng.normal(size=(2, 3, 8, 8))
         w = rng.normal(size=(4, 3, 3, 3))
@@ -125,6 +162,12 @@ class TestConv2d:
         w = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
         gradcheck(lambda: (F.conv2d(x, w, b, stride=2, padding=1) ** 2).sum(), [x, w, b])
+
+    def test_gradcheck_1x1_strided(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 1, 1)) * 0.5, requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        gradcheck(lambda: (F.conv2d(x, w, b, stride=2) ** 2).sum(), [x, w, b])
 
     def test_channel_mismatch(self, rng):
         with pytest.raises(ValueError):
