@@ -7,10 +7,10 @@ append commits, and measures what one commit actually costs:
 
 - **throughput** — appended rows/s and the median seconds per commit;
 - **metadata bytes per commit** — the manifest rewrite plus the delta
-  sidecar plus the worker-index rewrite. Since format v4 the manifest
-  inlines no label maps, so this column must stay **flat in store
-  size**: a commit against a million-item store rewrites the same few
-  kilobytes as a commit against ten thousand items;
+  sidecar. The manifest inlines no label maps, so this column must stay
+  **flat in store size**: a commit against a million-item store
+  rewrites the same few kilobytes as a commit against ten thousand
+  items;
 - **the retired cost, measured in-repo** — the bytes a pre-v4
   (label-map-inlining) commit was forced to rewrite every time: the
   full label map and the per-shard orders sidecars, taken from the
@@ -18,10 +18,10 @@ append commits, and measures what one commit actually costs:
   headline ``rewrite_reduction_vs_full_map`` asserts ≥ 10× less
   metadata rewritten per commit at one million items.
 
-The ``mutation`` surface applies the same yardstick to format v5's
-delete/upsert commits: at each size the harness runs interleaved
-tombstone-only deletes and replace+enroll upserts and records the
-per-commit metadata bytes (manifest + worker index + delta sidecar),
+The ``mutation`` surface applies the same yardstick to delete/upsert
+commits: at each size the harness runs interleaved tombstone-only
+deletes and replace+enroll upserts and records the per-commit metadata
+bytes (manifest + delta sidecar),
 which must stay **flat in store size** exactly like appends — a delete
 against a million-item store journals the same few kilobytes as one
 against ten thousand items.
@@ -46,11 +46,7 @@ import numpy as np
 
 from _bench_io import merge_bench_record
 from repro.hdc import random_bipolar
-from repro.hdc.store import (
-    MANIFEST_NAME,
-    WORKER_INDEX_NAME,
-    AssociativeStore,
-)
+from repro.hdc.store import MANIFEST_NAME, AssociativeStore
 
 D = 1024  # divisible by 64: exactly 16 uint64 words per vector
 SIZES = (10_000, 100_000, 1_000_000)
@@ -100,10 +96,9 @@ def _append_point(num_items, rng, tmp_root=None):
         probe = vectors[-1]  # last appended row, queried after reopen
 
         manifest_bytes = manifest_path.stat().st_size
-        worker_index_bytes = (store_path / WORKER_INDEX_NAME).stat().st_size
         delta_bytes = _glob_bytes(store_path, "delta.g*.json") / COMMITS
         segment_bytes = _glob_bytes(store_path, "shard_*.seg*.npy") / COMMITS
-        metadata_bytes = manifest_bytes + worker_index_bytes + delta_bytes
+        metadata_bytes = manifest_bytes + delta_bytes
 
         # Committed means committed: a fresh open answers from the journal.
         fresh = AssociativeStore.open(store_path)
@@ -116,7 +111,6 @@ def _append_point(num_items, rng, tmp_root=None):
             "append_rows_per_second": BATCH * COMMITS / sum(commit_seconds),
             "seconds_per_commit_median": statistics.median(commit_seconds),
             "manifest_bytes_per_commit": manifest_bytes,
-            "worker_index_bytes_per_commit": worker_index_bytes,
             "delta_bytes_per_commit": delta_bytes,
             "segment_bytes_per_commit": segment_bytes,
             "metadata_bytes_per_commit": metadata_bytes,
@@ -159,9 +153,8 @@ def _mutation_point(num_items, rng, tmp_root=None):
             upsert_seconds.append(time.perf_counter() - tick)
 
         manifest_bytes = manifest_path.stat().st_size
-        worker_index_bytes = (store_path / WORKER_INDEX_NAME).stat().st_size
         delta_bytes = _glob_bytes(store_path, "delta.g*.json") / (2 * COMMITS)
-        metadata_bytes = manifest_bytes + worker_index_bytes + delta_bytes
+        metadata_bytes = manifest_bytes + delta_bytes
 
         # Committed means committed: a fresh open drops every tombstoned
         # row and answers the last upserted one.
@@ -178,7 +171,6 @@ def _mutation_point(num_items, rng, tmp_root=None):
             "seconds_per_delete_median": statistics.median(delete_seconds),
             "seconds_per_upsert_median": statistics.median(upsert_seconds),
             "manifest_bytes_per_commit": manifest_bytes,
-            "worker_index_bytes_per_commit": worker_index_bytes,
             "delta_bytes_per_commit": delta_bytes,
             "metadata_bytes_per_commit": metadata_bytes,
         }

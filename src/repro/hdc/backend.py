@@ -49,23 +49,9 @@ __all__ = [
     "make_backend",
 ]
 
-#: ``np.bitwise_count`` landed in NumPy 2.0; older NumPy falls back to a
-#: 256-entry byte-popcount table (same results, moderately slower).
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-_POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcount_sum_table(words):
-    """Σ popcount over the last axis via the byte LUT (NumPy < 2.0 path)."""
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    return _POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=np.int64)
-
-
 def _popcount_sum(words):
-    """Σ popcount over the last axis of a uint64 array."""
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-    return _popcount_sum_table(words)
+    """Σ popcount over the last axis of a uint64 array (NumPy ≥ 2.0)."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def _majority_bits(minus_counts, n, rng):
@@ -471,13 +457,10 @@ class PackedBackend(HDCBackend):
 
     def _hamming_tile(self, a_rows, b_tile_T):
         """Popcount Hamming of ``(A, words)`` rows vs one ``(words, t)`` tile."""
-        if _HAS_BITWISE_COUNT:
-            acc = np.zeros((a_rows.shape[0], b_tile_T.shape[1]), dtype=np.uint64)
-            for word in range(self.num_words):
-                acc += np.bitwise_count(a_rows[:, word, None] ^ b_tile_T[word, None, :])
-            return acc
-        xor = a_rows[:, None, :] ^ b_tile_T.T[None, :, :]
-        return _popcount_sum(xor)
+        acc = np.zeros((a_rows.shape[0], b_tile_T.shape[1]), dtype=np.uint64)
+        for word in range(self.num_words):
+            acc += np.bitwise_count(a_rows[:, word, None] ^ b_tile_T[word, None, :])
+        return acc
 
     def dot(self, a, b):
         hamming = self.hamming(a, b)
@@ -547,10 +530,7 @@ class PackedBackend(HDCBackend):
             empty = np.empty((num_a, 0), dtype=np.int64)
             return empty, empty.copy()
         num_words = self.num_words
-        if (not _HAS_BITWISE_COUNT or num_words < 4
-                or n < 2 * self._TOPK_PROBE or 4 * k >= n):
-            # NumPy < 2.0 has no np.bitwise_count ufunc (and no out= LUT
-            # equivalent); the reference path runs on the LUT kernels.
+        if num_words < 4 or n < 2 * self._TOPK_PROBE or 4 * k >= n:
             return super().hamming_topk(a2, b2, k, bounds)
         if bounds is not None:
             bounds = np.asarray(bounds, dtype=np.int64)

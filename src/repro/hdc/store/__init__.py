@@ -48,11 +48,8 @@ from .persistence import (
     FORMAT_NAME,
     FORMAT_VERSION,
     MANIFEST_NAME,
-    SUPPORTED_VERSIONS,
-    WORKER_INDEX_NAME,
     append_rows,
     delete_rows,
-    load_shard,
     load_worker_shard,
     open_store,
     read_manifest,
@@ -130,15 +127,12 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "FORMAT_NAME",
     "FORMAT_VERSION",
-    "SUPPORTED_VERSIONS",
     "MANIFEST_NAME",
-    "WORKER_INDEX_NAME",
     "save_store",
     "open_store",
     "append_rows",
     "delete_rows",
     "upsert_rows",
-    "load_shard",
     "load_worker_shard",
     "read_manifest",
     "ROUTINGS",

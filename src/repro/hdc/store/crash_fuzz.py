@@ -10,7 +10,7 @@ prose into executed cases:
    error), and a retried writer converges to the intended final state.
 2. **Fail, never mis-answer** — every row of the corruption-detection
    table raises the documented error type, naming the offending file
-   and generation; the two advisory rows degrade silently and the
+   and generation; a non-JSON label is refused at save time and the
    malformed-bounds exception is tolerated without skipping.
 
 The fuzzer drives deterministic ``save → {append | delete | upsert |
@@ -603,47 +603,46 @@ CORRUPTION_CASES = [
             * len(d["entries"][0]["labels"]))),
      _expect_raise(ValueError, "")),
     ("CF-24", 13, lambda r: None, _case_save_rejects_bad_label),
-    ("CF-25", 14, lambda r: (Path(r) / "worker_index.json").write_text("txt"),
-     _check_tolerated),
-    ("CF-26", 15, lambda r: None, _case_generation_mismatch),
-    ("CF-27", 16, lambda r: _edit_manifest(
+    ("CF-26", 14, lambda r: None, _case_generation_mismatch),
+    ("CF-27", 15, lambda r: _edit_manifest(
         r, lambda m: m["shards"][0].update(
             bounds={"minus_min": "bogus", "minus_max": [], "centroid": "zz",
                     "radius": "wide"})),
      _check_tolerated),
-    ("CF-28", 17, lambda r: _edit_json(
+    ("CF-28", 16, lambda r: _edit_json(
         Path(r) / _find_delta(r, "delete"),
         lambda d: d["tombstones"][0].update(
             orders=[10_000] * len(d["tombstones"][0]["orders"]))),
      _expect_raise(ValueError, "outside")),
-    ("CF-29", 17, lambda r: _edit_json(
+    ("CF-29", 16, lambda r: _edit_json(
         Path(r) / _find_delta(r, "delete"),
         lambda d: d["tombstones"][0].update(
             labels=["imposter"] * len(d["tombstones"][0]["labels"]))),
      _expect_raise(ValueError, "imposter")),
-    ("CF-30", 18, lambda r: _edit_json(
+    ("CF-30", 17, lambda r: _edit_json(
         Path(r) / _find_delta(r, "delete"),
         lambda d: d["tombstones"][0].update(
             labels=d["tombstones"][0]["labels"] * 2,
             orders=d["tombstones"][0]["orders"] * 2)),
      _expect_raise(ValueError, "twice")),
-    ("CF-31", 19, lambda r: _edit_manifest(
+    ("CF-31", 18, lambda r: _edit_manifest(
         r, lambda m: m.update(deltas=[name for name in m["deltas"]
                                       if name != _find_delta(r, "delete")])),
      _expect_raise(ValueError, "row-count drift")),
-    ("CF-32", 19, lambda r: _edit_manifest(
+    ("CF-32", 18, lambda r: _edit_manifest(
         r, lambda m: m.update(deltas=[name for name in m["deltas"]
                                       if name != _find_delta(r, "append")])),
      _expect_raise(ValueError, "absent from the manifest delta chain")),
-    ("CF-33", 20, lambda r: _edit_manifest(
+    ("CF-33", 0, lambda r: _edit_manifest(
         r, lambda m: (m.update(format_version=4),
                       m.pop("deltas"), m.pop("next_order"))),
-     _expect_raise(ValueError, "predates format v5")),
+     _expect_raise(ValueError, "not supported")),
 ]
 
-#: corruption-table row count the cases above must cover (18 raising
-#: rows + 2 advisory rows + the malformed-bounds tolerance paragraph)
-CORRUPTION_TABLE_ROWS = 21
+#: corruption-table row count the cases above must cover (17 rows
+#: refused at open or query + the save-time label row + the
+#: malformed-bounds tolerance paragraph)
+CORRUPTION_TABLE_ROWS = 19
 
 
 def _build_case_store(root):

@@ -455,13 +455,17 @@ class StoreHTTPServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client dropped mid-request/response
         finally:
-            self._handlers.discard(asyncio.current_task())
             self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                # Only now is the handler done: stop() must still find
+                # it while it awaits wait_closed(), or the loop's
+                # teardown cancels it mid-await.
+                self._handlers.discard(asyncio.current_task())
 
     async def _read_request(self, reader):
         """Parse one request; ``None`` on clean EOF, :exc:`_BadRequest`

@@ -297,7 +297,8 @@ def shard_topk_floats(shard, queries, k, orders):
 
 # -- process-executor tasks --------------------------------------------------- #
 
-#: per-process cache of re-opened shards: {(path, generation): state}
+#: per-process cache of re-opened shards:
+#: {(path, generation): {shard index: (shard, orders)}}
 _WORKER_STORES = {}
 
 
@@ -306,48 +307,22 @@ def _worker_shard(path, generation, shard_index):
 
     The cache is keyed by ``(path, generation)`` — an append or compact
     bumps the generation, so workers pick up the new layout on the next
-    task and drop superseded entries for the same path. The fast path
-    attaches through the label-free worker index + orders sidecars
-    (O(1)); a missing or stale index falls back to the full manifest.
+    task and drop superseded entries for the same path. Attaching reads
+    the manifest, the shard's files and orders sidecar, and the delta
+    chain (:func:`~.persistence.load_worker_shard`), which refuses a
+    directory that moved past ``generation``.
     """
-    from .persistence import (  # deferred import: module cycle
-        load_shard,
-        load_worker_shard,
-        read_manifest,
-    )
+    from .persistence import load_worker_shard  # deferred import: module cycle
 
     key = (str(path), int(generation))
-    state = _WORKER_STORES.get(key)
-    if state is None:
+    shards = _WORKER_STORES.get(key)
+    if shards is None:
         for stale in [k for k in _WORKER_STORES if k[0] == key[0]]:
             del _WORKER_STORES[stale]
-        state = {"manifest": None, "order_map": None, "shards": {}}
-        _WORKER_STORES[key] = state
-    if shard_index not in state["shards"]:
-        fast = load_worker_shard(path, shard_index, key[1])
-        if fast is not None:
-            state["shards"][shard_index] = fast
-        else:
-            if state["manifest"] is None:
-                manifest = read_manifest(path)
-                if int(manifest.get("generation", 0)) != key[1]:
-                    raise RuntimeError(
-                        f"store at {path} is at generation "
-                        f"{manifest.get('generation')} but the query expected "
-                        f"generation {key[1]}; the directory changed under "
-                        f"the open store — re-open it"
-                    )
-                state["manifest"] = manifest
-                state["order_map"] = {
-                    label: i for i, label in enumerate(manifest["labels"])
-                }
-            shard = load_shard(path, shard_index, manifest=state["manifest"])
-            orders = np.fromiter(
-                (state["order_map"][label] for label in shard.labels),
-                dtype=np.int64, count=len(shard),
-            )
-            state["shards"][shard_index] = (shard, orders)
-    return state["shards"][shard_index]
+        shards = _WORKER_STORES[key] = {}
+    if shard_index not in shards:
+        shards[shard_index] = load_worker_shard(path, shard_index, key[1])
+    return shards[shard_index]
 
 
 def process_shard_task(task):

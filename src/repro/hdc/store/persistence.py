@@ -8,8 +8,8 @@ On-disk layout (one directory per store)::
                                lists — those live in the sidecars below)
       labels.g00000.json       global insertion-order label list, written
                                at save/compact only
-      delta.g00002.json        one append commit's labels + global orders
-                               + per-segment bounds (the journal chain)
+      delta.g00002.json        one journaled commit's labels, global
+                               orders, per-segment bounds and tombstones
       shard_00000.g00000.npy   shard 0's contiguous backend-native matrix
       shard_00000.seg00002.npy shard 0's first appended segment (journal)
       orders_00000.g00000.npy  shard 0's base rows' global orders
@@ -22,69 +22,62 @@ with ``np.save``, so :func:`open_store` can hand it straight to
 — only the manifest and label maps load (O(labels): ~1.5 s at 1M items),
 the vector data stays on disk until a query touches it — and queries
 against the memmap are bit-identical to the in-memory store (same
-kernels over the same words/bytes).
+kernels over the same words/bytes). Process-executor workers attach
+through :func:`load_worker_shard` instead: the raw manifest plus one
+shard's matrices, orders sidecar and the delta chain — never the label
+sidecar.
 
-**Append/compact lifecycle** (format version 2, made O(batch) by
-version 4): :func:`append_rows` journals rows added to a reopened store
-as per-shard *segment* files — the base matrices are never rewritten,
-one segment per touched shard per append, committed by a manifest
-rewrite (the manifest is the commit point; an orphaned segment or delta
-sidecar from an interrupted append is simply never read). A reopened
-store folds each shard's segments in behind its base matrix in
-insertion order. Compaction (:func:`save_store` on the same path, via
-``AssociativeStore.compact()``) rewrites contiguous shard files under a
-bumped ``generation``, deletes the journal, and restores the
-one-lazy-file-per-shard property. All file writes go through a
+**Append/compact lifecycle**: :func:`append_rows` journals rows added
+to a reopened store as per-shard *segment* files — the base matrices
+are never rewritten, one segment per touched shard per append,
+committed by a manifest rewrite (the manifest is the commit point; an
+orphaned segment or delta sidecar from an interrupted append is simply
+never read). A reopened store folds each shard's segments in behind its
+base matrix in insertion order. Compaction (:func:`save_store` on the
+same path, via ``AssociativeStore.compact()``) rewrites contiguous shard
+files under a bumped ``generation``, deletes the journal, and restores
+the one-lazy-file-per-shard property. All file writes go through a
 temp-file + ``os.replace`` swap, so live memmaps of the previous
 generation stay valid and a crash never leaves a half-written file
 behind.
 
 Labels must be JSON-serializable scalars (``str`` / ``int`` / ``float`` /
-``bool``) and round-trip exactly. Since format version 4 the manifest
-no longer inlines them: the global insertion-order list lives in a
-``labels.g<gen>.json`` sidecar rewritten only at save/compact, each
-shard's base labels are recovered through its normative
-``orders_*.npy`` sidecar (``shard labels = global[orders]``), and each
-append commit writes one ``delta.g<gen>.json`` sidecar carrying *only
-the batch's* labels + global orders. An append therefore writes
-O(batch) bytes — the segment files, one delta, and a small constant-size
-manifest — instead of rewriting full label maps; :func:`open_store`
-replays the delta chain (validating truncation, label collisions, and
-row-count drift — a corrupted chain raises, never mis-answers) and the
-documented tie-breaking is preserved across save/open/append cycles.
+``bool``) and round-trip exactly. The manifest never inlines them: the
+global insertion-order list lives in a ``labels.g<gen>.json`` sidecar
+rewritten only at save/compact, each shard's base labels are recovered
+through its normative ``orders_*.npy`` sidecar (``shard labels =
+global[orders]``), and each journaled commit writes one
+``delta.g<gen>.json`` sidecar carrying *only the batch's* labels,
+global orders and tombstones. A commit therefore writes O(batch) bytes
+— the segment files, one delta, and a small constant-size manifest —
+instead of rewriting full label maps; :func:`open_store` replays the
+delta chain (validating truncation, label collisions, and row-count
+drift — a corrupted chain raises, never mis-answers) and the documented
+tie-breaking is preserved across save/open/append cycles.
 
-**Pruning bounds** (format version 3, made per-segment by version 4):
-every shard entry carries a ``bounds`` block — the exact per-shard
-minus-count interval (``minus_min``/``minus_max``) plus the geometric
-ball: a bit-packed majority ``centroid`` (hex-encoded little-endian
-uint64 words) and the exact max Hamming ``radius`` of the shard's rows
-around it. Save and compact recompute both layers exactly from the full
-matrices; since version 4 the shard entry's block covers the *base*
-rows only and every journaled segment carries its own exact block in
-its delta sidecar (computed from just the batch), so appends tighten
-pruning — the planner lower-bounds a shard by the min over its base +
-segment balls — instead of only widening a single shard ball.
-Version-1/2 manifests predate the block and migrate with unknown
-(never-skipping) geometric bounds. The first append to a v1–v3 store
-performs one implicit compact to migrate it (O(store), once); after
-that every commit is O(batch). The normative field-by-field spec lives
-in ``docs/STORE_FORMAT.md``.
+**Pruning bounds**: every shard entry carries a ``bounds`` block — the
+exact minus-count interval (``minus_min``/``minus_max``) plus the
+geometric ball: a bit-packed majority ``centroid`` (hex-encoded
+little-endian uint64 words) and the exact max Hamming ``radius`` of the
+rows around it. Save and compact recompute both layers exactly from the
+full matrices; the entry's block covers the *base* rows only and every
+journaled segment carries its own exact block in its delta sidecar
+(computed from just the batch), so appends tighten pruning — the
+planner lower-bounds a shard by the min over its base + segment balls.
+The normative field-by-field spec lives in ``docs/STORE_FORMAT.md``.
 
-``format_version`` is bumped on any incompatible layout change; version
-1 (the pre-append format, no ``segments``/``generation``), version 2
-(no ``bounds`` block), and version 3 (inline label maps, single
-base+segments ball per shard) are still read and migrated on open.
-:func:`open_store` refuses versions it does not understand, and a CI
-smoke step (``python -m repro.hdc.store.smoke``) re-opens — and appends
-to, and compacts — a freshly saved store in new processes so format
-drift fails the build.
+This build reads exactly :data:`FORMAT_VERSION`; a manifest of any
+other ``format_version`` is refused at open with a ``ValueError`` that
+names the version, the manifest file, and the generation. A CI smoke
+step (``python -m repro.hdc.store.smoke``) re-opens — and appends to,
+and compacts — a freshly saved store in new processes so format drift
+fails the build.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from pathlib import Path
 
@@ -99,29 +92,20 @@ from .sharded import DEFAULT_CHUNK_SIZE, ShardedItemMemory, validate_batch
 __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
-    "SUPPORTED_VERSIONS",
     "MANIFEST_NAME",
-    "WORKER_INDEX_NAME",
     "save_store",
     "open_store",
     "append_rows",
     "delete_rows",
     "upsert_rows",
     "read_manifest",
-    "load_shard",
     "load_worker_shard",
 ]
 
 FORMAT_NAME = "repro.hdc.store"
+#: the one manifest version this build writes and reads
 FORMAT_VERSION = 5
-#: versions :func:`open_store` reads (1 = PR 2 layout, 2 = pre-geometric
-#: bounds, 3 = inline label maps + single base+segments ball per shard,
-#: 4 = append-only delta sidecars — no tombstones, no manifest delta
-#: chain; all migrated on open)
-SUPPORTED_VERSIONS = (1, 2, 3, 4, 5)
 MANIFEST_NAME = "manifest.json"
-#: label-free twin of the manifest for O(1) process-worker attach
-WORKER_INDEX_NAME = "worker_index.json"
 
 _LABEL_TYPES = (str, int, float, bool)
 
@@ -225,7 +209,7 @@ _ENTRY_MATERIALIZED_KEYS = ("labels", "orders", "live_rows")
 
 
 def _manifest_to_disk(manifest):
-    """The serializable v5 manifest: strip every materialized field.
+    """The serializable manifest: strip every materialized field.
 
     :func:`_read_manifest` materializes the global surviving ``labels``
     list, the ``label_orders`` / ``deleted_orders`` physical-order maps,
@@ -233,8 +217,7 @@ def _manifest_to_disk(manifest):
     segment's ``labels`` / ``orders`` / ``bounds`` / ``live_rows`` into
     the returned dict so in-process callers see one uniform shape. On
     disk those belong to the label/orders/delta sidecars — inlining
-    them back would make every commit O(store) again, which is exactly
-    what v4/v5 exist to avoid.
+    them back would make every commit O(store) again.
     """
     out = {
         key: value for key, value in manifest.items()
@@ -255,41 +238,6 @@ def _manifest_to_disk(manifest):
     return out
 
 
-def _write_worker_index(path, manifest):
-    """Write the label-free worker index alongside a committed manifest.
-
-    A tiny JSON twin (file names, row counts, orders sidecars — no label
-    lists), so a process-executor worker attaches to a million-item
-    store without parsing a million labels. Written *after* the manifest
-    commit; a crash in between leaves a stale-generation index, which
-    workers detect and bypass by falling back to the manifest.
-    """
-    index = {
-        "format": manifest["format"],
-        "generation": manifest["generation"],
-        "kind": manifest["kind"],
-        "dim": manifest["dim"],
-        "backend": manifest["backend"],
-        # v5: the delta chain, so workers can collect tombstones and
-        # dense-renumber their orders without parsing the manifest.
-        "deltas": list(manifest.get("deltas", ())),
-        "shards": [
-            {
-                "file": entry["file"],
-                "rows": entry["rows"],
-                "orders_file": entry.get("orders_file"),
-                "segments": [
-                    {"file": segment["file"], "rows": segment["rows"],
-                     "delta_file": segment.get("delta_file")}
-                    for segment in entry["segments"]
-                ],
-            }
-            for entry in manifest["shards"]
-        ],
-    }
-    _write_json(Path(path) / WORKER_INDEX_NAME, index)
-
-
 def _collect_stale_sidecars(path, manifest):
     """Delete label/orders/delta sidecars the committed manifest no
     longer references (previous generations, folded journal chains)."""
@@ -306,19 +254,9 @@ def _collect_stale_sidecars(path, manifest):
     for stale in path.glob("labels.g*.json"):
         if stale.name not in labels:
             _unlink_stale(stale)
-    # v5 manifests name their whole delta chain (pure-delete commits
-    # journal no segment, so segment references alone would leak them);
-    # v4 manifests fall back to the segments' references.
-    chain = manifest.get("deltas")
-    if chain is None:
-        deltas = {
-            segment.get("delta_file")
-            for entry in manifest["shards"]
-            for segment in entry["segments"]
-            if segment.get("delta_file")
-        }
-    else:
-        deltas = set(chain)
+    # The manifest names its whole delta chain (pure-delete commits
+    # journal no segment, so segment references alone would leak them).
+    deltas = set(manifest["deltas"])
     for stale in path.glob("delta.g*.json"):
         if stale.name not in deltas:
             _unlink_stale(stale)
@@ -428,10 +366,9 @@ def save_store(memory, path):
         entry = {"file": filename, "rows": len(shard), "labels": list(shard.labels),
                  "segments": []}
         if kind == "sharded":
-            # Per-shard global insertion orders as a sidecar .npy —
-            # normative since v4 (shard labels = global labels[orders]);
-            # process workers also attach through it in O(1), no
-            # manifest label parse per worker.
+            # Per-shard global insertion orders as a normative sidecar
+            # .npy (shard labels = global labels[orders]); process
+            # workers attach through it without parsing any label.
             orders = np.fromiter((order_of[label] for label in shard.labels),
                                  dtype=np.int64, count=len(shard))
             entry["orders_file"] = _orders_filename(index, generation)
@@ -448,8 +385,8 @@ def save_store(memory, path):
             entry["bounds"] = dict(_EMPTY_BOUNDS)
             fresh_geo.append(None)
         shard_entries.append(entry)
-    # The global label list is a sidecar since v4: save/compact is the
-    # only point that rewrites it, so appends stay O(batch).
+    # The global label list is a sidecar: save/compact is the only
+    # point that rewrites it, so appends stay O(batch).
     labels_name = _labels_filename(generation)
     _write_json(path / labels_name, labels)
     manifest = {
@@ -472,7 +409,6 @@ def save_store(memory, path):
         "shards": shard_entries,
     }
     manifest_path = _write_manifest(path, _manifest_to_disk(manifest))
-    _write_worker_index(path, manifest)
     current = {entry["file"] for entry in shard_entries}
     for stale in path.glob("shard_*.npy"):
         if stale.name not in current:
@@ -483,10 +419,10 @@ def save_store(memory, path):
         # process-executor workers may re-open it instead of spilling.
         # Adopt the freshly recomputed bounds in memory too, so the open
         # handle prunes with the same (possibly tighter) bounds a fresh
-        # reopen would see — compact() is how a pre-bounds store starts
-        # skipping without a round trip through open(). The journaled
-        # segment groups folded into the fresh base bounds, so they
-        # reset alongside.
+        # reopen would see — compact() is how a store with unknown
+        # bounds starts skipping without a round trip through open().
+        # The journaled segment groups folded into the fresh base
+        # bounds, so they reset alongside.
         memory._attach(path, generation)
         memory._pop_bounds = [_entry_pop_bounds(entry) for entry in shard_entries]
         memory._geo_centroid = [
@@ -501,10 +437,12 @@ def save_store(memory, path):
 
 
 def read_manifest(path):
-    """Read and validate the store manifest at ``path`` (public helper).
+    """Read, validate and materialize the store manifest at ``path``.
 
-    Used by process-executor workers to rebuild label order maps without
-    opening every shard; most callers want :func:`open_store` instead.
+    Returns the manifest dict with every sidecar-held field filled in
+    (labels, orders, live-row counts, segment bounds) — an O(store)
+    inspection helper for tests and tools; most callers want
+    :func:`open_store` instead.
     """
     return _read_manifest(path)
 
@@ -533,7 +471,14 @@ def _file_generation(name, fallback=None):
     return int(match.group(1)) if match else fallback
 
 
-def _read_manifest(path):
+def _read_raw_manifest(path):
+    """The validated manifest JSON at ``path``, nothing materialized.
+
+    Checks the envelope — format name, version, kind, routing, shard
+    count — and refuses any ``format_version`` other than
+    :data:`FORMAT_VERSION`, naming the version, the manifest file, and
+    the generation.
+    """
     manifest_path = Path(path) / MANIFEST_NAME
     if not manifest_path.is_file():
         raise FileNotFoundError(
@@ -552,17 +497,17 @@ def _read_manifest(path):
             f"{manifest_path} does not hold a JSON object"
             + _gen_tag(manifest_path, None)
         )
-    tag = _gen_tag(manifest_path, manifest.get("generation", 0))
+    tag = _gen_tag(manifest_path, manifest.get("generation"))
     if manifest.get("format") != FORMAT_NAME:
         raise ValueError(
             f"{manifest_path} is not a {FORMAT_NAME} manifest "
             f"(format={manifest.get('format')!r})" + tag
         )
     version = manifest.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise ValueError(
-            f"store format version {version!r} is not supported "
-            f"(this build reads versions {SUPPORTED_VERSIONS})" + tag
+            f"store format version {version!r} is not supported (this build "
+            f"reads version {FORMAT_VERSION} only)" + tag
         )
     if manifest.get("kind") not in ("single", "sharded"):
         raise ValueError(f"unknown store kind {manifest.get('kind')!r}" + tag)
@@ -575,22 +520,16 @@ def _read_manifest(path):
             f"manifest records num_shards={manifest['num_shards']} but holds "
             f"{len(manifest['shards'])} shard entries" + tag
         )
-    # Version-1 manifests predate the append journal, version-1/2 the
-    # bounds block: migrate in place. Legacy top-level minus_min/max
-    # keys (the v2 layout) fold into the block; geometric bounds are
-    # unknown until the store's first compact.
-    manifest.setdefault("generation", 0)
+    return manifest
+
+
+def _read_manifest(path):
+    manifest = _read_raw_manifest(path)
     for entry in manifest["shards"]:
-        entry.setdefault("segments", [])
-        bounds = entry.get("bounds")
-        if not isinstance(bounds, dict):
-            bounds = {"minus_min": entry.pop("minus_min", None),
-                      "minus_max": entry.pop("minus_max", None)}
-            entry["bounds"] = bounds
-        for key in _EMPTY_BOUNDS:
-            bounds.setdefault(key, None)
-    if version >= 4:
-        _materialize_sidecars(Path(path), manifest)
+        # Bounds are performance metadata: a missing or malformed block
+        # reads as unknown layers (never skipping), not as corruption.
+        entry["bounds"] = _bounds_block(entry.get("bounds"))
+    _materialize_sidecars(Path(path), manifest)
     return manifest
 
 
@@ -598,8 +537,8 @@ def _cached_manifest(memory, path):
     """The handle's materialized manifest from its last commit at ``path``,
     reusable iff the directory's generation still matches.
 
-    Materializing a v4 manifest is O(store) — the label sidecar parse
-    plus the orders/delta replay — and a handle doing high-rate appends
+    Materializing a manifest is O(store) — the label sidecar parse plus
+    the orders/delta replay — and a handle doing high-rate appends
     would otherwise pay it once per commit. Each successful append
     therefore leaves its materialized manifest dict (bit-identical to
     what a fresh :func:`_read_manifest` would produce) on the handle;
@@ -633,12 +572,12 @@ def _bounds_block(raw):
 
 
 def _materialize_sidecars(path, manifest):
-    """Rebuild the in-memory label/orders/bounds view of a v4/v5 manifest.
+    """Rebuild the in-memory label/orders/bounds view of a manifest.
 
     Loads the global label sidecar, recovers each shard's base labels
     through its normative orders sidecar, then replays the journaled
-    delta chain in generation order (appends, and — since v5 —
-    tombstone/replacement commits). Every structural inconsistency —
+    delta chain in generation order (appends and tombstone/replacement
+    commits). Every structural inconsistency —
     truncated or missing sidecars, orders that do not partition the base
     rows, a delta that chains from the wrong row count, insertion orders
     that are not the contiguous next block, a tombstone naming a dead,
@@ -655,7 +594,7 @@ def _materialize_sidecars(path, manifest):
     labels_name = manifest.get("labels_file")
     if not isinstance(labels_name, str):
         raise ValueError(
-            "v4 manifest does not name a labels_file"
+            "manifest does not name a labels_file"
             + _gen_tag(path / MANIFEST_NAME, generation)
         )
     labels_path = path / labels_name
@@ -740,21 +679,13 @@ def _materialize_sidecars(path, manifest):
         manifest["label_orders"] = {
             label: order for order, label in enumerate(labels)
         }
-    if int(manifest["format_version"]) >= 5:
-        recorded = manifest.get("next_order")
-        try:
-            recorded = int(recorded)
-        except (TypeError, ValueError):
-            recorded = None
-        if recorded != len(labels):
-            raise ValueError(
-                f"manifest records next_order={manifest.get('next_order')} "
-                f"but the delta chain reconstructs {len(labels)} physical "
-                f"rows (row-count drift)"
-                + _gen_tag(path / MANIFEST_NAME, generation)
-            )
-    else:
-        manifest["next_order"] = len(labels)
+    if manifest.get("next_order") != len(labels):
+        raise ValueError(
+            f"manifest records next_order={manifest.get('next_order')} "
+            f"but the delta chain reconstructs {len(labels)} physical "
+            f"rows (row-count drift)"
+            + _gen_tag(path / MANIFEST_NAME, generation)
+        )
     total = manifest.get("rows")
     if total is not None and int(total) != len(manifest["labels"]):
         raise ValueError(
@@ -766,11 +697,11 @@ def _materialize_sidecars(path, manifest):
 
 
 def _load_base_orders(path, index, entry, num_labels, generation=None):
-    """One shard entry's validated base global-orders array (v4)."""
+    """One shard entry's validated base global-orders array."""
     orders_name = entry.get("orders_file")
     if not isinstance(orders_name, str):
         raise ValueError(
-            f"v4 shard entry {index} does not name an orders_file"
+            f"shard entry {index} does not name an orders_file"
             + _gen_tag(path / MANIFEST_NAME, generation)
         )
     orders_path = path / orders_name
@@ -801,6 +732,25 @@ def _load_base_orders(path, index, entry, num_labels, generation=None):
     return orders
 
 
+def _load_delta(path, name, generation):
+    """One delta sidecar's JSON object plus its corruption-message tag."""
+    delta_path = path / name
+    tag = _gen_tag(delta_path, _file_generation(name, generation))
+    if not delta_path.is_file():
+        raise FileNotFoundError(f"missing delta sidecar {delta_path}" + tag)
+    try:
+        delta = json.loads(delta_path.read_text())
+    except ValueError as exc:
+        raise ValueError(
+            f"corrupted delta sidecar {delta_path}: {exc}" + tag
+        ) from exc
+    if not isinstance(delta, dict) or delta.get("format") != FORMAT_NAME:
+        raise ValueError(
+            f"{delta_path} is not a {FORMAT_NAME} delta sidecar" + tag
+        )
+    return delta, tag
+
+
 def _replay_deltas(path, manifest, labels):
     """Replay the journaled delta chain, extending ``labels`` in place.
 
@@ -811,10 +761,8 @@ def _replay_deltas(path, manifest, labels):
     attributable). Returns the sorted physical orders of every
     tombstoned slot.
 
-    A v4 chain is discovered through the journaled segments' references
-    (append-only, so segment references reach every delta). A v5 chain
-    is the manifest's explicit ``deltas`` list — a pure-delete commit
-    journals no segment — and each v5 delta carries its ``op``
+    The chain is the manifest's explicit ``deltas`` list — a pure-delete
+    commit journals no segment — and each delta carries its ``op``
     (``append`` / ``delete`` / ``upsert``), the surviving-row count it
     chains from (``base_rows``), its physical length (``next_order``),
     appended segment ``entries``, and per-shard ``tombstones``.
@@ -828,7 +776,6 @@ def _replay_deltas(path, manifest, labels):
     structural inconsistency — including a tombstone naming an unknown,
     already-dead, mislabelled, or wrong-shard slot — raises.
     """
-    version = int(manifest.get("format_version", FORMAT_VERSION))
     manifest_tag = _gen_tag(path / MANIFEST_NAME, manifest.get("generation"))
     by_delta = {}
     for index, entry in enumerate(manifest["shards"]):
@@ -840,25 +787,21 @@ def _replay_deltas(path, manifest, labels):
                     f"delta sidecar" + manifest_tag
                 )
             by_delta.setdefault(name, {})[(index, segment["file"])] = segment
-    if version >= 5:
-        names = manifest.get("deltas")
-        if not isinstance(names, list) \
-                or not all(isinstance(name, str) for name in names) \
-                or len(set(names)) != len(names):
-            raise ValueError(
-                f"v5 manifest does not carry a valid delta chain "
-                f"({manifest.get('deltas')!r})" + manifest_tag
-            )
-        orphaned = set(by_delta) - set(names)
-        if orphaned:
-            missing = ", ".join(repr(name) for name in sorted(orphaned))
-            raise ValueError(
-                f"journaled segments reference delta sidecar(s) {missing} "
-                f"absent from the manifest delta chain" + manifest_tag
-            )
-    else:
-        names = sorted(by_delta)
-        manifest["deltas"] = list(names)
+    names = manifest.get("deltas")
+    if not isinstance(names, list) \
+            or not all(isinstance(name, str) for name in names) \
+            or len(set(names)) != len(names):
+        raise ValueError(
+            f"manifest does not carry a valid delta chain "
+            f"({manifest.get('deltas')!r})" + manifest_tag
+        )
+    orphaned = set(by_delta) - set(names)
+    if orphaned:
+        missing = ", ".join(repr(name) for name in sorted(orphaned))
+        raise ValueError(
+            f"journaled segments reference delta sidecar(s) {missing} "
+            f"absent from the manifest delta chain" + manifest_tag
+        )
     # Physical order → owning shard, extended as appends replay, so a
     # tombstone's shard attribution validates in O(1).
     shard_of = np.zeros(len(labels), dtype=np.int64)
@@ -870,32 +813,11 @@ def _replay_deltas(path, manifest, labels):
     dead = set()
     for name in names:
         delta_path = path / name
-        tag = _gen_tag(delta_path,
-                       _file_generation(name, manifest.get("generation")))
-        if not delta_path.is_file():
-            raise FileNotFoundError(f"missing delta sidecar {delta_path}" + tag)
-        try:
-            delta = json.loads(delta_path.read_text())
-        except ValueError as exc:
-            raise ValueError(
-                f"corrupted delta sidecar {delta_path}: {exc}" + tag
-            ) from exc
-        if not isinstance(delta, dict) or delta.get("format") != FORMAT_NAME:
-            raise ValueError(
-                f"{delta_path} is not a {FORMAT_NAME} delta sidecar" + tag
-            )
-        op = delta.get("op", "append")
+        delta, tag = _load_delta(path, name, manifest.get("generation"))
+        op = delta.get("op")
         if op not in ("append", "delete", "upsert"):
             raise ValueError(f"{delta_path} records unknown op {op!r}" + tag)
         tombstones = delta.get("tombstones") or ()
-        # The version gate outranks row-count chaining: a pre-v5
-        # manifest over a mutated chain refuses with the format error,
-        # not whatever drift the invisible pure-delete commits cause.
-        if version < 5 and (op != "append" or tombstones):
-            raise ValueError(
-                f"{delta_path} carries a mutation commit (op {op!r}) but the "
-                f"manifest predates format v5" + tag
-            )
         live = len(labels) - len(dead)
         if int(delta.get("base_rows", -1)) != live:
             raise ValueError(
@@ -907,20 +829,11 @@ def _replay_deltas(path, manifest, labels):
                 f"{delta_path} records op 'append' but carries tombstones"
                 + tag
             )
-        recorded_next = delta.get("next_order")
-        if recorded_next is None:
-            # A v4-era delta in a migrated chain: legal only while the
-            # physical and surviving counts still coincide (no holes).
-            if len(dead):
-                raise ValueError(
-                    f"{delta_path} records no next_order but tombstoned "
-                    f"rows precede it (row-count drift)" + tag
-                )
-        elif int(recorded_next) != len(labels):
+        if delta.get("next_order") != len(labels):
             raise ValueError(
-                f"{delta_path} chains from physical row {recorded_next} but "
-                f"{len(labels)} physical rows precede it (row-count drift)"
-                + tag
+                f"{delta_path} chains from physical row "
+                f"{delta.get('next_order')} but {len(labels)} physical rows "
+                f"precede it (row-count drift)" + tag
             )
         for group in tombstones:
             t_shard = group.get("shard") if isinstance(group, dict) else None
@@ -1028,12 +941,10 @@ def _load_matrix(path, entry, what, mmap, generation=None):
         raise ValueError(
             f"corrupted {what} file {file_path}: {exc}" + tag
         ) from exc
-    if matrix.ndim != 2 or matrix.shape[0] != entry["rows"] \
-            or len(entry["labels"]) != entry["rows"]:
+    if matrix.ndim != 2 or matrix.shape[0] != entry["rows"]:
         raise ValueError(
             f"{file_path} holds {matrix.shape[0] if matrix.ndim else 0} rows but "
-            f"the manifest records {entry['rows']} ({len(entry['labels'])} labels)"
-            + tag
+            f"the manifest records {entry['rows']}" + tag
         )
     return matrix
 
@@ -1106,8 +1017,9 @@ def _entry_total_rows(entry):
 def _entry_pop_bounds(entry):
     """A manifest shard entry's minus-count bounds for the query planner.
 
-    ``None`` means unknown (a pre-bounds manifest) — the planner never
-    skips such a shard; a shard with no *surviving* rows is known-empty.
+    ``None`` means unknown (``null`` or malformed bounds) — the planner
+    never skips such a shard; a shard with no *surviving* rows is
+    known-empty.
     The recorded interval is not recomputed when tombstones thin the
     entry: a deletion only shrinks the row population, so the interval
     stays a valid (possibly loose) superset until compact re-tightens
@@ -1127,13 +1039,11 @@ def _entry_pop_bounds(entry):
 def _entry_geo_bounds(entry, backend):
     """A shard entry's geometric ``(native centroid, radius)``, or ``None``.
 
-    ``None`` means unknown (a v1/v2 manifest, or an empty shard — whose
-    centroid establishes from its first ingested batch); the planner
-    never skips such a shard on the geometric layer. In a v4 manifest
-    the entry's ball covers the *base* rows only (each journaled segment
-    carries its own ball in its delta sidecar); in v1–v3 manifests it
-    covers base and segments jointly, because the legacy
-    :func:`append_rows` folded every segment in at commit time.
+    ``None`` means unknown (``null`` or malformed bounds, or an empty
+    shard — whose centroid establishes from its first ingested batch);
+    the planner never skips such a shard on the geometric layer. The
+    entry's ball covers the *base* rows only; each journaled segment
+    carries its own ball in its delta sidecar.
     """
     bounds = entry["bounds"]
     if _entry_total_rows(entry) == 0 or bounds.get("centroid") is None \
@@ -1149,17 +1059,13 @@ def _entry_geo_bounds(entry, backend):
 def _entry_segment_bounds(entry, backend):
     """Per-segment bound groups of one shard entry: ``(rows, pop, geo)``.
 
-    One tuple per journaled segment that carries a materialized (v4)
-    ``bounds`` block — ``pop`` is the minus-count interval or ``None``,
-    ``geo`` the ``(native centroid, radius)`` ball or ``None``. A v1–v3
-    journal returns no groups: its shard-level bounds already cover base
-    *and* segments, so the planner treats every row as base there.
+    One tuple per journaled segment, from the ``bounds`` block its delta
+    sidecar carries — ``pop`` is the minus-count interval or ``None``,
+    ``geo`` the ``(native centroid, radius)`` ball or ``None``.
     """
     groups = []
     for segment in entry["segments"]:
-        bounds = segment.get("bounds")
-        if bounds is None:
-            continue  # legacy journal: folded into the shard-level ball
+        bounds = segment["bounds"]
         pop = None
         rows = _segment_live_rows(segment)
         if bounds.get("minus_min") is not None \
@@ -1195,10 +1101,7 @@ def _load_shard_entry(path, entry, manifest, mmap):
     base_keep = None
     seg_keeps = [None] * len(entry["segments"])
     if deleted.size:
-        base_orders = np.asarray(
-            entry.get("orders", np.arange(int(entry["rows"]))), dtype=np.int64
-        )
-        keep = ~np.isin(base_orders, deleted)
+        keep = ~np.isin(np.asarray(entry["orders"], dtype=np.int64), deleted)
         if not keep.all():
             base_keep = keep
         for position, segment in enumerate(entry["segments"]):
@@ -1249,162 +1152,91 @@ def _load_shard_entry(path, entry, manifest, mmap):
 
 
 def load_worker_shard(path, shard_index, generation, mmap=True):
-    """O(1) worker attach: one shard + its global-orders sidecar.
+    """A process worker's attach: one shard plus its dense global orders.
 
-    Reads the label-free :data:`WORKER_INDEX_NAME` twin instead of the
-    manifest, so attaching to a million-item store costs two small file
-    reads and a memmap — no million-label JSON parse. Returns
-    ``(ItemMemory, orders)`` or ``None`` whenever the index is missing,
-    stale (generation mismatch), or inconsistent — the caller then falls
-    back to :func:`load_shard` over the manifest. The returned shard
-    carries positional placeholder labels: query partials only ever use
-    distances plus the orders sidecar.
+    Reads the raw manifest (validated, never materialized), the shard's
+    base matrix and orders sidecar, its journaled segments, and the
+    delta chain — no label sidecar, so attaching to a million-item store
+    costs a few small reads and a memmap. Tombstoned rows are dropped
+    and the surviving physical orders renumbered densely, matching the
+    controller's in-memory numbering. Returns ``(ItemMemory, orders)``;
+    the shard carries positional placeholder labels, since query
+    partials only ever use distances plus ``orders``.
+
+    Raises ``RuntimeError`` when the directory is no longer at
+    ``generation`` (it changed under the open store — re-open it), and
+    ``FileNotFoundError`` / ``ValueError`` naming the file and the
+    generation on any other inconsistency.
     """
     path = Path(path)
-    try:
-        index = json.loads((path / WORKER_INDEX_NAME).read_text())
-    except (OSError, ValueError):
-        return None
-    if index.get("format") != FORMAT_NAME or index.get("kind") != "sharded":
-        return None
-    if int(index.get("generation", -1)) != int(generation):
-        return None
-    entries = index.get("shards", [])
-    if not 0 <= shard_index < len(entries):
-        return None
-    entry = entries[shard_index]
-    if not entry.get("orders_file"):
-        return None
-    mode = "r" if mmap else None
-    try:
-        deltas = {}
-
-        def _load_delta(name):
-            delta = deltas.get(name)
-            if delta is None:
-                delta = json.loads((path / name).read_text())
-                deltas[name] = delta
-            return delta
-
-        # v5 chains tombstone rows through their delta sidecars; workers
-        # collect the *global* dead-order set (O(chain), every delta is
-        # O(batch)-sized) so they can both drop this shard's dead rows
-        # and dense-renumber the surviving orders to match the
-        # controller's in-memory numbering.
-        dead = set()
-        for name in index.get("deltas") or ():
-            for group in _load_delta(name).get("tombstones") or ():
-                dead.update(int(order) for order in group["orders"])
-        matrix = np.load(path / entry["file"], mmap_mode=mode)
-        if matrix.ndim != 2 or matrix.shape[0] != int(entry["rows"]):
-            return None
-        orders = np.asarray(np.load(path / entry["orders_file"]), dtype=np.int64)
-        if orders.ndim != 1:
-            return None
-        # v4/v5 journals: the base orders sidecar covers base rows only
-        # and each segment's global orders ride its (O(batch)-sized)
-        # delta sidecar — concatenating them is O(appended rows), never
-        # O(store). Legacy (v3) indexes carry no delta_file: there the
-        # orders sidecar already covers base + segments (and tombstones
-        # cannot exist), so nothing is appended and the final length
-        # check still validates.
-        parts = [(matrix, orders)]
-        for segment in entry["segments"]:
-            segment_matrix = np.load(path / segment["file"], mmap_mode=mode)
-            if segment_matrix.ndim != 2 \
-                    or segment_matrix.shape[0] != int(segment["rows"]):
-                return None
-            delta_name = segment.get("delta_file")
-            if not delta_name:
-                if dead:
-                    return None  # tombstones need per-segment orders
-                parts.append((segment_matrix, None))
-                continue
-            part = next(
-                (part for part in _load_delta(delta_name).get("entries", ())
-                 if int(part["shard"]) == shard_index
-                 and part["file"] == segment["file"]),
-                None,
-            )
-            if part is None:
-                return None
-            part_orders = np.asarray(part["orders"], dtype=np.int64)
-            if part_orders.shape != (segment_matrix.shape[0],):
-                return None
-            parts.append((segment_matrix, part_orders))
-        if dead:
-            if orders.shape[0] != matrix.shape[0]:
-                return None
-            dead_sorted = np.asarray(sorted(dead), dtype=np.int64)
-            kept = []
-            for part_matrix, part_orders in parts:
-                keep = ~np.isin(part_orders, dead_sorted)
-                if bool(keep.all()):
-                    kept.append((part_matrix, part_orders))
-                else:
-                    kept.append((
-                        np.ascontiguousarray(np.asarray(part_matrix)[keep]),
-                        part_orders[keep],
-                    ))
-            parts = kept
-        shard, collected, start = None, [], 0
-        for part_matrix, part_orders in parts:
-            count = int(part_matrix.shape[0])
-            placeholder = range(start, start + count)
-            if shard is None:
-                shard = ItemMemory.from_native(
-                    index["dim"], placeholder, part_matrix,
-                    backend=index["backend"],
-                )
-            else:
-                shard.extend_native(placeholder, part_matrix)
-            start += count
-            if part_orders is not None:
-                collected.append(part_orders)
-        orders = (
-            np.concatenate(collected) if len(collected) > 1 else collected[0]
+    manifest = _read_raw_manifest(path)
+    if manifest.get("generation") != generation:
+        raise RuntimeError(
+            f"store at {path} is at generation {manifest.get('generation')} "
+            f"but the query expected generation {generation}; the directory "
+            f"changed under the open store — re-open it"
         )
-        if dead:
-            # Physical → dense: close the tombstone holes, matching the
-            # controller's always-dense in-memory orders.
-            orders = orders - np.searchsorted(dead_sorted, orders, side="left")
-    except (OSError, ValueError, EOFError, KeyError, TypeError, IndexError):
-        return None  # torn/stale sidecars: use the validating manifest path
-    if orders.ndim != 1 or orders.shape[0] != len(shard):
-        return None
-    return shard, orders
-
-
-def load_shard(path, shard_index, manifest=None, mmap=True):
-    """Re-open a single shard of a saved store (base + journal segments).
-
-    The process-executor worker's entry point: each worker memmaps only
-    the shard files a task names, so a fan-out across W workers pages
-    the store in exactly once (the page cache is shared), and no shard
-    matrix is ever pickled across the process boundary.
-    """
-    path = Path(path)
-    if manifest is None:
-        manifest = _read_manifest(path)
-    if not 0 <= shard_index < len(manifest["shards"]):
+    shards = manifest["shards"]
+    if manifest["kind"] != "sharded" or not 0 <= shard_index < len(shards):
         raise ValueError(
-            f"shard index {shard_index} out of range for "
-            f"{len(manifest['shards'])} shards"
+            f"{manifest['kind']} store has no worker shard {shard_index}"
+            + _gen_tag(path / MANIFEST_NAME, generation)
         )
-    return _load_shard_entry(path, manifest["shards"][shard_index], manifest, mmap)
+    entry = shards[shard_index]
+    base_rows = sum(int(other["rows"]) for other in shards)
+    parts = [(
+        _load_matrix(path, entry, "shard", mmap, generation),
+        _load_base_orders(path, shard_index, entry, base_rows, generation),
+    )]
+    deltas = {name: _load_delta(path, name, generation)[0]
+              for name in manifest["deltas"]}
+    for segment in entry["segments"]:
+        # Each segment's global orders ride its O(batch)-sized delta.
+        delta = deltas.get(segment.get("delta_file"), {})
+        part = next(
+            (part for part in delta.get("entries", ())
+             if part["shard"] == shard_index and part["file"] == segment["file"]),
+            None,
+        )
+        if part is None or len(part["orders"]) != int(segment["rows"]):
+            raise ValueError(
+                f"the delta chain does not record the {segment['rows']} orders "
+                f"of segment {segment['file']!r}"
+                + _gen_tag(path / segment["file"],
+                           _file_generation(segment["file"], generation))
+            )
+        parts.append((_load_matrix(path, segment, "segment", mmap, generation),
+                      np.asarray(part["orders"], dtype=np.int64)))
+    dead = np.asarray(sorted(
+        int(order) for delta in deltas.values()
+        for group in delta.get("tombstones") or () for order in group["orders"]
+    ), dtype=np.int64)
+    shard, collected, start = None, [], 0
+    for matrix, orders in parts:
+        if dead.size:
+            keep = ~np.isin(orders, dead)
+            if not keep.all():
+                matrix = np.ascontiguousarray(np.asarray(matrix)[keep])
+                orders = orders[keep]
+        placeholder = range(start, start + len(orders))
+        if shard is None:
+            shard = ItemMemory.from_native(manifest["dim"], placeholder, matrix,
+                                           backend=manifest["backend"])
+        else:
+            shard.extend_native(placeholder, matrix)
+        start += len(orders)
+        collected.append(orders)
+    orders = np.concatenate(collected)
+    # Physical → dense: close the tombstone holes.
+    return shard, orders - np.searchsorted(dead, orders, side="left")
 
 
 def _prepare_commit(memory, path, op):
     """Shared preamble of every journaled commit (append/delete/upsert).
 
     Resolves the manifest — the handle's trusted cache or a cold read —
-    validates it against the open ``memory`` (kind, dim, backend,
-    labels), and migrates legacy layouts: v1–v3 stores compact once into
-    the sidecar layout (O(store), once), a v4 store migrates to v5
-    in-dict — :func:`_materialize_sidecars` already reconstructed the
-    uniform ``deltas`` chain and ``next_order``, so bumping the version
-    is the whole migration and it persists with this commit's own
-    manifest swap. Returns ``(path, manifest, trusted, sharded)``.
+    and validates it against the open ``memory`` (kind, dim, backend,
+    labels). Returns ``(path, manifest, trusted, sharded)``.
     """
     path = Path(path)
     manifest = _cached_manifest(memory, path)
@@ -1439,19 +1271,6 @@ def _prepare_commit(memory, path, op):
             "on-disk manifest is out of sync with the open store; "
             "re-open or compact() before committing"
         )
-    version = int(manifest["format_version"])
-    if version < 4:
-        # Legacy (v1–v3) layouts inline full label maps in the manifest
-        # and fold appends into a single shard-level ball; delta
-        # sidecars cannot reference rows those manifests own. One
-        # implicit compact migrates the store — O(store), once — and
-        # every subsequent commit is O(batch). memory == disk was just
-        # validated, so the compact is a faithful rewrite.
-        save_store(memory, path)
-        manifest = _read_manifest(path)
-        trusted = False
-    elif version < FORMAT_VERSION:
-        manifest["format_version"] = FORMAT_VERSION
     return path, manifest, trusted, sharded
 
 
@@ -1597,8 +1416,7 @@ def _commit(memory, path, manifest, trusted, sharded, op, base_rows,
     # The mutations already landed in RAM in exactly this shape, and a
     # trusted manifest was label-equal before the batch — editing the
     # survivor list/label map in place keeps the commit O(batch + dead)
-    # instead of copying the full map. (The legacy migration re-reads
-    # the manifest, so it is never `trusted`.)
+    # instead of copying the full map.
     if trusted:
         if remove_labels:
             removed_set = set(remove_labels)
@@ -1624,7 +1442,6 @@ def _commit(memory, path, manifest, trusted, sharded, op, base_rows,
     manifest["deltas"].append(delta_name)
     manifest["generation"] = generation
     manifest_path = _write_manifest(path, _manifest_to_disk(manifest))
-    _write_worker_index(path, manifest)
     # The materialized dict now mirrors the directory exactly: keep it on
     # the handle so the next commit skips the O(store) re-materialization.
     memory._manifest_cache = (path, manifest)
@@ -1648,11 +1465,9 @@ def append_rows(memory, path, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
 
     Cost note: one append commit writes O(batch) bytes — the segment
     files, the delta sidecar, and a manifest whose size is independent
-    of the store (label maps live in sidecars since format v4). The
-    first append to a legacy (v1–v3) store performs one implicit
-    compact to migrate it — O(store), once — after which every commit
-    is O(batch). Batching appends still amortizes the per-commit file
-    count (one segment per touched shard per call).
+    of the store (label maps live in sidecars). Batching appends still
+    amortizes the per-commit file count (one segment per touched shard
+    per call).
     """
     labels = list(labels)
     _check_labels(labels)  # journalable before anything commits

@@ -1,7 +1,7 @@
 """Append/compact lifecycle of persisted stores.
 
 Round-trips the full journal story — reopen → append → query → compact
-→ reopen — plus the format-version-1 (PR 2 layout) migration and the
+→ reopen — plus the refusal of every other format version and the
 corrupted-segment failure cases, which must raise, never mis-answer.
 """
 
@@ -39,41 +39,18 @@ def _write_manifest(path, manifest):
     (path / MANIFEST_NAME).write_text(json.dumps(manifest))
 
 
-def _downgrade_to_v4(path):
-    """Rewrite a freshly saved manifest in the PR 7 (version 4) layout.
+def _crash_after_manifest_swap(monkeypatch):
+    """Make the commit's manifest write land, then raise — a crash right
+    after the commit point, before the handle learns it committed."""
+    import repro.hdc.store.persistence as persistence_module
 
-    v4 predates mutations: no explicit ``deltas`` chain (the chain was
-    discovered through journaled segments' references) and no
-    ``next_order`` (physical orders equalled surviving rows). A fresh
-    save journals nothing, so dropping the two v5 keys is the whole
-    downgrade.
-    """
-    manifest = _manifest(path)
-    assert all(not entry["segments"] for entry in manifest["shards"])
-    manifest["format_version"] = 4
-    manifest.pop("deltas")
-    manifest.pop("next_order")
-    _write_manifest(path, manifest)
+    write = persistence_module._write_manifest
 
+    def crash(path, manifest):
+        write(path, manifest)
+        raise RuntimeError("simulated crash after the manifest swap")
 
-def _downgrade_to_v1(path):
-    """Rewrite a saved manifest in the PR 2 (version 1) layout.
-
-    v1 manifests inline every label map (the v4 label/orders sidecars
-    did not exist), so the downgrade materializes them back through
-    ``read_manifest`` before stripping the newer fields.
-    """
-    manifest = read_manifest(path)  # materialized: inline labels everywhere
-    assert all(not entry["segments"] for entry in manifest["shards"])
-    manifest["format_version"] = 1
-    manifest.pop("generation")
-    manifest.pop("labels_file", None)
-    manifest.pop("rows", None)
-    for entry in manifest["shards"]:
-        entry.pop("segments")
-        entry.pop("bounds")  # v1 predates the pruning-bounds block too
-        entry.pop("orders_file", None)
-    _write_manifest(path, manifest)
+    monkeypatch.setattr(persistence_module, "_write_manifest", crash)
 
 
 class TestAppendRoundTrip:
@@ -235,44 +212,24 @@ class TestAppendRoundTrip:
             append_rows(stale, tmp_path / "store", ["f"], random_bipolar(1, 64, rng))
 
 
-class TestFormatMigration:
-    def test_version1_manifest_opens_and_answers(self, tmp_path, rng):
-        dim = 128
-        vectors = random_bipolar(20, dim, rng)
-        labels = [f"v{i}" for i in range(20)]
-        store = AssociativeStore.from_vectors(labels, vectors, shards=3,
-                                              backend="packed")
-        store.save(tmp_path / "store")
-        _downgrade_to_v1(tmp_path / "store")
-        reopened = AssociativeStore.open(tmp_path / "store")
-        assert reopened.labels == store.labels
-        queries = random_bipolar(5, dim, rng)
-        ref_labels, ref_sims = store.cleanup_batch(queries)
-        new_labels, new_sims = reopened.cleanup_batch(queries)
-        assert new_labels == ref_labels and np.array_equal(new_sims, ref_sims)
-
-    def test_appending_migrates_version1_to_current(self, tmp_path, rng):
-        dim = 64
-        vectors = random_bipolar(6, dim, rng)
-        AssociativeStore.from_vectors(list("abcd"), vectors[:4], shards=2,
-                                      backend="packed").save(tmp_path / "store")
-        _downgrade_to_v1(tmp_path / "store")
-        reopened = AssociativeStore.open(tmp_path / "store")
-        reopened.add_many(["e", "f"], vectors[4:])
-        manifest = _manifest(tmp_path / "store")
-        assert manifest["format_version"] == FORMAT_VERSION
-        fresh = AssociativeStore.open(tmp_path / "store")
-        assert fresh.labels == ("a", "b", "c", "d", "e", "f")
-
-    def test_future_version_still_refused(self, tmp_path, rng):
+class TestFormatVersion:
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, FORMAT_VERSION + 1])
+    def test_future_version_still_refused(self, version, tmp_path, rng):
+        """Only FORMAT_VERSION is read: older and newer manifests are
+        refused at open with one error naming the version, the manifest
+        file, and the generation."""
         AssociativeStore.from_vectors(["a"], random_bipolar(1, 32, rng)).save(
             tmp_path / "store"
         )
         manifest = _manifest(tmp_path / "store")
-        manifest["format_version"] = FORMAT_VERSION + 1
+        manifest["format_version"] = version
         _write_manifest(tmp_path / "store", manifest)
-        with pytest.raises(ValueError, match="format version"):
+        with pytest.raises(ValueError, match="format version") as refused:
             open_store(tmp_path / "store")
+        message = str(refused.value)
+        assert f"version {version} is not supported" in message
+        assert str(tmp_path / "store" / MANIFEST_NAME) in message
+        assert "generation 0" in message
 
 
 class TestCorruptedSegments:
@@ -315,7 +272,7 @@ class TestCorruptedSegments:
 
     def test_segment_label_collision_raises(self, tmp_path, rng):
         """A journal claiming a label the base already holds must fail at
-        open, not shadow or duplicate the row. (v4 journal labels live in
+        open, not shadow or duplicate the row. (Journal labels live in
         the delta sidecar, so that is where the corruption lands.)"""
         path, segments = self._saved_with_segment(tmp_path, rng)
         manifest = read_manifest(path)  # materialized labels
@@ -389,20 +346,14 @@ class TestCrashConsistency:
         path, labels, vectors = self._store_with_pending_append(tmp_path, rng)
         queries = vectors[:6]
 
-        import repro.hdc.store.persistence as persistence_module
-
-        def crash(*args, **kwargs):
-            raise RuntimeError("simulated crash after the manifest swap")
-
-        monkeypatch.setattr(persistence_module, "_write_worker_index", crash)
+        _crash_after_manifest_swap(monkeypatch)
         opened = AssociativeStore.open(path)
         with pytest.raises(RuntimeError, match="simulated crash"):
             opened.add_many(labels[8:], vectors[8:])
         monkeypatch.undo()
 
-        # The manifest swap already happened, so the append is durable;
-        # the stale worker index is an optimization only — the process
-        # executor's workers detect it and fall back to the manifest.
+        # The manifest swap already happened, so the append is durable
+        # for both executors — process workers attach from the manifest.
         reference = _reference(labels, vectors)
         for executor in ("thread", "process"):
             survivor = AssociativeStore.open(path, executor=executor)
@@ -471,9 +422,8 @@ class TestAutoCompaction:
 
 
 class TestMutationPersistence:
-    """Delete/upsert commits (format v5): tombstone journaling, the
-    v4 → v5 in-dict migration, out-of-sync refusal, and crash
-    consistency around the mutation commit's manifest swap."""
+    """Delete/upsert commits: tombstone journaling, out-of-sync refusal,
+    and crash consistency around the mutation commit's manifest swap."""
 
     def _saved(self, tmp_path, rng, n=20, dim=128, backend="packed", shards=3):
         vectors = random_bipolar(n, dim, rng)
@@ -548,33 +498,6 @@ class TestMutationPersistence:
         assert fresh.labels == reference.labels
         assert fresh.topk_batch(queries, k=5) == reference.topk_batch(queries, k=5)
 
-    def test_version4_manifest_opens_and_answers(self, tmp_path, rng):
-        path, labels, vectors = self._saved(tmp_path, rng)
-        reference = _reference(labels, vectors)
-        _downgrade_to_v4(path)
-        reopened = AssociativeStore.open(path)
-        queries = random_bipolar(5, 128, rng)
-        assert reopened.labels == reference.labels
-        ref_labels, ref_sims = reference.cleanup_batch(queries)
-        new_labels, new_sims = reopened.cleanup_batch(queries)
-        assert new_labels == ref_labels and np.array_equal(new_sims, ref_sims)
-
-    def test_first_mutation_migrates_v4_manifest_to_v5(self, tmp_path, rng):
-        path, labels, vectors = self._saved(tmp_path, rng)
-        _downgrade_to_v4(path)
-        handle = AssociativeStore.open(path)
-        handle.delete(["v1"])
-        manifest = _manifest(path)
-        assert manifest["format_version"] == FORMAT_VERSION == 5
-        assert manifest["next_order"] == 20
-        assert len(manifest["deltas"]) == 1
-        fresh = AssociativeStore.open(path)
-        reference = _reference(labels[:1] + labels[2:],
-                               vectors[[0] + list(range(2, 20))])
-        queries = vectors[:6]
-        assert fresh.labels == reference.labels
-        assert fresh.topk_batch(queries, k=4) == reference.topk_batch(queries, k=4)
-
     def test_mutations_reject_out_of_sync_manifest(self, tmp_path, rng):
         vectors = random_bipolar(4, 64, rng)
         AssociativeStore.from_vectors(list("abcd"), vectors, backend="packed").save(
@@ -628,19 +551,13 @@ class TestMutationPersistence:
         path, labels, vectors = self._saved(tmp_path, rng)
         batch = random_bipolar(2, 128, rng)
 
-        import repro.hdc.store.persistence as persistence_module
-
-        def crash(*args, **kwargs):
-            raise RuntimeError("simulated crash after the manifest swap")
-
-        monkeypatch.setattr(persistence_module, "_write_worker_index", crash)
+        _crash_after_manifest_swap(monkeypatch)
         opened = AssociativeStore.open(path)
         with pytest.raises(RuntimeError, match="simulated crash"):
             opened.upsert(["v0", "new0"], batch)
         monkeypatch.undo()
 
-        # The manifest swap already happened, so the upsert is durable;
-        # the stale worker index is an optimization only.
+        # The manifest swap already happened, so the upsert is durable.
         reference = _reference(labels[1:] + ["v0", "new0"],
                                np.concatenate([vectors[1:], batch]))
         queries = vectors[:6]

@@ -1,6 +1,6 @@
-"""Geometric (centroid + radius) shard bounds: pruning, exactness, migration.
+"""Geometric (centroid + radius) shard bounds: pruning and exactness.
 
-The second pruning layer's contract, three ways:
+The second pruning layer's contract, two ways:
 
 - **decisions never move** — on cluster-sharded stores whose per-shard
   minus-count intervals fully overlap (the workload the minus bound
@@ -9,10 +9,7 @@ The second pruning layer's contract, three ways:
 - **bounds stay exact** — the persisted radius is exactly
   ``max_row d(row, centroid)`` for the persisted centroid, through
   chunked ingest, journaled appends, compaction, and a fresh-process
-  reopen;
-- **old stores migrate** — a v2 manifest (no ``bounds`` block) opens,
-  never skips on the geometric layer, and gains exact bounds on its
-  first ``compact()``.
+  reopen.
 """
 
 import json
@@ -25,7 +22,6 @@ import pytest
 from repro.hdc import ItemMemory, random_bipolar
 from repro.hdc.store import (
     AssociativeStore,
-    FORMAT_VERSION,
     ShardedItemMemory,
     open_store,
     read_manifest,
@@ -199,11 +195,11 @@ class TestSegmentBounds:
     def test_append_segment_ball_skips_where_a_widened_ball_could_not(
         self, tmp_path, rng
     ):
-        """Pre-v4, an append widened the shard's single ball to cover the
-        new rows, so a far-away batch drowned a tight base ball and the
-        geometric layer went blind. v4 journals the batch with its own
-        exact ball: the planner's min-over-groups bound still skips —
-        and the old widened single ball provably could not have."""
+        """Widening the shard's single ball to cover an appended batch
+        would let a far-away batch drown a tight base ball and blind the
+        geometric layer. The journal gives the batch its own exact ball:
+        the planner's min-over-groups bound still skips — and a widened
+        single ball provably could not have."""
         dim = 128
         reference, sharded, vectors, queries = _cluster_store(rng, dim=dim)
         save_store(sharded, tmp_path / "s")
@@ -252,6 +248,97 @@ class TestSegmentBounds:
             to_centroid = int(np.atleast_1d(
                 backend.hamming(centroid, q_native)).max())
             assert to_centroid - widened <= best, f"shard {index}"
+
+    def test_append_into_empty_shard_establishes_exact_bounds(
+        self, tmp_path, rng
+    ):
+        """A saved store with a still-empty shard: the one row an append
+        routes there journals as a radius-zero segment with its own exact
+        bounds, while the empty base entry stays empty."""
+        dim = 64
+        memory = ShardedItemMemory(dim, num_shards=3, backend="packed",
+                                   routing="round_robin")
+        memory.add_many(["a", "b"], random_bipolar(2, dim, rng))  # shard 2 empty
+        save_store(memory, tmp_path / "s")
+        opened = AssociativeStore.open(tmp_path / "s")
+        opened.add_many(["c"], random_bipolar(1, dim, rng))  # routes to shard 2
+        entries = read_manifest(tmp_path / "s")["shards"]
+        assert entries[2]["rows"] == 0  # base stays empty; the row journals
+        (segment,) = entries[2]["segments"]
+        assert segment["bounds"]["centroid"] is not None
+        assert segment["bounds"]["radius"] == 0  # one row: radius zero
+        _assert_manifest_bounds_exact(tmp_path / "s")
+
+
+def _forget_base_bounds(path):
+    """Null every layer of each shard entry's persisted bounds block —
+    the unknown-bounds state a manifest may carry (bounds are advisory
+    metadata, so this is not corruption)."""
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["shards"]:
+        entry["bounds"] = dict.fromkeys(entry["bounds"])
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestUnknownBounds:
+    """A manifest whose base bounds are unknown opens, never skips a
+    shard it cannot bound, and regains exact bounds on its first
+    compact."""
+
+    def test_opens_never_geo_skips_and_gains_bounds_on_compact(
+        self, tmp_path, rng
+    ):
+        reference, sharded, _, queries = _cluster_store(rng)
+        save_store(sharded, tmp_path / "s")
+        sharded.close()
+        _forget_base_bounds(tmp_path / "s")
+
+        opened = AssociativeStore.open(tmp_path / "s")
+        assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(
+            queries)[0]
+        assert opened.pruning_stats["skipped"] == 0  # both layers unknown
+
+        opened.compact()  # recomputes both layers exactly
+        assert all(entry["bounds"]["centroid"] is not None
+                   for entry in read_manifest(tmp_path / "s")["shards"])
+        _assert_manifest_bounds_exact(tmp_path / "s")
+        opened.reset_pruning_stats()
+        assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(
+            queries)[0]
+        assert opened.pruning_stats["skipped_centroid"] > 0  # skips now
+        # ... and a fresh reopen sees the same bounds
+        fresh = AssociativeStore.open(tmp_path / "s")
+        fresh.cleanup_batch(queries)
+        assert fresh.pruning_stats["skipped_centroid"] > 0
+
+    def test_append_journals_an_exact_segment_and_leaves_base_unknown(
+        self, tmp_path, rng
+    ):
+        """An append never compacts behind the caller's back: the base
+        bounds stay unknown (so their shards are never skipped), and the
+        new rows journal as segments with their own exact balls."""
+        reference, sharded, _, queries = _cluster_store(rng)
+        save_store(sharded, tmp_path / "s")
+        sharded.close()
+        _forget_base_bounds(tmp_path / "s")
+        opened = AssociativeStore.open(tmp_path / "s")
+        extra = random_bipolar(5, 128, rng)
+        opened.add_many([f"late{i}" for i in range(5)], extra)
+        reference.add_many([f"late{i}" for i in range(5)], extra)
+
+        manifest = read_manifest(tmp_path / "s")
+        assert manifest["deltas"]  # journaled, not compacted
+        assert all(entry["bounds"]["centroid"] is None
+                   and entry["bounds"]["minus_min"] is None
+                   for entry in manifest["shards"])
+        assert _assert_segment_bounds_exact_over_committed_rows(
+            tmp_path / "s") == 4  # one segment per shard
+        assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(
+            queries)[0]
+        assert opened.topk_batch(queries, k=7) == reference.topk_batch(
+            queries, k=7)
+        assert opened.pruning_stats["skipped"] == 0
 
 
 class TestBoundStateCache:
@@ -416,7 +503,7 @@ def _assert_segment_bounds_exact_over_committed_rows(path):
 
 
 class TestBoundsUnderMutation:
-    """The v5 bounds contract: a delete may only *tighten* a group's
+    """The bounds contract under mutation: a delete may only *tighten* a group's
     bound (never recomputed mid-generation, so the persisted block is an
     unchanged, still-sound superset), a replacement segment carries its
     own exact ball, and pruning stays decision-invisible across whole
@@ -551,118 +638,3 @@ class TestBoundsUnderMutation:
         assert manifest.get("deltas") == []
         assert sum(entry["rows"] for entry in manifest["shards"]) == len(
             pruned_store.labels)
-
-
-class TestManifestMigration:
-    def _downgrade_to_v2(self, path):
-        """Rewrite a saved manifest in the PR 4 (version 2) layout: label
-        maps inlined, no ``bounds`` block, minus bounds at the entry's
-        top level, no label/orders sidecar references."""
-        manifest = read_manifest(path)  # materialize the v4 sidecars
-        manifest["format_version"] = 2
-        manifest.pop("labels_file", None)
-        manifest.pop("rows", None)
-        for entry in manifest["shards"]:
-            bounds = entry.pop("bounds")
-            entry["minus_min"] = bounds["minus_min"]
-            entry["minus_max"] = bounds["minus_max"]
-            entry.pop("orders_file", None)
-            entry["segments"] = []
-        (path / "manifest.json").write_text(json.dumps(manifest))
-
-    def test_v2_store_opens_never_geo_skips_gains_bounds_on_compact(
-        self, tmp_path, rng
-    ):
-        reference, sharded, _, queries = _cluster_store(rng)
-        save_store(sharded, tmp_path / "s")
-        self._downgrade_to_v2(tmp_path / "s")
-
-        opened = AssociativeStore.open(tmp_path / "s")
-        assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(
-            queries)[0]
-        stats = opened.pruning_stats
-        assert stats["skipped_centroid"] == 0  # geometric layer unknown
-        # the minus layer migrated and may skip where it can; on this
-        # cluster store it can't, so nothing is skipped at all
-        assert stats["skipped"] == 0
-
-        opened.compact()  # first compact recomputes both layers exactly
-        manifest = read_manifest(tmp_path / "s")
-        assert manifest["format_version"] == FORMAT_VERSION
-        assert all(entry["bounds"]["centroid"] is not None
-                   for entry in manifest["shards"])
-        _assert_manifest_bounds_exact(tmp_path / "s")
-        opened.reset_pruning_stats()
-        assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(
-            queries)[0]
-        assert opened.pruning_stats["skipped_centroid"] > 0  # skips now
-        # ... and a fresh reopen sees the same bounds
-        fresh = AssociativeStore.open(tmp_path / "s")
-        fresh.cleanup_batch(queries)
-        assert fresh.pruning_stats["skipped_centroid"] > 0
-
-    def test_appending_to_v2_store_compacts_once_and_gains_exact_bounds(
-        self, tmp_path, rng
-    ):
-        """The first append to a pre-v4 store pays one implicit compact
-        (the O(store) migration toll), after which base bounds are exact
-        and the new rows journal as a segment with its own exact ball."""
-        reference, sharded, vectors, queries = _cluster_store(rng)
-        save_store(sharded, tmp_path / "s")
-        self._downgrade_to_v2(tmp_path / "s")
-        opened = AssociativeStore.open(tmp_path / "s")
-        extra = random_bipolar(5, 128, rng)
-        opened.add_many([f"late{i}" for i in range(5)], extra)
-        reference.add_many([f"late{i}" for i in range(5)], extra)
-        manifest = read_manifest(tmp_path / "s")
-        assert manifest["format_version"] == FORMAT_VERSION  # migrated
-        assert all(entry["bounds"]["centroid"] is not None
-                   for entry in manifest["shards"]
-                   if entry["rows"])
-        assert any(segment["bounds"]["centroid"] is not None
-                   for entry in manifest["shards"]
-                   for segment in entry["segments"])
-        _assert_manifest_bounds_exact(tmp_path / "s")
-        assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(
-            queries)[0]
-
-    def test_append_into_empty_shard_of_v2_store_establishes_exact_bounds(
-        self, tmp_path, rng
-    ):
-        """A v2 store with a still-empty shard: the append's implicit
-        migration compact makes every base ball exact, and the one row
-        landing in the empty shard journals as a radius-zero segment."""
-        dim = 64
-        memory = ShardedItemMemory(dim, num_shards=3, backend="packed",
-                                   routing="round_robin")
-        memory.add_many(["a", "b"], random_bipolar(2, dim, rng))  # shard 2 empty
-        save_store(memory, tmp_path / "s")
-        self._downgrade_to_v2(tmp_path / "s")
-        opened = AssociativeStore.open(tmp_path / "s")
-        opened.add_many(["c"], random_bipolar(1, dim, rng))  # routes to shard 2
-        manifest = read_manifest(tmp_path / "s")
-        entries = manifest["shards"]
-        assert entries[2]["rows"] == 0  # base stays empty; the row journals
-        (segment,) = entries[2]["segments"]
-        assert segment["bounds"]["centroid"] is not None
-        assert segment["bounds"]["radius"] == 0  # one row: radius zero
-        assert entries[0]["bounds"]["centroid"] is not None  # compacted exact
-        _assert_manifest_bounds_exact(tmp_path / "s")
-
-    def test_v1_store_still_opens_with_unknown_bounds(self, tmp_path, rng):
-        reference, sharded, _, queries = _cluster_store(rng)
-        save_store(sharded, tmp_path / "s")
-        manifest = read_manifest(tmp_path / "s")  # materialize sidecars
-        manifest["format_version"] = 1
-        manifest.pop("generation")
-        manifest.pop("labels_file", None)
-        manifest.pop("rows", None)
-        for entry in manifest["shards"]:
-            entry.pop("segments")
-            entry.pop("bounds")
-            entry.pop("orders_file", None)
-        (tmp_path / "s" / "manifest.json").write_text(json.dumps(manifest))
-        opened = AssociativeStore.open(tmp_path / "s")
-        assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(
-            queries)[0]
-        assert opened.pruning_stats["skipped"] == 0

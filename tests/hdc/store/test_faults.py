@@ -69,23 +69,25 @@ class TestSeamInstallation:
         assert not seam.triggered
 
 
+def _writes_after_manifest_commit(trace):
+    """Names written after the manifest swap (the commit point)."""
+    commit = trace.index(("replace", "manifest.json"))
+    return [name for op, name in trace[commit + 1:] if op == "write"]
+
+
 class TestCountingIO:
     def test_save_trace_ends_at_the_manifest_commit(self, tmp_path):
         """A save's operation trace matches the documented commit
         protocol: every data file is written and fsynced *before* the
-        manifest replace — the single commit point."""
+        manifest replace — the single commit point — and nothing is
+        written after it."""
         counter = CountingIO()
         with injected_faults(counter):
             _build().save(tmp_path / "store")
         ops = {op for op, _ in counter.trace}
         assert ops <= {"write", "fsync", "replace", "unlink"}
+        assert _writes_after_manifest_commit(counter.trace) == []
         manifest_commit = counter.trace.index(("replace", "manifest.json"))
-        writes_after = [
-            name for op, name in counter.trace[manifest_commit + 1:]
-            if op == "write"
-        ]
-        # only the advisory worker-index twin may follow the commit
-        assert all(name.startswith("worker_index") for name in writes_after)
         npy_writes = [i for i, (op, name) in enumerate(counter.trace)
                       if op == "write" and ".npy" in name]  # *.npy.tmp
         assert npy_writes and max(npy_writes) < manifest_commit
@@ -100,6 +102,22 @@ class TestCountingIO:
                             random_bipolar(2, 64, np.random.default_rng(1)))
         assert ("replace", "manifest.json") in counter.trace
         assert any(name.startswith("delta.") for _, name in counter.trace)
+        assert _writes_after_manifest_commit(counter.trace) == []
+
+    @pytest.mark.parametrize("op", ["delete", "upsert"])
+    def test_mutation_trace_ends_at_the_manifest_commit(self, op, tmp_path):
+        target = tmp_path / "store"
+        _build().save(target)
+        handle = AssociativeStore.open(target)
+        counter = CountingIO()
+        with injected_faults(counter):
+            if op == "delete":
+                handle.delete(["x1", "x4"])
+            else:
+                handle.upsert(["x1", "z0"],
+                              random_bipolar(2, 64, np.random.default_rng(2)))
+        assert any(name.startswith("delta.") for _, name in counter.trace)
+        assert _writes_after_manifest_commit(counter.trace) == []
 
 
 class TestFaultPlan:

@@ -526,6 +526,32 @@ class TestLifecycle:
         asyncio.run(main())
         store.memory.close()
 
+    def test_stop_waits_for_handlers_of_clients_that_hung_up(self, rng):
+        """Clients that closed before stop(): their handlers may still be
+        awaiting the server side's wait_closed(). stop() must wait for
+        them, or asyncio.run's teardown cancels one mid-await (and the
+        loop logs a CancelledError)."""
+        store, _, vectors = _store(rng, shards=1, items=8)
+
+        async def main():
+            http = await StoreHTTPServer(StoreServer(store)).start()
+            clients = [await JSONHTTPClient.connect(http.host, http.port)
+                       for _ in range(2)]
+            for client in clients:
+                status, _ = await client.request(
+                    "POST", "/v1/cleanup", {"query": _wire(vectors[0])})
+                assert status == 200
+            for client in clients:
+                await client.close()
+            while http._handlers:
+                await asyncio.sleep(0)
+            await http.stop()
+            pending = [task for task in asyncio.all_tasks()
+                       if task.get_coro().__name__ == "_serve_connection"]
+            assert pending == []
+
+        asyncio.run(main())
+
     def test_borrowed_server_left_running(self, rng):
         store, _, vectors = _store(rng, shards=1, items=8)
         expected = store.cleanup(vectors[0])

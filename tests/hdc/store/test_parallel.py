@@ -575,28 +575,29 @@ class TestEarlyExitPruning:
         assert single.pruning_stats is None
 
     def test_opened_pre_bounds_store_never_skips(self, rng, tmp_path):
-        """A v2-style manifest without a ``bounds`` block (a pre-bounds
-        store) must disable skipping on *both* layers but answer
-        identically."""
+        """A manifest whose non-empty shards carry ``null`` bounds (every
+        layer unknown) must disable skipping on *both* layers but answer
+        identically; compacting the open handle re-establishes exact
+        bounds, and it skips again."""
         import json
 
         reference, sharded, vectors = self._banded_pair(rng)
-        from repro.hdc.store import (
-            save_store, open_store, read_manifest, MANIFEST_NAME)
+        from repro.hdc.store import save_store, open_store, MANIFEST_NAME
         save_store(sharded, tmp_path / "s")
-        manifest = read_manifest(tmp_path / "s")  # materialize v4 sidecars
-        manifest["format_version"] = 2
-        manifest.pop("labels_file", None)
-        manifest.pop("rows", None)
+        manifest_path = tmp_path / "s" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert all(entry["rows"] for entry in manifest["shards"])
         for entry in manifest["shards"]:
-            entry.pop("bounds", None)
-            entry.pop("orders_file", None)
-            entry["segments"] = []
-        (tmp_path / "s" / MANIFEST_NAME).write_text(json.dumps(manifest))
+            entry["bounds"] = dict.fromkeys(entry["bounds"])  # all null
+        manifest_path.write_text(json.dumps(manifest))
         reopened = open_store(tmp_path / "s")
         queries = vectors[:2].copy()
         assert reopened.cleanup_batch(queries)[0] == reference.cleanup_batch(queries)[0]
         assert reopened.pruning_stats["skipped"] == 0
+        save_store(reopened, tmp_path / "s")  # compact: exact bounds again
+        reopened.reset_pruning_stats()
+        assert reopened.cleanup_batch(queries)[0] == reference.cleanup_batch(queries)[0]
+        assert reopened.pruning_stats["skipped"] > 0
         sharded.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -678,25 +679,65 @@ class TestProcessPersistedLifecycle:
         assert opened.topk_batch(queries, k=6) == reference.topk_batch(queries, k=6)
         opened.memory.close()
 
-    def test_missing_worker_index_falls_back_to_manifest(self, rng, tmp_path):
-        """The worker index is an optimization: deleting it must leave
-        process queries bit-identical via the manifest fallback. (The
-        orders sidecars are *normative* in v4 — deleting those is
-        corruption and refuses to open, covered in the drift guards.)"""
+    def _mutated_store(self, rng, path):
+        """A 3-shard persisted store after an append, a delete and an
+        upsert: base files, segments, tombstones and a replacement all
+        on the delta chain. Returns the open handle and its generation."""
+        import json
+        from repro.hdc.store import MANIFEST_NAME
+
         dim = 128
-        vectors = random_bipolar(30, dim, rng)
-        labels = [f"v{i}" for i in range(30)]
-        store = AssociativeStore.from_vectors(labels, vectors,
-                                              backend="packed", shards=3)
-        store.save(tmp_path / "s")
-        from repro.hdc.store import WORKER_INDEX_NAME
-        (tmp_path / "s" / WORKER_INDEX_NAME).unlink()
-        opened = AssociativeStore.open(tmp_path / "s", executor="process")
-        reference = ItemMemory(dim, backend="packed")
-        reference.add_many(labels, vectors)
-        queries = _noisy_queries(vectors, rng)
-        assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(queries)[0]
-        assert opened.topk_batch(queries, k=4) == reference.topk_batch(queries, k=4)
+        vectors = random_bipolar(40, dim, rng)
+        labels = [f"v{i}" for i in range(40)]
+        AssociativeStore.from_vectors(
+            labels[:30], vectors[:30], backend="packed", shards=3).save(path)
+        opened = AssociativeStore.open(path, mmap=False)
+        opened.add_many(labels[30:], vectors[30:])
+        opened.delete(["v3", "v17", "v31"])
+        opened.upsert(["v5", "v36"], random_bipolar(2, dim, rng))
+        generation = json.loads((path / MANIFEST_NAME).read_text())["generation"]
+        return opened, generation
+
+    def test_worker_attach_matches_the_open_handle(self, rng, tmp_path):
+        """``load_worker_shard`` — the process workers' one attach —
+        rebuilds each shard's rows and dense global orders from the
+        manifest, the orders sidecars and the delta chain, exactly as
+        the handle that made the commits holds them."""
+        from repro.hdc.store import load_worker_shard
+
+        opened, generation = self._mutated_store(rng, tmp_path / "s")
+        memory = opened.memory
+        for index, shard in enumerate(memory.shards):
+            attached, orders = load_worker_shard(tmp_path / "s", index, generation)
+            assert np.array_equal(attached.native_matrix(), shard.native_matrix())
+            assert np.array_equal(orders, memory._orders_of(index))
+        memory.close()
+
+    def test_worker_attach_refuses_a_moved_generation(self, rng, tmp_path):
+        """A worker asked for a generation the directory has left raises
+        the "re-open it" error (CF-26) instead of answering from it."""
+        from repro.hdc.store import load_worker_shard
+
+        opened, generation = self._mutated_store(rng, tmp_path / "s")
+        with pytest.raises(RuntimeError, match="re-open it"):
+            load_worker_shard(tmp_path / "s", 0, generation - 1)
+        opened.memory.close()
+
+    def test_worker_attach_raises_on_a_missing_orders_sidecar(self, rng, tmp_path):
+        """There is no fallback path: a missing orders sidecar raises,
+        naming the file and the generation, rather than attaching some
+        other way."""
+        import json
+        from repro.hdc.store import MANIFEST_NAME, load_worker_shard
+
+        opened, generation = self._mutated_store(rng, tmp_path / "s")
+        manifest = json.loads((tmp_path / "s" / MANIFEST_NAME).read_text())
+        orders_file = manifest["shards"][1]["orders_file"]
+        (tmp_path / "s" / orders_file).unlink()
+        with pytest.raises(FileNotFoundError) as excinfo:
+            load_worker_shard(tmp_path / "s", 1, generation)
+        assert orders_file in str(excinfo.value)
+        assert "generation" in str(excinfo.value)
         opened.memory.close()
 
     def test_in_memory_growth_respills(self, rng):

@@ -99,7 +99,7 @@ class TestRoundTrip:
         assert manifest["dim"] == memory.dim
         assert manifest["backend"] == "packed"
         assert manifest["num_shards"] == 4
-        # v4: the manifest inlines no label maps — the global list lives
+        # The manifest inlines no label maps — the global list lives
         # in the labels sidecar, shard labels in the orders sidecars.
         assert "labels" not in manifest
         labels = json.loads((tmp_path / "store" / manifest["labels_file"]).read_text())
@@ -142,7 +142,7 @@ class TestDriftGuards:
             open_store(tmp_path / "store")
 
     def test_missing_orders_sidecar_refused(self, tmp_path, rng):
-        """v4 shard labels live in global_labels[orders]: without the
+        """Shard labels live in global_labels[orders]: without the
         orders sidecar the shard's rows are unlabelable — refuse."""
         save_store(_build_sharded(rng), tmp_path / "store")
         manifest = json.loads((tmp_path / "store" / MANIFEST_NAME).read_text())
@@ -176,7 +176,7 @@ class TestDriftGuards:
     def test_label_duplicated_across_shards_refused(self, tmp_path, rng):
         """A store whose orders sidecars hand the same global row to two
         shards must fail at open, not answer queries from an orphaned
-        row. (v4 shard labels are global_labels[orders], so a cross-shard
+        row. (Shard labels are global_labels[orders], so a cross-shard
         duplicate *is* a doubly-assigned global order.)"""
         memory = _build_sharded(rng, shards=2)
         save_store(memory, tmp_path / "store")

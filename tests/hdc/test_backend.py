@@ -186,13 +186,6 @@ class TestBackendContract:
             with pytest.raises(ValueError, match="from_bipolar"):
                 call()
 
-    def test_popcount_table_fallback_agrees(self, rng):
-        """The NumPy<2 byte-LUT popcount matches np.bitwise_count."""
-        from repro.hdc.backend import _popcount_sum, _popcount_sum_table
-
-        words = PackedBackend(1536).random(16, rng)
-        assert np.array_equal(_popcount_sum_table(words), _popcount_sum(words))
-
     def test_similarity_shapes(self):
         rng = np.random.default_rng(1)
         packed = PackedBackend(128)
