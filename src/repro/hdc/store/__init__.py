@@ -8,9 +8,10 @@ into a layered subsystem (see ``docs/ARCHITECTURE.md``, "Store layer"):
   ``topk`` / ``topk_batch``), bounded query blocking, ``save``/``open``
   plus the append/compact lifecycle of persisted stores.
 - :class:`StoreServer` (:mod:`.serving`) — the asyncio front-end for
-  concurrent *single* requests: deadline/size-triggered micro-batching
-  into the facade's batch kernels, admission control, graceful drain —
-  served answers bit-identical to direct calls.
+  concurrent *single* requests: work-conserving micro-batching (a batch
+  leaves when the one dispatch thread is free, or at ``max_batch``
+  rows) into the facade's batch kernels, admission control, graceful
+  drain — served answers bit-identical to direct calls.
 - :class:`StoreHTTPServer` (:mod:`.http`) — the stdlib HTTP/1.1 wire
   transport over :class:`StoreServer`: a fixed ``/v1`` route table,
   JSON bodies in/out, 429/503/504/400 error mapping with ``Retry-After``
@@ -26,8 +27,8 @@ into a layered subsystem (see ``docs/ARCHITECTURE.md``, "Store layer"):
 - :class:`ShardedItemMemory` (:mod:`.sharded`) — label-routed shards
   with streaming ingestion and fan-out/merge queries, decision-identical
   to a single ``ItemMemory`` for any shard *and worker* count.
-- :mod:`.parallel` — the thread-pool shard executor and the
-  integer-distance-domain query partials the fan-out merges.
+- :mod:`.parallel` — the shard executor (a thread or process pool) and
+  the integer-distance-domain query partials the fan-out merges.
 - :mod:`.persistence` — packed shard files + JSON manifest, reopened
   lazily via ``np.memmap``; appends journal per-shard segment files.
 - :mod:`.routing` — stable hash / round-robin shard placement.

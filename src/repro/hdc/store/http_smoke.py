@@ -1,17 +1,18 @@
-"""Wire-transport smoke check: answers fetched over real HTTP sockets
-must match sequential direct calls bit-for-bit — CI runs
-``python -m repro.hdc.store.http_smoke`` next to the serving smoke.
+"""Serving and wire-transport smoke check: answers fetched over real
+HTTP sockets must match sequential direct calls bit-for-bit — CI runs
+``python -m repro.hdc.store.http_smoke`` on both shard executors.
 
 The check builds a sharded packed store, saves it, reopens it from disk
 (the served path exercises the memmap-backed kernels), then drives a
 :class:`StoreHTTPServer` on an ephemeral port with ``HTTP_SMOKE_CLIENTS``
 concurrent keep-alive :class:`JSONHTTPClient` connections issuing
 ``/v1/cleanup`` / ``/v1/topk`` / ``/v1/similarities`` requests — JSON in,
-JSON out, through the micro-batching ``StoreServer`` — and compares
-every decoded answer against the same store queried directly, one
-request at a time. It finishes with the error-mapping spot checks (400
-on a malformed body, 404 on an unknown route, 503 once stopped) so the
-transport contract can't silently drift either.
+JSON out, through the micro-batching ``StoreServer``, which must count
+exactly the requests sent, in fewer waves — and compares every decoded
+answer against the same store queried directly, one request at a time.
+It finishes with the error-mapping spot checks (400 on a malformed
+body, 404 on an unknown route, 503 once stopped) so the transport
+contract can't silently drift either.
 
 ``HTTP_SMOKE_ITEMS`` scales the store (default 400; the CI
 ``store_scale`` step runs a larger pass), ``HTTP_SMOKE_QUERIES`` the
@@ -146,7 +147,7 @@ def main():
             return 1
     served = stats["server"]
     routes = stats["http"]["requests_by_route"]
-    if served["requests"] < 3 * QUERIES or served["waves"] >= served["requests"]:
+    if served["requests"] != 3 * QUERIES or served["waves"] >= served["requests"]:
         print(f"SMOKE FAIL: serving stats implausible ({served})",
               file=sys.stderr)
         return 1

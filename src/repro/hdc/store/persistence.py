@@ -471,12 +471,36 @@ def _file_generation(name, fallback=None):
     return int(match.group(1)) if match else fallback
 
 
+#: (field, type) pairs every manifest, shard entry and segment entry
+#: must hold; checked once, by _read_raw_manifest, before any reader
+#: indexes them
+_MANIFEST_FIELDS = (("generation", int), ("dim", int), ("backend", str),
+                    ("num_shards", int), ("shards", list))
+_SEGMENT_FIELDS = (("file", str), ("rows", int))
+_SHARD_FIELDS = _SEGMENT_FIELDS + (("segments", list),)
+
+
+def _check_fields(record, fields, what, tag):
+    """Refuse ``record`` unless it is a JSON object holding ``fields``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} is not a JSON object ({record!r})" + tag)
+    for field, kind in fields:
+        if not isinstance(record.get(field), kind):
+            raise ValueError(
+                f"{what} field {field!r} is missing or not a "
+                f"{kind.__name__} ({record.get(field)!r})" + tag
+            )
+
+
 def _read_raw_manifest(path):
     """The validated manifest JSON at ``path``, nothing materialized.
 
     Checks the envelope — format name, version, kind, routing, shard
-    count — and refuses any ``format_version`` other than
-    :data:`FORMAT_VERSION`, naming the version, the manifest file, and
+    count — and the presence and type of every field readers index
+    (:data:`_MANIFEST_FIELDS`, and per shard and segment entry
+    :data:`_SHARD_FIELDS` / :data:`_SEGMENT_FIELDS`). Refuses any
+    ``format_version`` other than :data:`FORMAT_VERSION`, and any
+    malformed field, with a ``ValueError`` naming the manifest file and
     the generation.
     """
     manifest_path = Path(path) / MANIFEST_NAME
@@ -515,6 +539,13 @@ def _read_raw_manifest(path):
         raise ValueError(
             f"unknown routing policy {manifest.get('routing')!r}" + tag
         )
+    _check_fields(manifest, _MANIFEST_FIELDS, "manifest", tag)
+    for index, entry in enumerate(manifest["shards"]):
+        _check_fields(entry, _SHARD_FIELDS, f"manifest shard entry {index}", tag)
+        for position, segment in enumerate(entry["segments"]):
+            _check_fields(segment, _SEGMENT_FIELDS,
+                          f"manifest segment {position} of shard entry {index}",
+                          tag)
     if len(manifest["shards"]) != manifest["num_shards"]:
         raise ValueError(
             f"manifest records num_shards={manifest['num_shards']} but holds "

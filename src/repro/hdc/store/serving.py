@@ -10,17 +10,16 @@ one shape into the other:
 - **Coalescing** — awaitable single requests (:meth:`StoreServer.cleanup`
   / :meth:`~StoreServer.topk` / :meth:`~StoreServer.similarities`) queue
   into per-kind groups (top-k requests batch per ``k``);
-- **Flush triggers** — work-conserving, with no timer: while fewer than
-  ``dispatch_workers`` waves are in flight (from flush to finish, parked
-  at the mutation barrier included) and no mutation runs, the oldest
-  group is flushed into one *wave* on the next event-loop tick, so
-  same-tick arrivals share it (**idle** trigger); otherwise arrivals
-  coalesce, and each finishing wave or mutation hands its worker to the
-  oldest queued group. A group reaching ``max_batch`` rows flushes at
-  once (**size** trigger); shutdown flushes the rest (**drain**);
-- **Dispatch** — each wave stacks its query rows and runs the store's
-  batch kernel (``cleanup_batch`` / ``topk_batch`` /
-  ``similarities_batch``) on a dispatch thread pool via
+- **Flush triggers** — work-conserving, with no timer: while no wave or
+  mutation is in flight on the dispatch thread, the oldest group is
+  flushed into one *wave* on the next event-loop tick, so same-tick
+  arrivals share it (**idle** trigger); otherwise arrivals coalesce,
+  and each finishing wave or mutation hands the thread to the oldest
+  queued group. A group reaching ``max_batch`` rows flushes at once
+  (**size** trigger); shutdown flushes the rest (**drain**);
+- **Dispatch** — a flushing wave stacks its query rows and submits the
+  store's batch kernel (``cleanup_batch`` / ``topk_batch`` /
+  ``similarities_batch``) to the one dispatch thread via
   ``loop.run_in_executor``, so the event loop never blocks on NumPy;
   the store's own ``workers=``/``executor=`` fan-out applies inside the
   wave unchanged;
@@ -51,12 +50,17 @@ block) stops admission — new requests and parked waiters fail with
 :exc:`ServerClosed` — then flushes every queued group as a drain wave
 and awaits all in-flight waves, so accepted requests always resolve.
 
+**Mutations**: :meth:`StoreServer.delete` / :meth:`~StoreServer.upsert`
+submit their store call to the same dispatch thread when called. One
+thread runs its calls one at a time, in submission order, and that
+order is the mutation barrier: no kernel call overlaps a mutation,
+waves flushed before it answer the old snapshot, and reads that queue
+or size-flush while it runs answer the new one.
+
 **Threading**: the coalescing state (groups, counters, waiters) is
-touched only from the event-loop thread — no locks. Only the store's
-batch kernels run on the dispatch pool; with ``dispatch_workers > 1``
-several waves may query the store concurrently, which the store layer
-documents as safe (read-only queries; :attr:`pruning_stats` counters
-are lock-guarded).
+touched only from the event-loop thread — no locks. Every store call
+(wave kernels and mutations) runs on the one dispatch thread, so the
+store sees one call at a time.
 
 Stats follow the ``pruning_stats`` pattern: :attr:`StoreServer.stats`
 is cumulative telemetry (requests, waves, mean batch size, flush-trigger
@@ -67,6 +71,7 @@ attribution, queue-depth high-water mark) and
 from __future__ import annotations
 
 import asyncio
+import functools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -88,8 +93,8 @@ __all__ = [
 #: raises :exc:`ServerOverloaded` immediately
 ADMISSION_POLICIES = ("wait", "reject")
 
-#: why a wave left the queue: it filled (``size``), a dispatch worker was
-#: free for it (``idle``), or the server drained it at shutdown
+#: why a wave left the queue: it filled (``size``), the dispatch thread
+#: was free for it (``idle``), or the server drained it at shutdown
 FLUSH_TRIGGERS = ("size", "idle", "drain")
 
 #: the request kinds a server coalesces — also the vocabulary transports
@@ -153,7 +158,7 @@ class StoreServer:
 
     Accepts concurrent single ``cleanup`` / ``topk`` / ``similarities``
     requests as awaitables, coalesces them into batched waves (flushed
-    as soon as a dispatch worker is free, or on a size trigger),
+    as soon as the dispatch thread is free, or on a size trigger),
     dispatches each wave through the store's batch kernels off the event
     loop, and demultiplexes per-row results — bit-identical to issuing
     each request alone (see the module docstring for the full contract).
@@ -167,10 +172,10 @@ class StoreServer:
     ``dim``, ``cleanup_batch``, ``topk_batch``, ``similarities_batch``)
     is queried read-only by waves and is *not* closed by :meth:`stop`.
     Mutations go through :meth:`delete` / :meth:`upsert` — **barrier
-    operations** that serialize against each other and against every
-    wave: a mutation waits for executing waves to finish, runs
-    exclusively, and waves that arrive meanwhile park until it commits.
-    Every query therefore resolves against exactly one snapshot — wholly
+    operations** that run on the waves' one dispatch thread, in
+    submission order: a mutation runs after every wave flushed before
+    it, and every wave flushed after it waits for it to commit. Every
+    query therefore resolves against exactly one snapshot — wholly
     before or wholly after any mutation, never half-applied. Do not
     mutate the store around the server's back while it is running.
 
@@ -188,10 +193,6 @@ class StoreServer:
     admission:
         Over-capacity policy: ``"wait"`` (park FIFO) or ``"reject"``
         (raise :exc:`ServerOverloaded`). See :data:`ADMISSION_POLICIES`.
-    dispatch_workers:
-        Threads executing waves, and the number of waves the idle
-        trigger keeps in flight. ``1`` (default) serializes waves — the
-        store sees one batch query at a time; more lets waves overlap.
     default_timeout_ms:
         Per-request deadline applied when a request passes no
         ``timeout_ms`` of its own. ``None`` (default) means requests
@@ -201,7 +202,7 @@ class StoreServer:
     """
 
     def __init__(self, store, max_batch=64, max_pending=4096,
-                 admission="wait", dispatch_workers=1, default_timeout_ms=None):
+                 admission="wait", default_timeout_ms=None):
         if int(max_batch) < 1:
             raise ValueError("max_batch must be >= 1")
         if int(max_pending) < int(max_batch):
@@ -214,15 +215,12 @@ class StoreServer:
                 f"unknown admission policy {admission!r}; "
                 f"available: {ADMISSION_POLICIES}"
             )
-        if int(dispatch_workers) < 1:
-            raise ValueError("dispatch_workers must be >= 1")
         if default_timeout_ms is not None and float(default_timeout_ms) <= 0:
             raise ValueError("default_timeout_ms must be > 0 (or None)")
         self._store = store
         self.max_batch = int(max_batch)
         self.max_pending = int(max_pending)
         self.admission = admission
-        self.dispatch_workers = int(dispatch_workers)
         self.default_timeout_ms = (
             None if default_timeout_ms is None else float(default_timeout_ms)
         )
@@ -235,7 +233,7 @@ class StoreServer:
         self._groups = {}
         self._pending = 0  # admitted requests not yet resolved
         self._waiters = deque()  # admission="wait" FIFO
-        self._inflight = set()  # wave tasks, from flush to finish
+        self._inflight = set()  # submitted store calls (waves, mutations)
         self._stats = self._zero_stats()
 
     @staticmethod
@@ -249,7 +247,7 @@ class StoreServer:
     # -- lifecycle ---------------------------------------------------------- #
 
     async def start(self):
-        """Bind to the running event loop and start the dispatch pool.
+        """Bind to the running event loop and start the dispatch thread.
 
         Must be awaited inside the loop that will issue requests (the
         async-context-manager form does this for you). Starting twice or
@@ -260,18 +258,11 @@ class StoreServer:
         if self._started:
             raise RuntimeError("StoreServer is already started")
         self._loop = asyncio.get_running_loop()
+        # One thread, so store calls run one at a time in submission
+        # order: the mutation barrier rests on it (see _mutate).
         self._pool = ThreadPoolExecutor(
-            max_workers=self.dispatch_workers, thread_name_prefix="repro-serve"
+            max_workers=1, thread_name_prefix="repro-serve"
         )
-        # Mutation barrier: _mutation_lock serializes delete/upsert,
-        # _gate parks wave execution while a mutation runs, _idle is set
-        # whenever no wave is executing a kernel.
-        self._mutation_lock = asyncio.Lock()
-        self._gate = asyncio.Event()
-        self._gate.set()
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._active_waves = 0
         self._started = True
         return self
 
@@ -279,9 +270,9 @@ class StoreServer:
         """Graceful shutdown: stop admitting, drain queues, await waves.
 
         Every request admitted before the call still resolves (queued
-        groups are flushed as ``drain`` waves); parked admission waiters
-        fail with :exc:`ServerClosed`. Idempotent. The wrapped store is
-        left open.
+        groups are flushed as ``drain`` waves), and mutations already
+        submitted still land; parked admission waiters fail with
+        :exc:`ServerClosed`. Idempotent. The wrapped store is left open.
         """
         self._closed = True
         if not self._started:
@@ -295,7 +286,7 @@ class StoreServer:
         for key in list(self._groups):
             self._flush(key, "drain")
         while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+            await asyncio.wait(self._inflight)
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
@@ -346,6 +337,8 @@ class StoreServer:
           flush-trigger attribution, one per wave;
         - ``queue_high_water`` — max simultaneous in-server requests
           observed (the backpressure headroom that was actually used);
+        - ``mutations`` — :meth:`delete` / :meth:`upsert` store calls
+          that landed (a cancelled caller's included);
         - ``queue_depth`` — current :attr:`pending` (derived, not
           cumulative).
 
@@ -421,19 +414,17 @@ class StoreServer:
         await self._mutate(lambda store: store.upsert(labels, vectors))
 
     async def _mutate(self, apply):
-        """Run one exclusive mutation between waves.
+        """Run one mutation on the dispatch thread, between waves.
 
-        Protocol: take the mutation lock (mutations serialize), close
-        the wave gate (waves flushed from now on park before touching
-        the store), wait until no wave is executing, run the mutation on
-        the dispatch pool, then reopen the gate and hand the workers to
-        the groups that queued meanwhile. Parked waves — and any request
-        still queued in a group — resolve against the *new* snapshot;
-        waves already executing finished against the old one.
-        Either way no kernel ever observes a half-applied mutation, on
-        thread and process executors alike. A caller cancelled while its
-        store call runs sees ``CancelledError`` only after that call
-        returns; the mutation lands and counts in ``stats``.
+        The store call is submitted at once, so the dispatch thread runs
+        it after every wave flushed before it and before every wave
+        flushed after it: waves already submitted answer against the old
+        snapshot; requests still queued in a group, and groups that
+        size-flush meanwhile, answer against the *new* one. No kernel
+        ever observes a half-applied mutation, on thread and process
+        executors alike. A cancelled caller sees ``CancelledError`` at
+        once; the store call still runs, lands and counts in ``stats``
+        before any later wave.
         """
         if not self._started:
             raise RuntimeError(
@@ -442,31 +433,20 @@ class StoreServer:
             )
         if self._closed:
             raise ServerClosed("StoreServer is stopped")
-        async with self._mutation_lock:
-            if self._closed:
-                raise ServerClosed("StoreServer stopped before the mutation ran")
-            self._gate.clear()
-            try:
-                await self._idle.wait()
-                applying = self._loop.run_in_executor(self._pool, apply, self._store)
-                # A cancelled caller cannot stop the store call on its
-                # dispatch thread: keep the gate shut and the lock held
-                # until the call returns, then let the cancellation out.
-                # (asyncio.wait, unlike a bare await, never cancels it.)
-                cancelled = None
-                while not applying.done():
-                    try:
-                        await asyncio.wait((applying,))
-                    except asyncio.CancelledError as exc:
-                        cancelled = exc
-                if applying.exception() is None:
-                    self._stats["mutations"] += 1
-                if cancelled is not None:
-                    raise cancelled
-                return applying.result()
-            finally:
-                self._gate.set()
-                self._dispatch_idle()
+        applying = self._loop.run_in_executor(self._pool, apply, self._store)
+        self._inflight.add(applying)
+        applying.add_done_callback(self._mutation_done)
+        # Shielded: a cancelled caller must not cancel a call still
+        # queued on the thread, or whether it lands would depend on when
+        # the cancellation arrived.
+        return await asyncio.shield(applying)
+
+    def _mutation_done(self, applying):
+        """Count a landed mutation and hand the thread on."""
+        self._inflight.discard(applying)
+        if applying.exception() is None:
+            self._stats["mutations"] += 1
+        self._dispatch_idle()
 
     def _resolve_timeout(self, timeout_ms):
         timeout = self.default_timeout_ms if timeout_ms is None else timeout_ms
@@ -634,19 +614,14 @@ class StoreServer:
     # -- coalescing core ---------------------------------------------------- #
 
     def _dispatch_idle(self):
-        """Hand each free dispatch worker the oldest queued group.
+        """Hand the free dispatch thread the oldest queued group.
 
-        Runs a tick after a group forms, when a wave finishes, and when
-        a mutation reopens the gate; a running mutation holds every
-        worker, so groups that form meanwhile ride the waves after it.
+        Runs a tick after a group forms and when a wave or mutation
+        finishes; groups that form while a call is in flight coalesce
+        until then.
         """
-        while (self._groups and self._gate.is_set()
-               and len(self._inflight) < self.dispatch_workers):
+        while self._groups and not self._inflight:
             self._flush(next(iter(self._groups)), "idle")
-
-    def _wave_done(self, task):
-        self._inflight.discard(task)
-        self._dispatch_idle()
 
     def _flush(self, key, trigger):
         """Move one group out of the queue and dispatch it as a wave."""
@@ -664,41 +639,29 @@ class StoreServer:
         self._stats["waves"] += 1
         self._stats["flushed_" + trigger] += 1
         self._stats["batched_requests"] += len(live)
-        task = self._loop.create_task(self._run_wave(key, live))
-        self._inflight.add(task)
-        task.add_done_callback(self._wave_done)
-
-    async def _run_wave(self, key, live):
-        """Execute one wave off-loop and demultiplex per-row results."""
-        futures = [future for future, _ in live]
         batch = np.stack([row for _, row in live])
-        # The mutation barrier: park until no delete/upsert holds the
-        # gate, then count this wave as executing so a later mutation
-        # waits for it. The gate check and the counter bump share one
-        # event-loop tick, so a mutation can never slip between them.
-        await self._gate.wait()
-        self._active_waves += 1
-        self._idle.clear()
-        try:
-            results = await self._loop.run_in_executor(
-                self._pool, self._execute, key, batch
-            )
-        except Exception as exc:  # demux the failure to every caller
+        wave = self._loop.run_in_executor(self._pool, self._execute, key, batch)
+        self._inflight.add(wave)
+        wave.add_done_callback(functools.partial(
+            self._demux, [future for future, _ in live]))
+
+    def _demux(self, futures, wave):
+        """Resolve a finished wave's callers and hand the thread on."""
+        self._inflight.discard(wave)
+        error = wave.exception()
+        if error is not None:  # demux the failure to every caller
             for future in futures:
                 if not future.done():
-                    future.set_exception(exc)
+                    future.set_exception(error)
         else:
-            for future, result in zip(futures, results):
+            for future, result in zip(futures, wave.result()):
                 if not future.done():  # cancelled mid-wave: skip
                     future.set_result(result)
-        finally:
-            self._active_waves -= 1
-            if self._active_waves == 0:
-                self._idle.set()
-            self._release(len(live))
+        self._release(len(futures))
+        self._dispatch_idle()
 
     def _execute(self, key, batch):
-        """One batched kernel call (dispatch-pool thread); returns rows."""
+        """One batched kernel call (dispatch thread); returns rows."""
         kind = key[0]
         if kind == "cleanup":
             labels, sims = self._store.cleanup_batch(batch)

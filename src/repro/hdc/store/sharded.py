@@ -374,12 +374,12 @@ class ShardedItemMemory:
         ``tests/hdc/store/test_parallel.py``): each batched query
         accumulates its counts privately and folds them in *atomically,
         once, at batch end* under an internal lock — per-query
-        isolation. Two batches racing through the same memory (the
-        serving layer's ``dispatch_workers > 1``) therefore never lose
-        increments, and any read observes a consistent state in which
-        every completed batch is counted exactly once (a batch still in
-        flight is not counted yet). Decisions never depend on these
-        values.
+        isolation. Two batches racing through the same memory (direct
+        callers on several threads; ``StoreServer`` itself runs one
+        batch at a time) therefore never lose increments, and any read
+        observes a consistent state in which every completed batch is
+        counted exactly once (a batch still in flight is not counted
+        yet). Decisions never depend on these values.
         """
         with self._stats_lock:
             stats = dict(self._pruning)

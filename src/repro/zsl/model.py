@@ -90,41 +90,40 @@ class HDCZSC(nn.Module):
 
     def score(self, images, class_attributes, batch_size=64):
         """Class-similarity matrix for a (large) image set, as numpy (N, C)."""
-        was_training = self.training
-        self.eval()
-        scores = []
-        with nn.no_grad():
-            class_embeddings = self.attribute_encoder(class_attributes)
-            for start in range(0, len(images), batch_size):
-                batch = nn.Tensor(np.asarray(images[start : start + batch_size]))
-                embeddings = self.image_encoder(batch)
-                scores.append(self.kernel(embeddings, class_embeddings).data)
-        if was_training:
-            self.train()
-        return np.concatenate(scores, axis=0)
+        return self._scores(
+            images, lambda: self.attribute_encoder(class_attributes), batch_size
+        )
 
     def score_attributes(self, images, batch_size=64):
         """Attribute-similarity matrix (N, α) for evaluation (Table I)."""
-        was_training = self.training
-        self.eval()
+        return self._scores(
+            images, self.attribute_encoder.dictionary_tensor, batch_size
+        )
+
+    def _scores(self, images, encode_targets, batch_size):
+        """Kernel similarities of every image to ``encode_targets()``, frozen."""
         scores = []
-        with nn.no_grad():
-            dictionary = self.attribute_encoder.dictionary_tensor()
+        with self._stationary():
+            targets = encode_targets()
             for start in range(0, len(images), batch_size):
                 batch = nn.Tensor(np.asarray(images[start : start + batch_size]))
                 embeddings = self.image_encoder(batch)
-                scores.append(self.kernel(embeddings, dictionary).data)
-        if was_training:
-            self.train()
+                scores.append(self.kernel(embeddings, targets).data)
         return np.concatenate(scores, axis=0)
 
     # -- store-backed deployment path (repro.hdc.store) ---------------------- #
 
     @contextmanager
     def _stationary(self):
-        """Frozen-inference scope: eval + ``no_grad``, training restored."""
+        """Frozen-inference scope: eval + ``no_grad``, training restored.
+
+        The recursive ``eval()`` walk is skipped when the root is already
+        in eval mode (a deployed model always is): ``train()`` and
+        ``eval()`` set the whole tree, so the root's flag speaks for it.
+        """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             with nn.no_grad():
                 yield

@@ -18,6 +18,7 @@ from repro.hdc.store import (
     ShardedItemMemory,
     append_rows,
     delete_rows,
+    load_worker_shard,
     open_store,
     read_manifest,
     save_store,
@@ -230,6 +231,43 @@ class TestFormatVersion:
         assert f"version {version} is not supported" in message
         assert str(tmp_path / "store" / MANIFEST_NAME) in message
         assert "generation 0" in message
+
+    @pytest.mark.parametrize("damage", [
+        "shards", "num_shards", "dim", "backend", "generation",
+        "shard.file", "shard.rows", "shard.segments",
+        "segment.file", "segment.rows", "shards=[1, 2]",
+    ])
+    def test_malformed_manifest_refused_naming_file_and_generation(
+            self, damage, tmp_path, rng):
+        """A manifest missing a field that readers index, or holding a
+        shard entry that is not an object, is refused with a ValueError
+        naming the manifest file and the generation — at open and at
+        process-worker attach alike — never a bare KeyError."""
+        path = tmp_path / "store"
+        vectors = random_bipolar(8, 64, rng)
+        AssociativeStore.from_vectors(list("abcd"), vectors[:4], shards=2,
+                                      backend="packed").save(path)
+        AssociativeStore.open(path).add_many(list("efgh"), vectors[4:])
+        manifest = _manifest(path)
+        generation = manifest["generation"]
+        journaled = next(entry for entry in manifest["shards"]
+                         if entry["segments"])
+        if damage == "shards=[1, 2]":
+            manifest["shards"] = [1, 2]
+        elif damage.startswith("shard."):
+            del journaled[damage.split(".")[1]]
+        elif damage.startswith("segment."):
+            del journaled["segments"][0][damage.split(".")[1]]
+        else:
+            del manifest[damage]
+        _write_manifest(path, manifest)
+        named = "unknown" if damage == "generation" else generation
+        for attach in (lambda: AssociativeStore.open(path),
+                       lambda: load_worker_shard(path, 0, generation)):
+            with pytest.raises(ValueError) as refused:
+                attach()
+            assert (f"[file {path / MANIFEST_NAME}, generation {named}]"
+                    in str(refused.value))
 
 
 class TestCorruptedSegments:

@@ -36,6 +36,8 @@ from repro.hdc.store import (
     jsonable_result,
 )
 
+pytestmark = pytest.mark.usefixtures("strict_loop_exceptions")
+
 BACKENDS = ("dense", "packed")
 EXECUTORS = ("thread", "process")
 

@@ -605,8 +605,8 @@ class TestEarlyExitPruning:
         self, backend, rng
     ):
         """The pruning_stats thread-safety contract: two tie-heavy batched
-        queries racing through one ShardedItemMemory (the serving layer's
-        dispatch_workers > 1 shape) must (a) answer bit-identically to the
+        queries racing through one ShardedItemMemory (direct callers on
+        several threads) must (a) answer bit-identically to the
         sequential reference on every run and (b) lose no stat
         increments — each batch folds in atomically, so the totals are
         exactly batches x active-shard tasks."""

@@ -28,6 +28,8 @@ from repro.hdc.store import (
     StoreServer,
 )
 
+pytestmark = pytest.mark.usefixtures("strict_loop_exceptions")
+
 BACKENDS = ("dense", "packed")
 EXECUTORS = ("thread", "process")
 
@@ -66,8 +68,9 @@ class _GatedStore:
 
     Lets a test hold a wave *mid-dispatch* deterministically: the wave's
     executor thread parks on ``release`` and the test observes ``entered``
-    before cancelling / stopping / overflowing the queue. With a single
-    dispatch worker, a held wave keeps every later request queued.
+    before cancelling / stopping / overflowing the queue. The server runs
+    every store call on its one dispatch thread, so a held wave keeps
+    every later request out of the store.
     ``calls`` lists the kernel calls in the order they entered.
     """
 
@@ -103,6 +106,17 @@ class _GatedStore:
 
     def upsert(self, labels, vectors):
         return self._inner.upsert(labels, vectors)
+
+
+class _GatedDelete(_GatedStore):
+    """A gated store whose ``delete`` is held too; ``calls`` records when
+    each delete enters and when it returns."""
+
+    def delete(self, labels):
+        self._gate(("delete", *labels))
+        result = self._inner.delete(labels)
+        self.calls.append(("returned", *labels))
+        return result
 
 
 class TestServedAgreement:
@@ -211,9 +225,9 @@ class TestServedAgreement:
 
 
 class TestWorkConserving:
-    """The idle flush trigger: a group leaves as soon as a dispatch
-    worker is free, so only what queued while every worker was busy
-    coalesces — an idle server never waits, and no timer is armed."""
+    """The idle flush trigger: a group leaves as soon as the dispatch
+    thread is free, so only what queued while it was busy coalesces —
+    an idle server never waits, and no timer is armed."""
 
     def test_lone_request_enters_the_kernel_within_two_ticks(self, rng):
         store, vectors = _store(rng, shards=1, items=8)
@@ -286,27 +300,6 @@ class TestWorkConserving:
         assert stats["batched_requests"] == len(queries)
         store.memory.close()
 
-    def test_second_worker_dispatches_while_the_first_wave_is_held(self, rng):
-        store, vectors = _store(rng)
-        gated = _GatedStore(store)
-
-        async def main():
-            async with StoreServer(gated, max_batch=64,
-                                   dispatch_workers=2) as srv:
-                first = asyncio.ensure_future(srv.cleanup(vectors[0]))
-                await _until(gated.entered.is_set)  # one worker is busy
-                second = asyncio.ensure_future(srv.cleanup(vectors[1]))
-                # the other worker takes the next group at once
-                await _until(lambda: len(gated.calls) == 2)
-                assert not first.done()
-                assert srv.stats["waves"] == srv.stats["flushed_idle"] == 2
-                gated.release.set()
-                return await first, await second
-
-        assert asyncio.run(main()) == (store.cleanup(vectors[0]),
-                                       store.cleanup(vectors[1]))
-        store.memory.close()
-
     def test_queued_groups_dispatch_oldest_first(self, rng):
         store, vectors = _store(rng)
         gated = _GatedStore(store)
@@ -335,12 +328,6 @@ class TestWorkConserving:
         it commits queue, then ride one wave against the new snapshot."""
         store, vectors = _store(rng, items=24, dim=128)
         queries = _noisy_queries(vectors, rng, num=5)
-
-        class _GatedDelete(_GatedStore):
-            def delete(self, labels):
-                self._gate("delete")
-                return self._inner.delete(labels)
-
         gated = _GatedDelete(store)
 
         async def main():
@@ -362,7 +349,41 @@ class TestWorkConserving:
         assert all(label != "item0" for row in results for label, _ in row)
         assert stats["waves"] == stats["flushed_idle"] == 1
         assert stats["batched_requests"] == len(queries)
-        assert gated.calls == ["delete", ("topk", 5)]
+        assert gated.calls == [("delete", "item0"), ("returned", "item0"),
+                               ("topk", 5)]
+        store.memory.close()
+
+    def test_reads_filling_a_wave_during_a_delete_flush_but_run_after_it(
+            self, rng):
+        """The size trigger during a mutation: reads that reach
+        ``max_batch`` while a delete is inside the store flush at once,
+        but their wave enters the store only after the delete returns,
+        so it answers against the new snapshot."""
+        store, vectors = _store(rng, items=24, dim=128)
+        queries = _noisy_queries(vectors, rng, num=4)
+        gated = _GatedDelete(store)
+
+        async def main():
+            async with StoreServer(gated, max_batch=len(queries)) as srv:
+                try:
+                    mutation = asyncio.ensure_future(srv.delete(["item0"]))
+                    await _until(gated.entered.is_set)  # the delete is running
+                    reads = [asyncio.ensure_future(srv.topk(q, k=5))
+                             for q in queries]
+                    await asyncio.sleep(0)  # all four enqueue: the group fills
+                    assert srv.stats["waves"] == srv.stats["flushed_size"] == 1
+                    await asyncio.sleep(0.1)
+                    assert gated.calls == [("delete", "item0")]
+                finally:
+                    gated.release.set()
+                await mutation
+                return await asyncio.wait_for(asyncio.gather(*reads), 10)
+
+        results = asyncio.run(main())
+        assert gated.calls == [("delete", "item0"), ("returned", "item0"),
+                               ("topk", 5)]
+        assert results == [store.topk(q, k=5) for q in queries]
+        assert all(label != "item0" for row in results for label, _ in row)
         store.memory.close()
 
 
@@ -902,8 +923,6 @@ class TestValidationAndStats:
             StoreServer(store, max_batch=8, max_pending=4)
         with pytest.raises(ValueError, match="admission"):
             StoreServer(store, admission="drop-newest")
-        with pytest.raises(ValueError, match="dispatch_workers"):
-            StoreServer(store, dispatch_workers=0)
 
     def test_requests_validate_before_queueing(self, rng):
         store, vectors = _store(rng, shards=1, items=4)
@@ -944,25 +963,6 @@ class TestValidationAndStats:
                 assert srv.stats["requests"] == 1
 
         asyncio.run(main())
-
-    def test_dispatch_workers_overlap_waves_and_stay_exact(self, rng):
-        """dispatch_workers=2: concurrent waves through one store — the
-        lock-guarded pruning counters and the agreement contract hold."""
-        store, vectors = _store(rng, backend="packed", shards=4)
-        queries = _noisy_queries(vectors, rng, num=32)
-        expected = [store.cleanup(q) for q in queries]
-        store.reset_pruning_stats()
-
-        async def main():
-            async with StoreServer(store, max_batch=4,
-                                   dispatch_workers=2) as srv:
-                return await asyncio.gather(*[srv.cleanup(q) for q in queries])
-
-        assert asyncio.run(main()) == expected
-        stats = store.pruning_stats
-        assert stats["batches"] > 0
-        assert stats["tasks"] == stats["batches"] * 4  # no lost increments
-        store.memory.close()
 
 
 class TestServedMutations:
@@ -1051,23 +1051,16 @@ class TestServedMutations:
         assert "item0" not in store.labels  # the mutation did land
 
     def test_cancelled_delete_holds_the_barrier_until_the_store_returns(self, rng):
-        """Cancelling a delete's caller cannot stop the store call on its
-        dispatch thread, so the barrier stays up until it returns: with a
-        second worker free, neither a read nor a second delete may enter
-        the store while the first delete is still applying."""
+        """Cancelling a delete's caller cannot stop the store call on the
+        dispatch thread, so the barrier stays up until it returns:
+        neither a read nor a second delete may enter the store while the
+        first delete is still applying, and the cancelled one still
+        lands and counts."""
         store, vectors = _store(rng, items=24, dim=128)
-
-        class _GatedDelete(_GatedStore):
-            def delete(self, labels):
-                self._gate(("delete", *labels))
-                result = self._inner.delete(labels)
-                self.calls.append(("returned", *labels))
-                return result
-
         gated = _GatedDelete(store)
 
         async def main():
-            async with StoreServer(gated, dispatch_workers=2) as srv:
+            async with StoreServer(gated) as srv:
                 try:
                     first = asyncio.ensure_future(srv.delete(["item0"]))
                     await _until(gated.entered.is_set)
@@ -1077,7 +1070,6 @@ class TestServedMutations:
                     second = asyncio.ensure_future(srv.delete(["item1"]))
                     await asyncio.sleep(0.1)
                     assert gated.calls == [("delete", "item0")]
-                    assert not first.done()  # cancelled, but still applying
                 finally:
                     gated.release.set()
                 with pytest.raises(asyncio.CancelledError):

@@ -60,6 +60,33 @@ class TestModel:
             atol=1e-6,
         )
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_failing_score_restores_the_callers_mode(self, small_schema, rng,
+                                                     training):
+        """score / score_attributes run in eval mode and hand back the
+        mode the caller had, also when they raise part-way."""
+        model = tiny_model(small_schema).train(training)
+        images = rng.normal(size=(2, 3, 16, 16))
+        bad_attrs = rng.random((5, small_schema.num_attributes + 1))
+        with pytest.raises(ValueError):
+            model.score(images, bad_attrs)
+        assert all(m.training is training for m in model.modules())
+        with pytest.raises(ValueError, match="channels"):
+            model.score_attributes(rng.normal(size=(2, 4, 16, 16)))
+        assert all(m.training is training for m in model.modules())
+
+    def test_inference_on_an_eval_model_skips_the_eval_walk(
+            self, small_schema, rng, monkeypatch):
+        """A deployed model is already in eval mode: the frozen-inference
+        scope must not walk every module again on each call."""
+        model = tiny_model(small_schema).deploy()
+        walks = []
+        monkeypatch.setattr(model, "train", lambda mode=True: walks.append(mode))
+        model.binary_embeddings(rng.normal(size=(2, 3, 16, 16)))
+        model.score(rng.normal(size=(2, 3, 16, 16)),
+                    rng.random((3, small_schema.num_attributes)))
+        assert walks == []
+
     def test_deploy_freezes_everything(self, small_schema):
         model = tiny_model(small_schema)
         model.deploy()
