@@ -20,11 +20,14 @@ append commits, and measures what one commit actually costs:
 
 The ``mutation`` surface applies the same yardstick to delete/upsert
 commits: at each size the harness runs interleaved tombstone-only
-deletes and replace+enroll upserts and records the per-commit metadata
-bytes (manifest + delta sidecar),
-which must stay **flat in store size** exactly like appends — a delete
-against a million-item store journals the same few kilobytes as one
-against ten thousand items.
+deletes and replace+enroll upserts (with a ``compact()`` halfway, so
+the first commit after a compaction is among those timed) and records
+the per-commit metadata bytes (manifest + delta sidecar) and the median
+seconds per commit. Both must stay **flat in store size** — a delete
+against a million-item store journals the same few kilobytes, in about
+the same time, as one against ten thousand items. The ``store_scale``
+complexity fence (``tests/hdc/store/test_parallel.py``) runs the same
+:func:`_mutation_point` at two sizes.
 
 ``BENCH_APPEND_MAX_ITEMS`` caps the sweep for a quick pass; the JSON
 record and the headline assertion only engage on a full sweep. Every
@@ -53,6 +56,9 @@ SIZES = (10_000, 100_000, 1_000_000)
 SHARDS = 8
 BATCH = 64  # rows per append commit
 COMMITS = 8  # journaled commits measured per size
+#: delete and upsert commits each, measured per size; the store compacts
+#: after the first half
+MUTATION_COMMITS = 10
 CHUNK = 65536
 
 
@@ -132,7 +138,9 @@ def _mutation_point(num_items, rng, tmp_root=None):
 
         opened = AssociativeStore.open(store_path)
         delete_seconds, upsert_seconds = [], []
-        for commit in range(COMMITS):
+        for commit in range(MUTATION_COMMITS):
+            if commit == MUTATION_COMMITS // 2:
+                opened.compact()  # the next delete is timed cold after it
             # Tombstone-only commit: BATCH distinct labels per round.
             doomed = list(range(commit * BATCH, (commit + 1) * BATCH))
             tick = time.perf_counter()
@@ -140,8 +148,8 @@ def _mutation_point(num_items, rng, tmp_root=None):
             delete_seconds.append(time.perf_counter() - tick)
             # Upsert commit: half replacements, half new enrollments.
             refreshed = list(range(
-                (COMMITS + commit) * BATCH,
-                (COMMITS + commit) * BATCH + BATCH // 2,
+                (MUTATION_COMMITS + commit) * BATCH,
+                (MUTATION_COMMITS + commit) * BATCH + BATCH // 2,
             ))
             enrolled = list(range(
                 num_items + commit * (BATCH // 2),
@@ -153,7 +161,8 @@ def _mutation_point(num_items, rng, tmp_root=None):
             upsert_seconds.append(time.perf_counter() - tick)
 
         manifest_bytes = manifest_path.stat().st_size
-        delta_bytes = _glob_bytes(store_path, "delta.g*.json") / (2 * COMMITS)
+        deltas = list(store_path.glob("delta.g*.json"))  # since the compact
+        delta_bytes = sum(p.stat().st_size for p in deltas) / len(deltas)
         metadata_bytes = manifest_bytes + delta_bytes
 
         # Committed means committed: a fresh open drops every tombstoned
@@ -165,9 +174,9 @@ def _mutation_point(num_items, rng, tmp_root=None):
             "items": num_items,
             "shards": SHARDS,
             "batch": BATCH,
-            "commits": 2 * COMMITS,
-            "delete_rows_per_second": BATCH * COMMITS / sum(delete_seconds),
-            "upsert_rows_per_second": BATCH * COMMITS / sum(upsert_seconds),
+            "commits": 2 * MUTATION_COMMITS,
+            "delete_rows_per_second": BATCH * MUTATION_COMMITS / sum(delete_seconds),
+            "upsert_rows_per_second": BATCH * MUTATION_COMMITS / sum(upsert_seconds),
             "seconds_per_delete_median": statistics.median(delete_seconds),
             "seconds_per_upsert_median": statistics.median(upsert_seconds),
             "manifest_bytes_per_commit": manifest_bytes,
@@ -224,11 +233,15 @@ def test_mutation_surface_json():
     ]
 
     # Flat in store size, exactly like appends: mutation commit metadata
-    # at the largest size stays within 2x of the smallest.
+    # at the largest size stays within 2x of the smallest — and so does
+    # the median time of a delete and of an upsert commit.
     if len(points) > 1:
         assert points[-1]["metadata_bytes_per_commit"] <= (
             2 * points[0]["metadata_bytes_per_commit"]
         ), points
+        for kind in ("delete", "upsert"):
+            key = f"seconds_per_{kind}_median"
+            assert points[-1][key] <= 2 * points[0][key], points
     if sizes[-1] == SIZES[-1]:  # full sweep: record the surface
         merge_bench_record(
             "BENCH_store.json",
@@ -239,7 +252,7 @@ def test_mutation_surface_json():
                         "backend": "packed",
                         "shards": SHARDS,
                         "batch": BATCH,
-                        "commits": 2 * COMMITS,
+                        "commits": 2 * MUTATION_COMMITS,
                     },
                     "points": points,
                 }

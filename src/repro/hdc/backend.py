@@ -224,7 +224,7 @@ class HDCBackend(ABC):
         bits = _majority_bits(counts, int(rows), None)
         return self.from_bipolar((1 - 2 * bits.astype(np.int8)).astype(np.int8))
 
-    def hamming_topk(self, queries, store, k, bounds=None):
+    def hamming_topk(self, queries, store, k, bounds=None, dead=None):
         """Exact ``(distances, indices)`` top-``k`` of queries vs store rows.
 
         Both ``(A, k')`` int64 arrays with ``k' = min(k, n)``, each row
@@ -244,13 +244,24 @@ class HDCBackend(ABC):
         sentinels, so the sentinel-merge path behaves identically on
         every backend; subclasses may instead use ``bounds`` to skip
         work (``PackedBackend``'s adaptive prefix schedule).
+
+        ``dead`` (sorted row indices; the store stack's dead-row mask)
+        names rows that were deleted but not yet folded out of
+        ``store``: they score as distance ``dim + 1``, so a dead row
+        only ever comes back as a sentinel, and the ranking of the live
+        rows is exactly the ranking of a store without them.
         """
         queries = np.atleast_2d(np.asarray(queries))
         distances = np.atleast_2d(self.hamming(queries, store))
+        masked = dead is not None and len(dead) > 0
+        if masked:
+            distances[:, dead] = self.dim + 1
         selected = topk_order_partitioned_batch(distances, k)
         rows = np.arange(distances.shape[0])[:, None]
         out_d = distances[rows, selected]
         out_i = selected.astype(np.int64)
+        if masked:
+            out_i[out_d > self.dim] = -1
         if bounds is not None:
             bounds = np.asarray(bounds, dtype=np.int64)
             if bounds.shape != (out_d.shape[0],):
@@ -501,7 +512,7 @@ class PackedBackend(HDCBackend):
         words = int(bound) // (WORD_BITS // 2) + 1
         return max(1, min(self.num_words, words))
 
-    def hamming_topk(self, queries, store, k, bounds=None):
+    def hamming_topk(self, queries, store, k, bounds=None, dead=None):
         """Early-exit exact top-``k``: prefix distances prune the tail words.
 
         Same contract as :meth:`HDCBackend.hamming_topk`, with an
@@ -519,6 +530,11 @@ class PackedBackend(HDCBackend):
         Exact ties survive: items are kept while the prefix is ``<=``
         the bound, and every candidate's final ranking uses its exact
         full distance with the shared (distance, index) tie contract.
+        ``dead`` rows have their running count pinned to the sentinel
+        ``dim + 1`` wherever the kernel filters or selects, so they never
+        survive a prefix filter and never displace the ``(dim + 1, -1)``
+        rows a query's running top-``k`` starts from (the smaller index
+        wins the tie); an empty mask runs the unmasked kernel unchanged.
         """
         a2 = np.ascontiguousarray(np.atleast_2d(self._as_words(np.asarray(queries))))
         b2 = self._as_words(np.asarray(store))
@@ -530,8 +546,10 @@ class PackedBackend(HDCBackend):
             empty = np.empty((num_a, 0), dtype=np.int64)
             return empty, empty.copy()
         num_words = self.num_words
+        if dead is not None and not len(dead):
+            dead = None
         if num_words < 4 or n < 2 * self._TOPK_PROBE or 4 * k >= n:
-            return super().hamming_topk(a2, b2, k, bounds)
+            return super().hamming_topk(a2, b2, k, bounds, dead)
         if bounds is not None:
             bounds = np.asarray(bounds, dtype=np.int64)
             if bounds.shape != (num_a,):
@@ -553,6 +571,7 @@ class PackedBackend(HDCBackend):
             start = min(self._TOPK_PROBE, n)
             chunk = np.ascontiguousarray(b2[:start].T)
             xv, cv, av = xor[:start], cnt[:start], acc[:start]
+            probe_dead = self._tile_dead(dead, 0, start)
             for qi in range(num_a):
                 row = a2[qi]
                 np.bitwise_xor(chunk[0], row[0], out=xv)
@@ -562,6 +581,8 @@ class PackedBackend(HDCBackend):
                     np.bitwise_xor(chunk[word], row[word], out=xv)
                     np.bitwise_count(xv, out=cv)
                     np.add(av, cv, out=av)
+                if probe_dead is not None:
+                    av[probe_dead] = sentinel
                 local = topk_order_partitioned(av, k)
                 self._topk_merge(best_d[qi], best_i[qi],
                                  av[local].astype(np.int64), local, k)
@@ -569,6 +590,7 @@ class PackedBackend(HDCBackend):
             b_tile = np.ascontiguousarray(b2[b_start : b_start + tile].T)
             t = b_tile.shape[1]
             xv, cv, av = xor[:t], cnt[:t], acc[:t]
+            tile_dead = self._tile_dead(dead, b_start, b_start + t)
             for qi in range(num_a):
                 row = a2[qi]
                 kth = best_d[qi, k - 1]
@@ -583,6 +605,8 @@ class PackedBackend(HDCBackend):
                     np.bitwise_xor(b_tile[word], row[word], out=xv)
                     np.bitwise_count(xv, out=cv)
                     np.add(av, cv, out=av)
+                if tile_dead is not None:
+                    av[tile_dead] = sentinel  # above every filter bound
                 if first == num_words:
                     # Loose bound: the schedule collapsed to one contiguous
                     # pass — select straight from the fully-summed tile.
@@ -600,6 +624,9 @@ class PackedBackend(HDCBackend):
                         np.bitwise_xor(b_tile[word], row[word], out=xv)
                         np.bitwise_count(xv, out=cv)
                         np.add(av, cv, out=av)
+                    if tile_dead is not None:
+                        # re-pin: the tail words may wrap a narrow counter
+                        av[tile_dead] = sentinel
                     local = topk_order_partitioned(av, k)
                     cand_d = av[local].astype(np.int64)
                     cand_i = local.astype(np.int64) + b_start
@@ -628,6 +655,14 @@ class PackedBackend(HDCBackend):
                     cand_i = keep.astype(np.int64) + b_start
                 self._topk_merge(best_d[qi], best_i[qi], cand_d, cand_i, k)
         return best_d, best_i
+
+    @staticmethod
+    def _tile_dead(dead, start, stop):
+        """Tile-local indices of the dead rows in ``[start, stop)``, or None."""
+        if dead is None:
+            return None
+        lo, hi = np.searchsorted(dead, (start, stop))
+        return dead[lo:hi] - start if hi > lo else None
 
     @staticmethod
     def _topk_merge(best_d_row, best_i_row, cand_d, cand_i, k):

@@ -17,7 +17,13 @@ Design notes for scale:
   against all ``n`` items in a single matmul (dense) or popcount
   (packed) call;
 - :meth:`from_native` adopts an existing backend-native matrix (for
-  example an ``np.memmap`` over a saved shard file) without copying.
+  example an ``np.memmap`` over a saved shard file) without copying;
+- deletion is a dead-row mask: :meth:`remove_many` flags rows in place
+  (O(batch)), every query skips them, and the memory folds them out in
+  one gather once they reach its live rows — so kernels never scan more
+  than about twice the live rows. Rows keep their *physical* index
+  until that fold; :meth:`index_of` and every answer speak in dense
+  ranks over the survivors.
 
 Tie-breaking contract (shared with :class:`repro.hdc.store`): queries
 rank stored items by similarity *descending*, and exact similarity ties
@@ -27,6 +33,8 @@ stable sort on the negated similarities.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 import numpy as np
 
@@ -56,8 +64,14 @@ class ItemMemory:
             raise ValueError("dim must be positive")
         self._backend = make_backend(backend, dim)
         self.dim = self._backend.dim
+        # One label per *physical* row (dead rows keep theirs) and the
+        # live label -> physical row map.
         self._labels = []
         self._label_index = {}
+        # Dead-row mask: physical rows deleted but not yet folded out,
+        # plus the sorted array the kernels take (built on first use).
+        self._dead = set()
+        self._dead_sorted = None
         # Contiguous native store + rows added since it was last built.
         # The pending list folds into the matrix on the next query, so the
         # steady-state residency is one contiguous copy, not two.
@@ -78,22 +92,7 @@ class ItemMemory:
         memory = cls(dim, backend=backend)
         labels = list(labels)
         matrix = np.asanyarray(matrix)
-        expected = memory._backend.from_bipolar(
-            np.ones((0, dim), dtype=np.int8)
-        )
-        if matrix.ndim != 2 or matrix.shape[1:] != expected.shape[1:]:
-            raise ValueError(
-                f"expected a native ({len(labels)}, {expected.shape[1]}) store, "
-                f"got {matrix.shape}"
-            )
-        if matrix.dtype != expected.dtype:
-            raise ValueError(
-                f"expected a {expected.dtype} native store, got {matrix.dtype}"
-            )
-        if matrix.shape[0] != len(labels):
-            raise ValueError(f"{len(labels)} labels but {matrix.shape[0]} stored rows")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels in from_native")
+        memory._check_native(labels, matrix, "store")
         memory._labels = labels
         memory._label_index = {label: i for i, label in enumerate(labels)}
         if matrix.flags.writeable:
@@ -107,6 +106,24 @@ class ItemMemory:
     def backend(self):
         """The storage/compute backend holding the stored items."""
         return self._backend
+
+    def _check_native(self, labels, matrix, what):
+        """Refuse a native matrix of the wrong width or dtype, a row count
+        that is not the label count, or duplicate labels."""
+        expected = self._backend.from_bipolar(np.ones((0, self.dim), dtype=np.int8))
+        if matrix.ndim != 2 or matrix.shape[1:] != expected.shape[1:]:
+            raise ValueError(
+                f"expected a native ({len(labels)}, {expected.shape[1]}) {what}, "
+                f"got {matrix.shape}"
+            )
+        if matrix.dtype != expected.dtype:
+            raise ValueError(
+                f"expected a {expected.dtype} native {what}, got {matrix.dtype}"
+            )
+        if matrix.shape[0] != len(labels):
+            raise ValueError(f"{len(labels)} labels but {matrix.shape[0]} {what} rows")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate labels in a native {what}")
 
     def _check_rows(self, vectors, expected_shape):
         """Validate shape and bipolarity before any conversion/commit."""
@@ -173,21 +190,72 @@ class ItemMemory:
             self._pending.append(row)
 
     def __len__(self):
-        return len(self._labels)
+        return len(self._label_index)
 
     def __contains__(self, label):
         return label in self._label_index
 
     @property
     def labels(self):
-        return tuple(self._labels)
+        """Every live label, in insertion order."""
+        if not self._dead:
+            return tuple(self._labels)
+        return tuple(compress(self._labels, self._live_mask()))
 
     def index_of(self, label):
-        """Row index of ``label`` (O(1))."""
-        return self._label_index[label]
+        """Rank of ``label`` among the live rows, in insertion order."""
+        row = self._label_index[label]
+        dead = self._dead_rows()
+        return row if dead is None else row - int(np.searchsorted(dead, row))
+
+    # -- the dead-row mask -------------------------------------------------- #
+
+    def _dead_rows(self):
+        """Sorted int64 physical indices of the dead rows, or ``None``."""
+        if not self._dead:
+            return None
+        if self._dead_sorted is None:
+            self._dead_sorted = np.fromiter(
+                sorted(self._dead), dtype=np.int64, count=len(self._dead))
+        return self._dead_sorted
+
+    def _live_mask(self):
+        """``(physical rows,)`` bool mask of the live rows."""
+        keep = np.ones(len(self._labels), dtype=bool)
+        if self._dead:
+            keep[self._dead_rows()] = False
+        return keep
+
+    def _kill(self, rows):
+        """Flag live physical ``rows`` dead: O(len(rows)), nothing moves."""
+        for row in rows:
+            del self._label_index[self._labels[row]]
+        self._dead.update(rows)
+        self._dead_sorted = None
+
+    def _fold_due(self):
+        """The one fold rule: dead rows have reached the live rows."""
+        return bool(self._dead) and len(self._dead) >= len(self._label_index)
+
+    def _fold(self):
+        """Gather the live rows into a fresh contiguous store.
+
+        Returns the ``(old physical rows,)`` keep mask so an owner that
+        indexes physical rows (the sharded store's order arrays and
+        bound groups) can follow.
+        """
+        keep = self._live_mask()
+        matrix = np.ascontiguousarray(np.asarray(self._native_matrix())[keep])
+        matrix.setflags(write=False)
+        self._matrix = matrix
+        self._labels = list(compress(self._labels, keep))
+        self._label_index = {label: i for i, label in enumerate(self._labels)}
+        self._dead = set()
+        self._dead_sorted = None
+        return keep
 
     def _native_matrix(self):
-        """The contiguous ``(n, ·)`` backend-native store.
+        """The contiguous ``(physical rows, ·)`` backend-native store.
 
         Pending rows fold into the cached matrix here; afterwards the
         matrix is the only resident copy of the stored vectors.
@@ -208,20 +276,28 @@ class ItemMemory:
         return self._matrix
 
     def native_matrix(self):
-        """The read-only backend-native store (used by the persistence layer)."""
+        """The read-only backend-native store, one row per *physical* row.
+
+        Dead rows not yet folded out are still in it (``len(self)``
+        counts only the live ones); the persistence layer folds them
+        before it writes a store.
+        """
         return self._native_matrix()
 
     def matrix(self):
-        """The stored vectors as a read-only ``(n, dim)`` bipolar array."""
+        """The live stored vectors as a read-only ``(n, dim)`` bipolar array."""
         native = self._native_matrix()
+        if self._dead:
+            native = native[self._live_mask()]
         if self._backend.name == "dense":
+            native.setflags(write=False)
             return native
         dense = self._backend.to_bipolar(native)
         dense.setflags(write=False)
         return dense
 
     def measured_bytes(self):
-        """Actual bytes of the contiguous native store."""
+        """Actual bytes of the contiguous native store (dead rows included)."""
         return self._backend.nbytes(self._native_matrix())
 
     # -- queries ---------------------------------------------------------- #
@@ -276,36 +352,47 @@ class ItemMemory:
         :meth:`similarities_batch`, so single and batched queries score
         bit-identically.
         """
-        query = np.asarray(query)
-        if query.ndim != 1:
-            raise ValueError(f"expected a ({self.dim},) query, got {query.shape}")
-        if query.shape[0] != self.dim:
-            raise ValueError(f"expected last axis {self.dim}, got {query.shape}")
-        return self.similarities_batch(query[None])[0]
+        return self.similarities_batch(self._single(query))[0]
 
     def similarities_batch(self, queries):
         """Cosine similarities of ``(B, dim)`` queries: one ``(B, n)`` call."""
-        if not self._labels:
+        sims = self._masked_similarities(queries)
+        dead = self._dead_rows()
+        return sims if dead is None else np.delete(sims, dead, axis=1)
+
+    def _masked_similarities(self, queries):
+        """``(B, physical rows)`` similarities, every dead column ``-inf``.
+
+        The shared kernel of every float query surface: a dead row can
+        never win an ``argmax`` or a descending top-``k`` over the live
+        rows, and ranking by physical index is ranking by insertion.
+        """
+        if not self._label_index:
             raise LookupError("item memory is empty")
         queries = np.asarray(queries)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise ValueError(f"expected (B, {self.dim}) queries, got {queries.shape}")
         if self._backend.name == "dense":
-            return self._dense_similarities(queries)
-        packed = self._pack_query(queries)
-        return self._backend.cosine(packed, self._native_matrix())
+            sims = self._dense_similarities(queries)
+        else:
+            sims = self._backend.cosine(self._pack_query(queries),
+                                        self._native_matrix())
+        dead = self._dead_rows()
+        if dead is not None:
+            sims[:, dead] = -np.inf
+        return sims
 
     def distances_batch(self, queries):
         """Integer Hamming distances of bipolar queries: ``(B, n)`` int64.
 
-        The integer-domain twin of :meth:`similarities_batch`, used by
-        the sharded store's parallel fan-out so per-shard partials never
-        materialize float similarity rows. Defined for bipolar queries
-        only (the distance is the component disagreement count); cosine
-        similarity is a monotone decreasing function of it, so rankings
-        in either domain agree.
+        The integer-domain twin of :meth:`similarities_batch` (the
+        sharded store's merge converts such distances to the same float
+        similarities). Defined for bipolar queries only (the distance is
+        the component disagreement count); cosine similarity is a
+        monotone decreasing function of it, so rankings in either domain
+        agree.
         """
-        if not self._labels:
+        if not self._label_index:
             raise LookupError("item memory is empty")
         queries = np.asarray(queries)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
@@ -315,11 +402,10 @@ class ItemMemory:
                 "integer Hamming distances are defined for bipolar (+1/-1) "
                 "queries only; use similarities_batch for real-valued queries"
             )
-        return self._native_distances(self._backend.from_bipolar(queries))
-
-    def _native_distances(self, native_queries):
-        """Hamming distances of already-converted backend-native queries."""
-        return self._backend.hamming(native_queries, self._native_matrix())
+        distances = self._backend.hamming(self._backend.from_bipolar(queries),
+                                          self._native_matrix())
+        dead = self._dead_rows()
+        return distances if dead is None else np.delete(distances, dead, axis=1)
 
     def topk_native(self, native_queries, k, bounds=None):
         """Exact integer top-``k``: ``(B, k')`` distances + local row indices.
@@ -329,15 +415,17 @@ class ItemMemory:
         (packed: early-exit prefix pruning; dense: full reference
         selection) over the contiguous native store. Rows are ranked by
         distance ascending with exact ties resolved to the smaller row
-        index — insertion order, the shared tie-break contract.
-        ``bounds`` permits (never requires) the backend to replace
-        candidates whose distance strictly exceeds the caller's bound
-        with sentinel rows (distance ``dim + 1``, index ``-1``).
+        index — insertion order, the shared tie-break contract. Row
+        indices are *physical*; dead rows come back only as sentinel rows
+        (distance ``dim + 1``, index ``-1``), and so may candidates the
+        caller's ``bounds`` permits the backend to prune (distance
+        strictly above the bound).
         """
-        if not self._labels:
+        if not self._label_index:
             raise LookupError("item memory is empty")
         return self._backend.hamming_topk(
-            native_queries, self._native_matrix(), k, bounds=bounds
+            native_queries, self._native_matrix(), k, bounds=bounds,
+            dead=self._dead_rows(),
         )
 
     def extend_native(self, labels, matrix):
@@ -351,20 +439,7 @@ class ItemMemory:
         """
         labels = list(labels)
         matrix = np.asanyarray(matrix)
-        expected = self._backend.from_bipolar(np.ones((0, self.dim), dtype=np.int8))
-        if matrix.ndim != 2 or matrix.shape[1:] != expected.shape[1:]:
-            raise ValueError(
-                f"expected a native ({len(labels)}, {expected.shape[1]}) segment, "
-                f"got {matrix.shape}"
-            )
-        if matrix.dtype != expected.dtype:
-            raise ValueError(
-                f"expected a {expected.dtype} native segment, got {matrix.dtype}"
-            )
-        if matrix.shape[0] != len(labels):
-            raise ValueError(f"{len(labels)} labels but {matrix.shape[0]} segment rows")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels in extend_native")
+        self._check_native(labels, matrix, "segment")
         for label in labels:
             if label in self._label_index:
                 raise ValueError(f"label {label!r} already stored")
@@ -375,16 +450,14 @@ class ItemMemory:
             self._pending.append(row)
 
     def remove_many(self, labels):
-        """Remove stored rows by label, preserving the survivors' order.
+        """Delete stored rows by label: O(batch), nothing moves.
 
-        The single-shard deletion primitive underneath the mutable-store
-        subsystem: the whole batch is validated first (duplicates within
-        the batch, membership), so a rejected batch leaves the memory
-        untouched; on success the surviving rows are rebuilt as one
-        contiguous native matrix in their original insertion order, so
-        queries over the survivors are bit-identical to a memory that
-        never held the removed rows. Removal is O(n) — the matrix is
-        gathered once through a keep mask.
+        The whole batch is validated first (duplicates within the batch,
+        membership), so a rejected batch leaves the memory untouched. On
+        success each row is flagged in the dead-row mask and drops out
+        of every query, so answers over the survivors are bit-identical
+        to a memory that never held the removed rows. Once the dead rows
+        reach the live rows, one gather folds them all out of the store.
         """
         labels = list(labels)
         if not labels:
@@ -394,23 +467,26 @@ class ItemMemory:
         for label in labels:
             if label not in self._label_index:
                 raise ValueError(f"label {label!r} is not stored")
-        native = self._native_matrix()
-        keep = np.ones(len(self._labels), dtype=bool)
-        keep[[self._label_index[label] for label in labels]] = False
-        matrix = np.ascontiguousarray(np.asarray(native)[keep])
-        matrix.setflags(write=False)
-        self._matrix = matrix
-        self._labels = [label for label, kept in zip(self._labels, keep) if kept]
-        self._label_index = {label: i for i, label in enumerate(self._labels)}
+        self._kill([self._label_index[label] for label in labels])
+        if self._fold_due():
+            self._fold()
 
     def cleanup(self, query):
         """Return ``(label, similarity)`` of the best-matching stored item.
 
         Exact similarity ties resolve to the earliest-inserted label.
         """
-        sims = self.similarities(query)
-        best = int(np.argmax(sims))
-        return self._labels[best], float(sims[best])
+        labels, sims = self.cleanup_batch(self._single(query))
+        return labels[0], float(sims[0])
+
+    def _single(self, query):
+        """One ``(dim,)`` query as a ``(1, dim)`` batch (validated)."""
+        query = np.asarray(query)
+        if query.ndim != 1:
+            raise ValueError(f"expected a ({self.dim},) query, got {query.shape}")
+        if query.shape[0] != self.dim:
+            raise ValueError(f"expected last axis {self.dim}, got {query.shape}")
+        return query[None]
 
     def cleanup_batch(self, queries):
         """Batched cleanup: ``(B, dim)`` queries → ``(labels, similarities)``.
@@ -420,7 +496,7 @@ class ItemMemory:
         Exact similarity ties resolve to the earliest-inserted label
         (``argmax`` returns the first maximum).
         """
-        sims = self.similarities_batch(queries)
+        sims = self._masked_similarities(queries)
         best = np.argmax(sims, axis=1)
         labels = [self._labels[i] for i in best]
         return labels, sims[np.arange(len(best)), best]
@@ -431,9 +507,11 @@ class ItemMemory:
         Delegates to the retrieval stack's single tie-break
         implementation (:func:`repro.hdc.ordering.topk_order` on the
         negated similarities) — the same function the sharded store's
-        fan-out merge ranks with, so the two paths cannot drift.
+        fan-out merge ranks with, so the two paths cannot drift. ``k``
+        is capped at the live rows, so a dead (``-inf``) column is never
+        selected.
         """
-        return topk_order(-np.asarray(sims), min(k, len(self._labels)))
+        return topk_order(-np.asarray(sims), min(k, len(self)))
 
     def topk(self, query, k=5):
         """Return the ``k`` best ``(label, similarity)`` pairs, best first.
@@ -442,9 +520,7 @@ class ItemMemory:
         order (earliest-stored label first). ``k`` larger than the store
         returns every item.
         """
-        sims = self.similarities(query)
-        order = self._topk_order(sims, k)
-        return [(self._labels[i], float(sims[i])) for i in order]
+        return self.topk_batch(self._single(query), k=k)[0]
 
     def topk_batch(self, queries, k=5):
         """Batched :meth:`topk`: ``(B, dim)`` queries → ``B`` ranked lists.
@@ -453,7 +529,7 @@ class ItemMemory:
         each best-first under the same ordering contract as :meth:`topk`,
         from one pairwise similarity call.
         """
-        sims = self.similarities_batch(queries)
+        sims = self._masked_similarities(queries)
         order = self._topk_order(sims, k)
         return [
             [(self._labels[i], float(row_sims[i])) for i in row_order]

@@ -217,8 +217,8 @@ def run_schedule(schedule, path, start_step=0, end_step=None):
 def fingerprint(path, executor="thread", workers=1):
     """Digest of a store directory's *logical* state.
 
-    Covers the global label order, every shard's labels and native row
-    bytes, and ranked top-k answers for fixed queries — so two
+    Covers the global label order, every shard's labels and live native
+    row bytes, and ranked top-k answers for fixed queries — so two
     directories fingerprint equal iff they answer identically, while
     physical debris (orphaned temp/segment files a crash legally leaves
     behind) does not participate. Raises whatever ``open`` raises: the
@@ -231,8 +231,11 @@ def fingerprint(path, executor="thread", workers=1):
     memory = store.memory
     shards = memory.shards if hasattr(memory, "shards") else [memory]
     for shard in shards:
+        # Live rows only: a tombstoned row stays in place until compact,
+        # which must not move the logical state.
+        live = shard.native_matrix()[shard._live_mask()]
         digest.update(json.dumps(list(shard.labels)).encode())
-        digest.update(np.ascontiguousarray(shard.native_matrix()).tobytes())
+        digest.update(np.ascontiguousarray(live).tobytes())
     rng = np.random.default_rng(0xF1D0)
     queries = random_bipolar(3, store.dim, rng)
     for answers in store.topk_batch(queries, k=min(5, len(store))):

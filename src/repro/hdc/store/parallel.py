@@ -14,7 +14,7 @@ all implemented here:
   (:func:`process_shard_task`) — zero-copy, shared through the page
   cache, cached per ``(path, generation)`` inside the worker.
 - **Integer domain** — per-shard partials are ``(uint distance, global
-  insertion index)`` pairs (:func:`shard_cleanup_ints` /
+  physical insertion order)`` pairs (:func:`shard_cleanup_ints` /
   :func:`shard_topk_ints`): ranking by distance *ascending* is exactly
   ranking by similarity *descending*, and the global insertion index is
   the shared tie-break key. No per-shard float similarity row is ever
@@ -273,9 +273,10 @@ def shard_cleanup_floats(shard, queries, orders):
     """Float fallback of :func:`shard_cleanup_ints` (real-valued queries).
 
     Carries the *negated* similarity so the merge ranks ascending on the
-    primary key in both domains.
+    primary key in both domains. Scores every physical row with dead
+    rows at ``-inf``, so ``orders`` indexes the winner directly.
     """
-    sims = shard.similarities_batch(queries)
+    sims = shard._masked_similarities(queries)
     local = np.argmax(sims, axis=1)
     rows = np.arange(sims.shape[0])
     return -sims[rows, local], orders[local]
@@ -287,9 +288,11 @@ def shard_topk_floats(shard, queries, k, orders):
     One batched stable sort selects every row's top-k (``topk_order``
     on the negated similarities) — no per-query Python loop — with the
     identical (similarity descending, insertion ascending) contract.
+    ``k`` is capped at the shard's live rows, so a dead (``-inf``) row
+    is never selected.
     """
-    sims = shard.similarities_batch(queries)
-    k = min(k, sims.shape[1])
+    sims = shard._masked_similarities(queries)
+    k = min(k, len(shard))
     selected = topk_order(-sims, k)
     rows = np.arange(sims.shape[0])[:, None]
     return -sims[rows, selected], orders[selected]

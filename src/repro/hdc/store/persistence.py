@@ -55,6 +55,13 @@ delta chain (validating truncation, label collisions, and row-count
 drift — a corrupted chain raises, never mis-answers) and the documented
 tie-breaking is preserved across save/open/append cycles.
 
+**One deletion model**: a tombstoned row stays where it is, on disk and
+in memory. Open and worker attach flag tombstoned rows in each shard's
+dead-row mask instead of gathering the survivors (base memmaps stay
+lazy), the opened memory holds the directory's *physical* global
+orders, and a delete/upsert commit touches only its batch. Save and
+compact fold the dead rows out and renumber densely.
+
 **Pruning bounds**: every shard entry carries a ``bounds`` block — the
 exact minus-count interval (``minus_min``/``minus_max``) plus the
 geometric ball: a bit-packed majority ``centroid`` (hex-encoded
@@ -79,6 +86,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -199,23 +207,25 @@ def _unlink_stale(path):
 _SEGMENT_DISK_KEYS = ("file", "rows", "delta_file")
 
 #: top-level manifest fields materialized by :func:`_read_manifest`
-#: (never serialized): the dense surviving label list, the surviving
-#: label → physical order map, and the sorted tombstoned orders — all
-#: O(store), reconstructed from the sidecars + delta chain on open
-_MANIFEST_MATERIALIZED_KEYS = ("labels", "label_orders", "deleted_orders")
+#: (never serialized): the dense surviving label list, the label of
+#: every physical order (``slots``), the surviving label → physical
+#: order map, and the sorted tombstoned orders — all O(store),
+#: reconstructed from the sidecars + delta chain on open
+_MANIFEST_MATERIALIZED_KEYS = ("labels", "slots", "label_orders",
+                               "deleted_orders")
 
 #: shard-entry fields materialized by :func:`_read_manifest`
-_ENTRY_MATERIALIZED_KEYS = ("labels", "orders", "live_rows")
+_ENTRY_MATERIALIZED_KEYS = ("labels", "orders")
 
 
 def _manifest_to_disk(manifest):
     """The serializable manifest: strip every materialized field.
 
     :func:`_read_manifest` materializes the global surviving ``labels``
-    list, the ``label_orders`` / ``deleted_orders`` physical-order maps,
-    each shard entry's ``labels`` / ``orders`` / ``live_rows``, and each
-    segment's ``labels`` / ``orders`` / ``bounds`` / ``live_rows`` into
-    the returned dict so in-process callers see one uniform shape. On
+    list, the ``slots`` / ``label_orders`` / ``deleted_orders``
+    physical-order maps, each shard entry's ``labels`` / ``orders``, and
+    each segment's ``labels`` / ``orders`` / ``bounds`` into the
+    returned dict so in-process callers see one uniform shape. On
     disk those belong to the label/orders/delta sidecars — inlining
     them back would make every commit O(store) again.
     """
@@ -329,28 +339,32 @@ def save_store(memory, path):
     """Write an :class:`ItemMemory` or :class:`ShardedItemMemory` to ``path``.
 
     Creates the directory (parents included) and writes *contiguous*
-    shard files — saving over a store that has journaled append,
-    replacement, or tombstone commits folds them all in (survivors
-    only, bounds recomputed exactly) and deletes the journal, i.e. this
-    is also the compaction primitive. Returns the manifest path.
+    shard files — the memory first folds out every dead row (and a
+    sharded memory renumbers its global orders densely), so saving over
+    a store that has journaled append, replacement, or tombstone commits
+    folds them all in (survivors only, bounds recomputed exactly) and
+    deletes the journal, i.e. this is also the compaction primitive. The
+    manifest it wrote stays on the memory, so the next commit against
+    ``path`` skips the cold re-read. Returns the manifest path.
     """
     if isinstance(memory, ItemMemory):
         kind, shards, routing = "single", [memory], None
-        labels = list(memory.labels)
+        if memory._dead:
+            memory._fold()
     elif isinstance(memory, ShardedItemMemory):
         kind, shards, routing = "sharded", list(memory.shards), memory.routing
-        labels = list(memory.labels)
+        memory._compact()
     else:
         raise TypeError(
             f"cannot save {type(memory).__name__}; expected ItemMemory or "
             f"ShardedItemMemory (AssociativeStore saves via .save())"
         )
+    labels = list(memory.labels)
     _check_labels(labels)
 
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     generation = _next_generation(path)
-    order_of = {label: i for i, label in enumerate(labels)}
     # Crash-safe ordering: (1) write this generation's data files under
     # names no earlier manifest references, (2) swap the manifest —
     # the commit point — then (3) garbage-collect files the committed
@@ -363,16 +377,14 @@ def save_store(memory, path):
         filename = _shard_filename(index, generation)
         native = shard.native_matrix()
         _save_array(path / filename, native)
-        entry = {"file": filename, "rows": len(shard), "labels": list(shard.labels),
-                 "segments": []}
+        entry = {"file": filename, "rows": len(shard), "segments": []}
         if kind == "sharded":
-            # Per-shard global insertion orders as a normative sidecar
-            # .npy (shard labels = global labels[orders]); process
-            # workers attach through it without parsing any label.
-            orders = np.fromiter((order_of[label] for label in shard.labels),
-                                 dtype=np.int64, count=len(shard))
+            # Per-shard global insertion orders (dense after the fold) as
+            # a normative sidecar .npy (shard labels = global
+            # labels[orders]); process workers attach through it without
+            # parsing any label.
             entry["orders_file"] = _orders_filename(index, generation)
-            _save_array(path / entry["orders_file"], orders)
+            _save_array(path / entry["orders_file"], memory._orders_of(index))
         if len(shard):
             # Exact per-shard pruning bounds, both layers recomputed from
             # the full matrix: the minus-count interval
@@ -405,15 +417,17 @@ def save_store(memory, path):
         "next_order": len(labels),
         "deltas": [],
         "labels_file": labels_name,
-        "labels": labels,
         "shards": shard_entries,
     }
-    manifest_path = _write_manifest(path, _manifest_to_disk(manifest))
+    manifest_path = _write_manifest(path, manifest)
     current = {entry["file"] for entry in shard_entries}
     for stale in path.glob("shard_*.npy"):
         if stale.name not in current:
             _unlink_stale(stale)
     _collect_stale_sidecars(path, manifest)
+    if kind == "single":
+        manifest["label_orders"] = {label: i for i, label in enumerate(labels)}
+    memory._manifest_cache = (path, manifest)
     if isinstance(memory, ShardedItemMemory):
         # The saved directory is now a faithful copy of this memory:
         # process-executor workers may re-open it instead of spilling.
@@ -424,7 +438,11 @@ def save_store(memory, path):
         # The journaled segment groups folded into the fresh base
         # bounds, so they reset alongside.
         memory._attach(path, generation)
-        memory._pop_bounds = [_entry_pop_bounds(entry) for entry in shard_entries]
+        memory._pop_bounds = [
+            (entry["bounds"]["minus_min"], entry["bounds"]["minus_max"])
+            if len(shard) else memory.EMPTY_POP_BOUNDS
+            for entry, shard in zip(shard_entries, shards)
+        ]
         memory._geo_centroid = [
             None if geo is None else geo[0] for geo in fresh_geo
         ]
@@ -478,6 +496,12 @@ _MANIFEST_FIELDS = (("generation", int), ("dim", int), ("backend", str),
                     ("num_shards", int), ("shards", list))
 _SEGMENT_FIELDS = (("file", str), ("rows", int))
 _SHARD_FIELDS = _SEGMENT_FIELDS + (("segments", list),)
+#: the same for every delta sidecar and its records, checked once, by
+#: _load_delta, for open and worker attach alike
+_DELTA_FIELDS = (("entries", list), ("tombstones", list))
+_DELTA_ENTRY_FIELDS = (("shard", int), ("file", str), ("labels", list),
+                       ("orders", list))
+_TOMBSTONE_FIELDS = (("shard", int), ("labels", list), ("orders", list))
 
 
 def _check_fields(record, fields, what, tag):
@@ -565,20 +589,20 @@ def _read_manifest(path):
 
 
 def _cached_manifest(memory, path):
-    """The handle's materialized manifest from its last commit at ``path``,
-    reusable iff the directory's generation still matches.
+    """The manifest the handle last wrote or read at ``path``, reusable
+    iff the directory's generation still matches.
 
     Materializing a manifest is O(store) — the label sidecar parse plus
-    the orders/delta replay — and a handle doing high-rate appends
-    would otherwise pay it once per commit. Each successful append
-    therefore leaves its materialized manifest dict (bit-identical to
-    what a fresh :func:`_read_manifest` would produce) on the handle;
-    the next commit reuses it after one cheap raw read confirms the
-    on-disk ``generation`` is unchanged. Any foreign commit — another
-    handle's append, a compact, a directory swap — bumps the generation
-    and misses the cache, and the out-of-sync labels check in
-    :func:`append_rows` still runs against the cached copy, so a
-    diverged handle is refused exactly as before.
+    the orders/delta replay — and a handle doing high-rate commits
+    would otherwise pay it once per commit. Save, open and every commit
+    therefore leave the on-disk manifest dict on the handle (plus, for
+    a single-shard store, its label → physical order map; a sharded
+    memory holds those orders itself); the next commit reuses it after
+    one cheap raw read confirms the on-disk ``generation`` is
+    unchanged. Any foreign commit — another handle's append, a compact,
+    a directory swap — bumps the generation and misses the cache, and
+    :func:`_prepare_commit` still checks the row count against the
+    cached copy, so a diverged handle is refused exactly as before.
     """
     cached = getattr(memory, "_manifest_cache", None)
     if cached is None or cached[0] != path:
@@ -616,8 +640,8 @@ def _materialize_sidecars(path, manifest):
     record — raises: a corrupted store must fail to open, not
     mis-answer. The materialized fields (``manifest["labels"]`` — the
     *surviving* labels in physical order — plus ``label_orders`` /
-    ``deleted_orders``, entry ``labels``/``orders``/``live_rows``,
-    segment ``labels``/``orders``/``bounds``/``live_rows``) exist only
+    ``slots`` / ``deleted_orders``, entry ``labels``/``orders``,
+    segment ``labels``/``orders``/``bounds``) exist only
     in the returned dict; :func:`_manifest_to_disk` strips them on
     write.
     """
@@ -682,34 +706,13 @@ def _materialize_sidecars(path, manifest):
     deleted = _replay_deltas(path, manifest, labels)
     # ``labels`` is now the full *physical* slot list (tombstoned slots
     # keep their label); the surviving view is what readers consume.
+    manifest["slots"] = labels
     manifest["deleted_orders"] = deleted
-    if deleted:
-        dead = np.zeros(len(labels), dtype=bool)
-        dead[np.asarray(deleted, dtype=np.int64)] = True
-        manifest["labels"] = [
-            label for order, label in enumerate(labels) if not dead[order]
-        ]
-        manifest["label_orders"] = {
-            label: order for order, label in enumerate(labels)
-            if not dead[order]
-        }
-        dead_arr = np.asarray(deleted, dtype=np.int64)
-        for entry in manifest["shards"]:
-            entry_orders = np.asarray(entry["orders"], dtype=np.int64)
-            entry["live_rows"] = int(entry["rows"]) - int(
-                np.isin(entry_orders, dead_arr).sum()
-            )
-            for segment in entry["segments"]:
-                seg_orders = np.asarray(segment.get("orders", ()),
-                                        dtype=np.int64)
-                segment["live_rows"] = int(segment["rows"]) - int(
-                    np.isin(seg_orders, dead_arr).sum()
-                )
-    else:
-        manifest["labels"] = labels
-        manifest["label_orders"] = {
-            label: order for order, label in enumerate(labels)
-        }
+    live = np.ones(len(labels), dtype=bool)
+    live[np.asarray(deleted, dtype=np.int64)] = False
+    manifest["labels"] = list(compress(labels, live))
+    manifest["label_orders"] = dict(
+        zip(manifest["labels"], np.flatnonzero(live).tolist()))
     if manifest.get("next_order") != len(labels):
         raise ValueError(
             f"manifest records next_order={manifest.get('next_order')} "
@@ -764,7 +767,14 @@ def _load_base_orders(path, index, entry, num_labels, generation=None):
 
 
 def _load_delta(path, name, generation):
-    """One delta sidecar's JSON object plus its corruption-message tag."""
+    """One delta sidecar's JSON object plus its corruption-message tag.
+
+    Refuses a sidecar that is not a delta, or whose ``entries`` /
+    ``tombstones`` records miss a field or hold one of the wrong JSON
+    type (:data:`_DELTA_FIELDS`, :data:`_DELTA_ENTRY_FIELDS`,
+    :data:`_TOMBSTONE_FIELDS`), with a ``ValueError`` naming the file
+    and its generation — before any reader indexes them.
+    """
     delta_path = path / name
     tag = _gen_tag(delta_path, _file_generation(name, generation))
     if not delta_path.is_file():
@@ -779,6 +789,13 @@ def _load_delta(path, name, generation):
         raise ValueError(
             f"{delta_path} is not a {FORMAT_NAME} delta sidecar" + tag
         )
+    _check_fields(delta, _DELTA_FIELDS, f"delta sidecar {delta_path}", tag)
+    for position, part in enumerate(delta["entries"]):
+        _check_fields(part, _DELTA_ENTRY_FIELDS,
+                      f"{delta_path} segment entry {position}", tag)
+    for position, group in enumerate(delta["tombstones"]):
+        _check_fields(group, _TOMBSTONE_FIELDS,
+                      f"{delta_path} tombstone group {position}", tag)
     return delta, tag
 
 
@@ -848,7 +865,7 @@ def _replay_deltas(path, manifest, labels):
         op = delta.get("op")
         if op not in ("append", "delete", "upsert"):
             raise ValueError(f"{delta_path} records unknown op {op!r}" + tag)
-        tombstones = delta.get("tombstones") or ()
+        tombstones = delta["tombstones"]
         live = len(labels) - len(dead)
         if int(delta.get("base_rows", -1)) != live:
             raise ValueError(
@@ -867,13 +884,9 @@ def _replay_deltas(path, manifest, labels):
                 f"precede it (row-count drift)" + tag
             )
         for group in tombstones:
-            t_shard = group.get("shard") if isinstance(group, dict) else None
-            t_labels = group.get("labels") if isinstance(group, dict) else None
-            t_orders = group.get("orders") if isinstance(group, dict) else None
-            if not isinstance(t_shard, int) \
-                    or not 0 <= t_shard < len(manifest["shards"]) \
-                    or not isinstance(t_labels, list) \
-                    or not isinstance(t_orders, list) \
+            t_shard, t_labels, t_orders = (
+                group["shard"], group["labels"], group["orders"])
+            if not 0 <= t_shard < len(manifest["shards"]) \
                     or len(t_labels) != len(t_orders):
                 raise ValueError(
                     f"{delta_path} carries a malformed tombstone group" + tag
@@ -904,18 +917,16 @@ def _replay_deltas(path, manifest, labels):
                 dead.add(order)
         pending = dict(by_delta.get(name, ()))
         batch = {}
-        for part in delta.get("entries", ()):
-            key = (int(part["shard"]), part["file"])
+        for part in delta["entries"]:
+            key = (part["shard"], part["file"])
             segment = pending.pop(key, None)
             if segment is None:
                 raise ValueError(
                     f"{delta_path} records segment {part['file']!r} of shard "
                     f"{part['shard']} that the manifest does not journal" + tag
                 )
-            part_labels, part_orders = part.get("labels"), part.get("orders")
-            if not isinstance(part_labels, list) \
-                    or not isinstance(part_orders, list) \
-                    or len(part_labels) != len(part_orders) \
+            part_labels, part_orders = part["labels"], part["orders"]
+            if len(part_labels) != len(part_orders) \
                     or len(part_labels) != int(segment["rows"]):
                 raise ValueError(
                     f"{delta_path} labels/orders for segment {part['file']!r} "
@@ -928,7 +939,7 @@ def _replay_deltas(path, manifest, labels):
                         f"{delta_path} assigns global insertion order {order} "
                         f"twice" + tag
                     )
-                batch[order] = (label, int(part["shard"]))
+                batch[order] = (label, part["shard"])
             segment["labels"] = list(part_labels)
             segment["orders"] = [int(order) for order in part_orders]
             segment["bounds"] = _bounds_block(part.get("bounds"))
@@ -998,201 +1009,140 @@ def open_store(path, mmap=True):
     """
     path = Path(path)
     manifest = _read_manifest(path)
-    shards = [
-        _load_shard_entry(path, entry, manifest, mmap)
+    dead = np.asarray(manifest["deleted_orders"], dtype=np.int64)
+    assembled = [
+        _assemble_shard(path, manifest, _entry_parts(entry), dead, mmap)
         for entry in manifest["shards"]
     ]
     if manifest["kind"] == "single":
-        memory = shards[0]
+        memory = assembled[0][0]
+        if memory._fold_due():
+            memory._fold()
         if list(memory.labels) != list(manifest["labels"]):
             raise ValueError(
                 "global labels do not match the shard's base+segment labels"
                 + _gen_tag(path / manifest.get("labels_file", MANIFEST_NAME),
                            manifest.get("generation"))
             )
-        return memory
-    memory = ShardedItemMemory.from_shards(
-        shards, manifest["labels"], routing=manifest["routing"],
-        pop_bounds=[_entry_pop_bounds(entry) for entry in manifest["shards"]],
-        geo_bounds=[
-            _entry_geo_bounds(entry, shards[0].backend)
-            for entry in manifest["shards"]
-        ],
-        segment_bounds=[
-            _entry_segment_bounds(entry, shards[0].backend)
-            for entry in manifest["shards"]
-        ],
-    )
-    memory._attach(path, manifest["generation"])
+    else:
+        backend = assembled[0][0].backend
+        bounds = [_parsed_bounds(entry["bounds"], backend)
+                  for entry in manifest["shards"]]
+        memory = ShardedItemMemory._from_shards(
+            [shard for shard, _ in assembled],
+            [orders for _, orders in assembled],
+            manifest["slots"], manifest["label_orders"],
+            manifest["deleted_orders"], manifest["routing"],
+            [pop for pop, _ in bounds], [geo for _, geo in bounds],
+            # one group per journaled segment, from its delta's block
+            [[(int(segment["rows"]), *_parsed_bounds(segment["bounds"], backend))
+              for segment in entry["segments"]]
+             for entry in manifest["shards"]],
+        )
+        memory._attach(path, manifest["generation"])
+    # The memory mirrors the directory: its first commit needs no re-read.
+    memory._manifest_cache = (path, _commit_manifest(manifest, memory))
     return memory
 
 
-def _entry_live_rows(entry):
-    """Surviving base rows of a shard entry (physical rows minus tombstones)."""
-    live = entry.get("live_rows")
-    return int(entry["rows"] if live is None else live)
+def _commit_manifest(manifest, memory):
+    """The manifest a commit works on: the on-disk fields, plus (for a
+    single-shard store, whose rows renumber when it folds) the label →
+    physical order map. A sharded memory holds the physical orders."""
+    out = _manifest_to_disk(manifest)
+    if isinstance(memory, ItemMemory):
+        out["label_orders"] = manifest["label_orders"]
+    return out
 
 
-def _segment_live_rows(segment):
-    """Surviving rows of one journaled segment."""
-    live = segment.get("live_rows")
-    return int(segment["rows"] if live is None else live)
+def _parsed_bounds(block, backend):
+    """A bounds block's ``(pop, geo)`` layers for the query planner.
 
-
-def _entry_total_rows(entry):
-    return _entry_live_rows(entry) + sum(
-        _segment_live_rows(seg) for seg in entry["segments"]
-    )
-
-
-def _entry_pop_bounds(entry):
-    """A manifest shard entry's minus-count bounds for the query planner.
-
-    ``None`` means unknown (``null`` or malformed bounds) — the planner
-    never skips such a shard; a shard with no *surviving* rows is
-    known-empty.
-    The recorded interval is not recomputed when tombstones thin the
-    entry: a deletion only shrinks the row population, so the interval
-    stays a valid (possibly loose) superset until compact re-tightens
-    it — bounds only ever tighten mid-generation.
+    ``pop`` is the minus-count interval and ``geo`` the ``(native
+    centroid, radius)`` ball; either is ``None`` when unknown — ``null``
+    or malformed, since bounds are advisory and never refuse a store —
+    and the planner never skips on it. A block is not recomputed when
+    tombstones thin its rows: a deletion only shrinks the population,
+    so it stays a valid (possibly loose) superset until compact
+    re-tightens it.
     """
-    if _entry_total_rows(entry) == 0:
-        return ShardedItemMemory.EMPTY_POP_BOUNDS
-    low, high = entry["bounds"].get("minus_min"), entry["bounds"].get("minus_max")
-    if low is None or high is None:
-        return None
+    pop = geo = None
     try:
-        return (int(low), int(high))
+        if block["minus_min"] is not None and block["minus_max"] is not None:
+            pop = (int(block["minus_min"]), int(block["minus_max"]))
     except (TypeError, ValueError):
-        return None  # malformed bounds are advisory: unknown, never refuse
-
-
-def _entry_geo_bounds(entry, backend):
-    """A shard entry's geometric ``(native centroid, radius)``, or ``None``.
-
-    ``None`` means unknown (``null`` or malformed bounds, or an empty
-    shard — whose centroid establishes from its first ingested batch);
-    the planner never skips such a shard on the geometric layer. The
-    entry's ball covers the *base* rows only; each journaled segment
-    carries its own ball in its delta sidecar.
-    """
-    bounds = entry["bounds"]
-    if _entry_total_rows(entry) == 0 or bounds.get("centroid") is None \
-            or bounds.get("radius") is None:
-        return None
+        pass
     try:
-        return (_centroid_from_hex(backend, bounds["centroid"]),
-                int(bounds["radius"]))
+        if block["centroid"] is not None and block["radius"] is not None:
+            geo = (_centroid_from_hex(backend, block["centroid"]),
+                   int(block["radius"]))
     except (TypeError, ValueError):
-        return None  # malformed bounds are advisory: unknown, never refuse
+        pass
+    return pop, geo
 
 
-def _entry_segment_bounds(entry, backend):
-    """Per-segment bound groups of one shard entry: ``(rows, pop, geo)``.
+def _entry_parts(entry):
+    """``(record, labels, orders)`` of a materialized shard entry's base
+    rows and of each journaled segment, in physical order."""
+    return [(record, record["labels"], np.asarray(record["orders"], dtype=np.int64))
+            for record in [entry] + entry["segments"]]
 
-    One tuple per journaled segment, from the ``bounds`` block its delta
-    sidecar carries — ``pop`` is the minus-count interval or ``None``,
-    ``geo`` the ``(native centroid, radius)`` ball or ``None``.
+
+def _assemble_shard(path, manifest, parts, dead, mmap):
+    """One shard's memory over its base file, then its segments.
+
+    ``parts`` are ``(record, labels, orders)`` per file in physical
+    order (``labels=None`` gives positional placeholders, all a process
+    worker needs). Every row whose global order is in ``dead`` (sorted)
+    is flagged in the shard's dead-row mask as soon as its file is in,
+    never gathered — so a base memmap stays lazy, and a label
+    tombstoned in one file may be re-enrolled by a later one. A file
+    whose rows, dtype, or width disagree with the manifest raises,
+    naming it. Returns the shard and its rows' physical global orders.
     """
-    groups = []
-    for segment in entry["segments"]:
-        bounds = segment["bounds"]
-        pop = None
-        rows = _segment_live_rows(segment)
-        if bounds.get("minus_min") is not None \
-                and bounds.get("minus_max") is not None:
-            try:
-                pop = (int(bounds["minus_min"]), int(bounds["minus_max"]))
-            except (TypeError, ValueError):
-                pop = None  # malformed bounds: unknown, never refuse
-        geo = None
-        if bounds.get("centroid") is not None \
-                and bounds.get("radius") is not None:
-            try:
-                geo = (_centroid_from_hex(backend, bounds["centroid"]),
-                       int(bounds["radius"]))
-            except (TypeError, ValueError):
-                geo = None
-        # Surviving rows only: a fully tombstoned segment keeps a
-        # zero-row group the planner skips, and the recorded ball stays
-        # a valid superset for the rows that remain.
-        groups.append((rows, pop, geo))
-    return groups
-
-
-def _load_shard_entry(path, entry, manifest, mmap):
     generation = manifest.get("generation")
-    matrix = _load_matrix(path, entry, "shard", mmap, generation)
-    # Tombstoned rows are physically dropped here, before the shard
-    # memory ever exists — deleted labels are unreachable from every
-    # kernel (cleanup/topk/similarities and the packed hamming_topk
-    # survivor gathers all run over survivor-only matrices). A shard
-    # with no tombstoned rows keeps the fully lazy memmap path.
-    deleted = np.asarray(manifest.get("deleted_orders", ()), dtype=np.int64)
-    base_keep = None
-    seg_keeps = [None] * len(entry["segments"])
-    if deleted.size:
-        keep = ~np.isin(np.asarray(entry["orders"], dtype=np.int64), deleted)
-        if not keep.all():
-            base_keep = keep
-        for position, segment in enumerate(entry["segments"]):
-            seg_orders = np.asarray(segment.get("orders", ()), dtype=np.int64)
-            keep = ~np.isin(seg_orders, deleted)
-            if not keep.all():
-                seg_keeps[position] = keep
-    base_labels = entry["labels"]
-    if base_keep is not None:
-        base_labels = [
-            label for label, kept in zip(entry["labels"], base_keep) if kept
-        ]
-        matrix = np.ascontiguousarray(np.asarray(matrix)[base_keep])
-    try:
-        shard = ItemMemory.from_native(
-            manifest["dim"], base_labels, matrix, backend=manifest["backend"]
-        )
-    except (ValueError, TypeError) as exc:
-        # from_native validates dtype/width against the backend; name the
-        # offending file so a corrupted matrix is attributable on sight.
-        raise ValueError(
-            f"shard file {path / entry['file']} does not match the manifest: "
-            f"{exc}"
-            + _gen_tag(path / entry["file"],
-                       _file_generation(entry["file"], generation))
-        ) from exc
-    for segment, seg_keep in zip(entry["segments"], seg_keeps):
-        segment_matrix = _load_matrix(path, segment, "segment", mmap, generation)
-        segment_labels = segment["labels"]
-        if seg_keep is not None:
-            segment_labels = [
-                label for label, kept in zip(segment["labels"], seg_keep)
-                if kept
-            ]
-            segment_matrix = np.ascontiguousarray(
-                np.asarray(segment_matrix)[seg_keep]
-            )
+    shard, start = None, 0
+    for record, labels, orders in parts:
+        what = "shard" if shard is None else "segment"
+        matrix = _load_matrix(path, record, what, mmap, generation)
+        if labels is None:
+            labels = range(start, start + len(orders))
         try:
-            shard.extend_native(segment_labels, segment_matrix)
+            if shard is None:
+                shard = ItemMemory.from_native(
+                    manifest["dim"], labels, matrix, backend=manifest["backend"])
+            else:
+                shard.extend_native(labels, matrix)
         except (ValueError, TypeError) as exc:
+            # from_native/extend_native validate dtype/width against the
+            # backend; name the offending file so it is attributable.
             raise ValueError(
-                f"segment file {path / segment['file']} does not match the "
+                f"{what} file {path / record['file']} does not match the "
                 f"manifest: {exc}"
-                + _gen_tag(path / segment["file"],
-                           _file_generation(segment["file"], generation))
+                + _gen_tag(path / record["file"],
+                           _file_generation(record["file"], generation))
             ) from exc
-    return shard
+        if dead.size:
+            hit = np.flatnonzero(np.isin(orders, dead))
+            if hit.size:
+                shard._kill((hit + start).tolist())
+        start += len(orders)
+    return shard, np.concatenate([orders for _, _, orders in parts])
 
 
 def load_worker_shard(path, shard_index, generation, mmap=True):
-    """A process worker's attach: one shard plus its dense global orders.
+    """A process worker's attach: one shard plus its physical global orders.
 
     Reads the raw manifest (validated, never materialized), the shard's
     base matrix and orders sidecar, its journaled segments, and the
     delta chain — no label sidecar, so attaching to a million-item store
-    costs a few small reads and a memmap. Tombstoned rows are dropped
-    and the surviving physical orders renumbered densely, matching the
-    controller's in-memory numbering. Returns ``(ItemMemory, orders)``;
-    the shard carries positional placeholder labels, since query
-    partials only ever use distances plus ``orders``.
+    costs a few small reads and a memmap. Tombstoned rows are flagged in
+    the shard's dead-row mask (folded out only if they reach its live
+    rows, the memory-wide rule), and the orders are the directory's
+    physical ones — exactly what the controller holds, so partials need
+    no translation. Returns ``(ItemMemory, orders)``; the shard carries
+    positional placeholder labels, since query partials only ever use
+    distances plus ``orders``.
 
     Raises ``RuntimeError`` when the directory is no longer at
     ``generation`` (it changed under the open store — re-open it), and
@@ -1215,17 +1165,15 @@ def load_worker_shard(path, shard_index, generation, mmap=True):
         )
     entry = shards[shard_index]
     base_rows = sum(int(other["rows"]) for other in shards)
-    parts = [(
-        _load_matrix(path, entry, "shard", mmap, generation),
-        _load_base_orders(path, shard_index, entry, base_rows, generation),
-    )]
+    parts = [(entry, None, _load_base_orders(path, shard_index, entry,
+                                             base_rows, generation))]
     deltas = {name: _load_delta(path, name, generation)[0]
               for name in manifest["deltas"]}
     for segment in entry["segments"]:
         # Each segment's global orders ride its O(batch)-sized delta.
-        delta = deltas.get(segment.get("delta_file"), {})
+        delta = deltas.get(segment.get("delta_file"), {"entries": ()})
         part = next(
-            (part for part in delta.get("entries", ())
+            (part for part in delta["entries"]
              if part["shard"] == shard_index and part["file"] == segment["file"]),
             None,
         )
@@ -1236,45 +1184,34 @@ def load_worker_shard(path, shard_index, generation, mmap=True):
                 + _gen_tag(path / segment["file"],
                            _file_generation(segment["file"], generation))
             )
-        parts.append((_load_matrix(path, segment, "segment", mmap, generation),
-                      np.asarray(part["orders"], dtype=np.int64)))
-    dead = np.asarray(sorted(
-        int(order) for delta in deltas.values()
-        for group in delta.get("tombstones") or () for order in group["orders"]
-    ), dtype=np.int64)
-    shard, collected, start = None, [], 0
-    for matrix, orders in parts:
-        if dead.size:
-            keep = ~np.isin(orders, dead)
-            if not keep.all():
-                matrix = np.ascontiguousarray(np.asarray(matrix)[keep])
-                orders = orders[keep]
-        placeholder = range(start, start + len(orders))
-        if shard is None:
-            shard = ItemMemory.from_native(manifest["dim"], placeholder, matrix,
-                                           backend=manifest["backend"])
-        else:
-            shard.extend_native(placeholder, matrix)
-        start += len(orders)
-        collected.append(orders)
-    orders = np.concatenate(collected)
-    # Physical → dense: close the tombstone holes.
-    return shard, orders - np.searchsorted(dead, orders, side="left")
+        parts.append((segment, None, np.asarray(part["orders"], dtype=np.int64)))
+    dead = np.unique(np.asarray([
+        order for delta in deltas.values()
+        for group in delta["tombstones"] for order in group["orders"]
+    ], dtype=np.int64))
+    shard, orders = _assemble_shard(path, manifest, parts, dead, mmap)
+    if shard._fold_due():
+        orders = orders[shard._fold()]
+    return shard, orders
 
 
 def _prepare_commit(memory, path, op):
     """Shared preamble of every journaled commit (append/delete/upsert).
 
-    Resolves the manifest — the handle's trusted cache or a cold read —
-    and validates it against the open ``memory`` (kind, dim, backend,
-    labels). Returns ``(path, manifest, trusted, sharded)``.
+    Resolves the manifest — the handle's cached one (O(1) checks) or a
+    cold read — and validates it against the open ``memory`` (kind,
+    dim, backend, contents). A cold read compares every label and, for
+    a sharded memory, hands it the directory's physical orders
+    (:meth:`ShardedItemMemory._adopt_orders`), so a handle that saved
+    elsewhere or met a foreign compaction journals the right orders.
+    Returns ``(path, manifest, sharded)``.
     """
     path = Path(path)
-    manifest = _cached_manifest(memory, path)
-    trusted = manifest is not None
-    if not trusted:
-        manifest = _read_manifest(path)
     sharded = isinstance(memory, ShardedItemMemory)
+    manifest = _cached_manifest(memory, path)
+    cold = manifest is None
+    if cold:
+        manifest = _read_manifest(path)
     kind = "sharded" if sharded else "single"
     if manifest["kind"] != kind:
         raise ValueError(
@@ -1286,62 +1223,49 @@ def _prepare_commit(memory, path, op):
             f"not match the manifest (dim={manifest['dim']}, "
             f"backend={manifest['backend']!r})"
         )
-    # Out-of-sync guard. On a cache hit this handle's own last commit
-    # left manifest["labels"] equal to memory.labels (every commit —
-    # append, delete, upsert — re-establishes that invariant before it
-    # caches the dict), so equal *lengths* prove equality in O(1) —
-    # keeping the steady-state commit O(batch). A cold manifest gets the
-    # full element-wise comparison.
-    synced = (
-        len(manifest["labels"]) == len(memory)
-        if trusted
-        else list(manifest["labels"]) == list(memory.labels)
-    )
+    # Out-of-sync guard. The cached manifest is this handle's own last
+    # save/open/commit, which left it describing exactly this memory, so
+    # equal row counts (and, sharded, physical order counts) prove
+    # equality in O(1) — keeping the steady-state commit O(batch). A
+    # cold manifest gets the full element-wise comparison.
+    if cold:
+        synced = list(manifest["labels"]) == list(memory.labels)
+        if synced and sharded:
+            memory._adopt_orders(manifest["label_orders"], manifest["slots"],
+                                 manifest["deleted_orders"])
+        manifest = _commit_manifest(manifest, memory)
+    else:
+        synced = manifest["rows"] == len(memory) and (
+            not sharded or manifest["next_order"] == len(memory._slots))
     if not synced:
         raise ValueError(
             "on-disk manifest is out of sync with the open store; "
             "re-open or compact() before committing"
         )
-    return path, manifest, trusted, sharded
+    return path, manifest, sharded
 
 
 def _journal_tombstones(memory, manifest, labels, sharded):
-    """Per-shard tombstone groups for ``labels``, with live-row bookkeeping.
+    """Per-shard tombstone groups for ``labels``: O(batch).
 
-    Must run *before* the in-memory removal — shard placement comes from
-    the live label map. Groups the batch's physical rows by owning
-    shard, decrements the affected entry/segment ``live_rows`` in the
-    materialized manifest (bounds themselves are never touched: a
+    Must run *before* the in-memory delete — shard placement and the
+    physical orders come from the live maps (a sharded memory's own
+    orders, which equal the directory's; a single-shard store's cached
+    label → order map). Returns the JSON-ready groups, each naming its
+    rows by (shard, label, physical order). Bounds are never touched: a
     shrunken group keeps its ball/interval, which stays a valid
-    *superset* — deletes only ever tighten pruning, never loosen it),
-    and returns the JSON-ready tombstone groups.
+    *superset* — deletes only ever tighten pruning, never loosen it.
     """
-    label_orders = manifest["label_orders"]
+    orders_of = memory._order if sharded else manifest["label_orders"]
     groups = {}
     for label in labels:
         index = memory._shard_of[label] if sharded else 0
         groups.setdefault(index, []).append(label)
-    tombstones = []
-    for index in sorted(groups):
-        group_labels = groups[index]
-        orders = [int(label_orders[label]) for label in group_labels]
-        tombstones.append(
-            {"shard": index, "labels": list(group_labels), "orders": orders}
-        )
-        dead = np.asarray(sorted(orders), dtype=np.int64)
-        entry = manifest["shards"][index]
-        hit = int(np.isin(
-            np.asarray(entry["orders"], dtype=np.int64), dead
-        ).sum())
-        if hit:
-            entry["live_rows"] = _entry_live_rows(entry) - hit
-        for segment in entry["segments"]:
-            seg_hit = int(np.isin(
-                np.asarray(segment["orders"], dtype=np.int64), dead
-            ).sum())
-            if seg_hit:
-                segment["live_rows"] = _segment_live_rows(segment) - seg_hit
-    return tombstones
+    return [
+        {"shard": index, "labels": group,
+         "orders": [int(orders_of[label]) for label in group]}
+        for index, group in sorted(groups.items())
+    ]
 
 
 def _validate_ingest(memory, labels, vectors, sharded, what,
@@ -1391,16 +1315,16 @@ def _ingest_grouped(memory, labels, vectors, sharded, chunk_size):
     return groups
 
 
-def _commit(memory, path, manifest, trusted, sharded, op, base_rows,
+def _commit(memory, path, manifest, sharded, op, base_rows,
             add_labels=(), vectors=None, groups=None,
-            remove_labels=(), removed_orders=(), tombstones=()):
+            remove_labels=(), tombstones=()):
     """Write one commit: segment files + delta sidecar + manifest swap.
 
     ``base_rows`` is the *surviving* row count before this commit;
     ``add_labels``/``groups`` describe rows entering at the end of the
-    physical order, ``remove_labels``/``removed_orders``/``tombstones``
-    the rows leaving it. The delta sidecar carries both sides, so replay
-    reconstructs the commit from O(batch) bytes.
+    physical order, ``remove_labels``/``tombstones`` the rows leaving
+    it. The delta sidecar carries both sides, so replay reconstructs
+    the commit from O(batch) bytes, and every step here is O(batch) too.
     """
     generation = int(manifest["generation"]) + 1
     next_order = int(manifest["next_order"])
@@ -1408,7 +1332,6 @@ def _commit(memory, path, manifest, trusted, sharded, op, base_rows,
     delta_entries = []
     for index in sorted(groups or {}):
         offsets = groups[index]
-        segment_labels = [add_labels[o] for o in offsets]
         native = memory.backend.from_bipolar(np.asarray(vectors[offsets]))
         filename = _segment_filename(index, generation)
         _save_array(path / filename, native)
@@ -1416,17 +1339,16 @@ def _commit(memory, path, manifest, trusted, sharded, op, base_rows,
         # interval and centroid + radius ball, recorded in the delta
         # sidecar (the shard entry's base bounds are never touched).
         bounds, centroid = _exact_bounds(memory.backend, native)
+        manifest["shards"][index]["segments"].append(
+            {"file": filename, "rows": len(offsets), "delta_file": delta_name})
         # New rows occupy the contiguous *physical* block starting at
         # next_order — tombstoned slots are never reused, so physical
         # orders stay stable until compact renumbers everything.
-        orders = [next_order + offset for offset in offsets]
-        manifest["shards"][index]["segments"].append({
-            "file": filename, "rows": len(offsets), "delta_file": delta_name,
-            "labels": segment_labels, "orders": orders, "bounds": bounds,
-        })
         delta_entries.append({
             "shard": index, "file": filename, "rows": len(offsets),
-            "labels": segment_labels, "orders": orders, "bounds": bounds,
+            "labels": [add_labels[o] for o in offsets],
+            "orders": [next_order + offset for offset in offsets],
+            "bounds": bounds,
         })
         if sharded:
             memory._push_segment_bounds(
@@ -1444,37 +1366,19 @@ def _commit(memory, path, manifest, trusted, sharded, op, base_rows,
         "entries": delta_entries,
         "tombstones": list(tombstones),
     })
-    # The mutations already landed in RAM in exactly this shape, and a
-    # trusted manifest was label-equal before the batch — editing the
-    # survivor list/label map in place keeps the commit O(batch + dead)
-    # instead of copying the full map.
-    if trusted:
-        if remove_labels:
-            removed_set = set(remove_labels)
-            manifest["labels"] = [
-                label for label in manifest["labels"]
-                if label not in removed_set
-            ]
-        if add_labels:
-            manifest["labels"].extend(add_labels)
-    else:
-        manifest["labels"] = list(memory.labels)
-    label_orders = manifest["label_orders"]
-    for label in remove_labels:
-        del label_orders[label]
-    for offset, label in enumerate(add_labels):
-        label_orders[label] = next_order + offset
-    if removed_orders:
-        manifest["deleted_orders"] = sorted(
-            set(manifest.get("deleted_orders") or ()).union(removed_orders)
-        )
+    if not sharded:
+        label_orders = manifest["label_orders"]
+        for label in remove_labels:
+            del label_orders[label]
+        for offset, label in enumerate(add_labels):
+            label_orders[label] = next_order + offset
     manifest["rows"] = len(memory)
     manifest["next_order"] = next_order + len(add_labels)
     manifest["deltas"].append(delta_name)
     manifest["generation"] = generation
     manifest_path = _write_manifest(path, _manifest_to_disk(manifest))
-    # The materialized dict now mirrors the directory exactly: keep it on
-    # the handle so the next commit skips the O(store) re-materialization.
+    # The dict now mirrors the directory exactly: keep it on the handle
+    # so the next commit skips the O(store) re-materialization.
     memory._manifest_cache = (path, manifest)
     if sharded:
         memory._attach(path, generation)
@@ -1502,13 +1406,13 @@ def append_rows(memory, path, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
     """
     labels = list(labels)
     _check_labels(labels)  # journalable before anything commits
-    path, manifest, trusted, sharded = _prepare_commit(memory, path, "append")
+    path, manifest, sharded = _prepare_commit(memory, path, "append")
     base = len(memory)
     vectors = np.asarray(vectors)
     _validate_ingest(memory, labels, vectors, sharded, "append")
     groups = _ingest_grouped(memory, labels, vectors, sharded, chunk_size)
     return _commit(
-        memory, path, manifest, trusted, sharded, "append", base,
+        memory, path, manifest, sharded, "append", base,
         add_labels=labels, vectors=vectors, groups=groups,
     )
 
@@ -1519,38 +1423,42 @@ def delete_rows(memory, path, labels):
     A delete commit writes **no** vector data: one ``delta.g<gen>.json``
     sidecar records per-shard tombstone groups — each tombstoned row
     named by its (shard, label, physical order) triple — and the
-    constant-size manifest swap publishes the new generation. Replay
-    drops tombstoned rows before any kernel sees them, so deleted labels
-    are structurally unreachable from ``cleanup``/``topk``/
-    ``similarities``. Bounds are never recomputed mid-generation: a
-    group that lost rows keeps its (now superset) ball/interval, so
-    pruning can only tighten; ``compact()`` folds the tombstones out and
-    recomputes exact bounds. The whole batch is validated up front
-    (duplicates, unknown labels) — a rejected batch touches neither RAM
-    nor disk. Returns the manifest path.
+    constant-size manifest swap publishes the new generation. In memory
+    the rows are flagged in their shards' dead-row masks, so deleted
+    labels are unreachable from ``cleanup``/``topk``/``similarities``
+    at once, and the whole commit is O(batch). Bounds are never
+    recomputed mid-generation: a group that lost rows keeps its (now
+    superset) ball/interval, so pruning can only tighten; ``compact()``
+    folds the tombstones out and recomputes exact bounds. The whole
+    batch is validated up front (duplicates, unknown labels) — a
+    rejected batch touches neither RAM nor disk. Returns the manifest
+    path.
     """
     labels = list(labels)
-    path, manifest, trusted, sharded = _prepare_commit(memory, path, "delete")
+    path, manifest, sharded = _prepare_commit(memory, path, "delete")
     if not labels:
         return path / MANIFEST_NAME
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels in delete batch")
-    label_orders = manifest["label_orders"]
     for label in labels:
-        if label not in label_orders:
+        if label not in memory:
             raise ValueError(f"label {label!r} is not stored")
-    removed_orders = [int(label_orders[label]) for label in labels]
     tombstones = _journal_tombstones(memory, manifest, labels, sharded)
     base = len(memory)
+    _delete_in_memory(memory, labels, sharded)
+    return _commit(
+        memory, path, manifest, sharded, "delete", base,
+        remove_labels=labels, tombstones=tombstones,
+    )
+
+
+def _delete_in_memory(memory, labels, sharded):
+    """Flag ``labels`` dead in RAM, keeping a sharded memory's global
+    orders equal to the directory's (no renumber until compact)."""
     if sharded:
-        memory.delete_many(labels)
+        memory._delete(labels)
     else:
         memory.remove_many(labels)
-    return _commit(
-        memory, path, manifest, trusted, sharded, "delete", base,
-        remove_labels=labels, removed_orders=removed_orders,
-        tombstones=tombstones,
-    )
 
 
 def upsert_rows(memory, path, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
@@ -1569,29 +1477,20 @@ def upsert_rows(memory, path, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
     """
     labels = list(labels)
     _check_labels(labels)  # journalable before anything commits
-    path, manifest, trusted, sharded = _prepare_commit(memory, path, "upsert")
+    path, manifest, sharded = _prepare_commit(memory, path, "upsert")
     if not labels:
         return path / MANIFEST_NAME
     vectors = np.asarray(vectors)
     _validate_ingest(memory, labels, vectors, sharded, "upsert",
                      allow_existing=True)
-    label_orders = manifest["label_orders"]
-    existing = [label for label in labels if label in label_orders]
-    removed_orders = [int(label_orders[label]) for label in existing]
-    tombstones = (
-        _journal_tombstones(memory, manifest, existing, sharded)
-        if existing else []
-    )
+    existing = [label for label in labels if label in memory]
+    tombstones = _journal_tombstones(memory, manifest, existing, sharded)
     base = len(memory)  # surviving rows before either side applies
-    if sharded:
-        if existing:
-            memory.delete_many(existing)
-    elif existing:
-        memory.remove_many(existing)
+    if existing:
+        _delete_in_memory(memory, existing, sharded)
     groups = _ingest_grouped(memory, labels, vectors, sharded, chunk_size)
     return _commit(
-        memory, path, manifest, trusted, sharded, "upsert", base,
+        memory, path, manifest, sharded, "upsert", base,
         add_labels=labels, vectors=vectors, groups=groups,
-        remove_labels=existing, removed_orders=removed_orders,
-        tombstones=tombstones,
+        remove_labels=existing, tombstones=tombstones,
     )

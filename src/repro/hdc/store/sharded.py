@@ -41,12 +41,25 @@ items in the same insertion order. That holds because
   first-maximum / stable-sort behaviour, and
 - the executor returns partials in shard order, so completion order
   cannot reorder a merge.
+
+Global insertion orders are *physical*: strictly increasing, never
+reused, with gaps where rows were deleted. A deleted row stays in its
+shard, flagged in the shard's dead-row mask (every kernel skips it),
+until the shard folds its dead rows out — at save/compact, or as soon
+as they reach the shard's live rows. A handle attached to a store
+directory holds exactly that directory's physical orders, so process
+workers return orders as they read them; the orders are renumbered
+densely only when save/compact rewrites the directory (or, for an
+unattached store, when the dead orders reach the live ones). Ranking
+by physical order is ranking by the dense survivor order, so the tie
+contract above is unchanged.
 """
 
 from __future__ import annotations
 
 import tempfile
 import threading
+from itertools import compress
 
 import numpy as np
 
@@ -111,8 +124,9 @@ class ShardedItemMemory:
 
     **Thread/process-safety**: queries may run internally on a thread
     or process pool, but the object itself is single-controller —
-    concurrent *mutation* (``add``/``add_many``/``workers=``/
-    ``executor=``/``close``) from multiple threads is not supported,
+    concurrent *mutation* (``add``/``add_many``/``delete_many``/
+    ``workers=``/``executor=``/``close``) from multiple threads is not
+    supported,
     and a query concurrent with a mutation may observe a torn label
     map. Concurrent read-only queries from multiple threads are safe,
     including the :attr:`pruning_stats` counters: each query folds its
@@ -159,13 +173,19 @@ class ShardedItemMemory:
         self._shards = [ItemMemory(dim, backend=backend) for _ in range(num_shards)]
         self.dim = self._shards[0].dim
         self.routing = routing
-        self._labels = []  # global insertion order
-        self._order = {}  # label -> global insertion index
-        self._shard_of = {}  # label -> shard index
-        # Per-shard global insertion indices, in shard-row order; the
-        # cached int64 arrays are what query partials index into.
-        self._shard_orders = [[] for _ in range(num_shards)]
-        self._shard_order_arrays = [None] * num_shards
+        self._slots = []  # label of every global order, dead slots included
+        self._order = {}  # live label -> global (physical) insertion order
+        self._shard_of = {}  # live label -> shard index
+        # Global orders deleted since the orders were last renumbered,
+        # plus their sorted array (built on first use).
+        self._dead_orders = []
+        self._dead_sorted = None
+        # Per shard, the global order of every physical row (an int64
+        # buffer valid up to the shard's row count; see _ingest_chunk).
+        self._shard_orders = [np.empty(0, dtype=np.int64)] * num_shards
+        # Bumped by every mutation; an attachment is trusted only at the
+        # version it was recorded at.
+        self._version = 0
         # Per-shard minus-count bounds (pruning): (min, max) when known
         # exactly, None when unknown (a pre-bounds persisted store).
         self._pop_bounds = [self.EMPTY_POP_BOUNDS] * num_shards
@@ -181,8 +201,9 @@ class ShardedItemMemory:
         self._geo_centroid = [None] * num_shards
         self._geo_radius = [None] * num_shards
         # Per-shard journaled segment bound groups: each persisted
-        # append pushes one {rows, pop, centroid, radius} group per
-        # touched shard (exact for just that batch), and the planner
+        # append pushes one {rows, live, pop, centroid, radius} group per
+        # touched shard (exact for just that batch; ``rows`` physical,
+        # ``live`` the survivors among them), and the planner
         # lower-bounds the shard by the min over its base + segment
         # groups — appends tighten pruning instead of widening one ball.
         # Compaction folds the groups back into fresh exact base bounds.
@@ -206,106 +227,56 @@ class ShardedItemMemory:
         # query accumulates privately and folds in under this lock.
         self._stats_lock = threading.Lock()
         # Persisted twin for process-executor workers: (path, generation,
-        # rows-at-attach). None until saved/opened/spilled.
+        # version-at-attach). None until saved/opened/spilled.
         self._attachment = None
         self._spill_dir = None  # TemporaryDirectory owning a spilled twin
         self._executor = ShardExecutor(workers, kind=executor)
 
     @classmethod
-    def from_shards(cls, shards, labels, routing="hash", workers=1,
-                    executor="thread", pop_bounds=None, geo_bounds=None,
-                    segment_bounds=None):
-        """Rebuild a sharded memory around existing shards (persistence).
+    def _from_shards(cls, shards, orders, slots, label_orders, dead_orders,
+                     routing, pop_bounds, geo_bounds, segment_bounds):
+        """Rebuild a sharded memory around opened shards (persistence).
 
-        ``shards`` are :class:`ItemMemory` instances of matching dim and
-        backend; ``labels`` is the *global* insertion order, which must be
-        exactly the disjoint union of the shards' labels. ``pop_bounds``
-        carries the manifest's per-shard minus-count bounds and
-        ``geo_bounds`` its ``(native centroid row, radius)`` geometric
-        bounds — both describing the shard's *base* rows (``None``
-        entries disable that pruning layer for the shard — the store
-        still answers identically, it just never skips on an unknown
-        bound). ``segment_bounds`` carries one list per shard of
-        ``(rows, pop, geo)`` journaled segment groups (v4 manifests);
-        the last ``rows`` of each shard, in order, are attributed to its
-        groups and the base bounds are taken to cover only the rows
-        before them.
+        ``shards`` hold their physical rows, tombstoned ones flagged
+        dead; ``orders`` gives each shard's per-row global physical
+        orders, ``slots`` the label of every order, ``label_orders``
+        each live label's order and ``dead_orders`` the tombstoned ones.
+        ``pop_bounds`` / ``geo_bounds`` are each shard's base-row
+        minus-count interval and ``(native centroid, radius)`` ball
+        (``None``: unknown, never skipped on), and ``segment_bounds``
+        one ``(rows, pop, geo)`` group per journaled segment, covering
+        the shard's last physical rows in order. A shard whose dead rows
+        reach its live rows folds them out here.
         """
-        shards = list(shards)
-        if not shards:
-            raise ValueError("from_shards needs at least one shard")
-        dims = {shard.dim for shard in shards}
-        names = {shard.backend.name for shard in shards}
-        if len(dims) != 1 or len(names) != 1:
-            raise ValueError("shards must share one dim and one backend")
         memory = cls(shards[0].dim, num_shards=len(shards),
-                     backend=names.pop(), routing=routing, workers=workers,
-                     executor=executor)
-        memory._shards = shards
-        if pop_bounds is None:
-            memory._pop_bounds = [
-                cls.EMPTY_POP_BOUNDS if not len(shard) else None
-                for shard in shards
-            ]
-        else:
-            pop_bounds = list(pop_bounds)
-            if len(pop_bounds) != len(shards):
-                raise ValueError(
-                    f"pop_bounds must have one entry per shard "
-                    f"({len(pop_bounds)} for {len(shards)} shards)"
-                )
-            memory._pop_bounds = [
-                None if bounds is None else (int(bounds[0]), int(bounds[1]))
-                for bounds in pop_bounds
-            ]
-        if geo_bounds is not None:
-            geo_bounds = list(geo_bounds)
-            if len(geo_bounds) != len(shards):
-                raise ValueError(
-                    f"geo_bounds must have one entry per shard "
-                    f"({len(geo_bounds)} for {len(shards)} shards)"
-                )
-            for index, bounds in enumerate(geo_bounds):
-                if bounds is None:
-                    continue
-                centroid, radius = bounds
-                memory._geo_centroid[index] = np.asarray(centroid)
-                memory._geo_radius[index] = int(radius)
-        if segment_bounds is not None:
-            segment_bounds = list(segment_bounds)
-            if len(segment_bounds) != len(shards):
-                raise ValueError(
-                    f"segment_bounds must have one entry per shard "
-                    f"({len(segment_bounds)} for {len(shards)} shards)"
-                )
-            for index, groups in enumerate(segment_bounds):
-                for rows, pop, geo in groups or ():
-                    memory._push_segment_bounds(
-                        index, rows,
-                        pop,
-                        None if geo is None else geo[0],
-                        None if geo is None else geo[1],
-                    )
-        labels = list(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels in global label list")
-        shard_of = {}
+                     backend=shards[0].backend.name, routing=routing)
+        memory._shards = list(shards)
         for index, shard in enumerate(shards):
-            for label in shard.labels:
-                shard_of[label] = index
-        total_rows = sum(len(shard) for shard in shards)
-        if total_rows != len(labels) or set(shard_of) != set(labels):
+            memory._pop_bounds[index] = (
+                pop_bounds[index] if len(shard) else cls.EMPTY_POP_BOUNDS)
+            if geo_bounds[index] is not None:
+                memory._geo_centroid[index] = geo_bounds[index][0]
+                memory._geo_radius[index] = geo_bounds[index][1]
+            live = shard._live_mask()
+            start = live.size - sum(group[0] for group in segment_bounds[index])
+            for rows, pop, geo in segment_bounds[index]:
+                memory._push_segment_bounds(
+                    index, rows, pop, *(geo or (None, None)),
+                    live=int(live[start:start + rows].sum()))
+                start += rows
+            memory._shard_orders[index] = orders[index]
+            memory._shard_of.update(dict.fromkeys(shard.labels, index))
+        if not len(memory._shard_of) == len(label_orders) == sum(map(len, shards)):
             raise ValueError(
                 f"global labels do not match the union of shard labels "
-                f"({total_rows} stored rows, {len(labels)} labels)"
+                f"({sum(map(len, shards))} live shard rows, "
+                f"{len(label_orders)} live labels)"
             )
-        memory._labels = labels
-        memory._order = {label: i for i, label in enumerate(labels)}
-        memory._shard_of = shard_of
-        memory._shard_orders = [
-            [memory._order[label] for label in shard.labels] for shard in shards
-        ]
-        memory._shard_order_arrays = [None] * len(shards)
+        memory._slots, memory._order = list(slots), label_orders
+        memory._dead_orders = list(dead_orders)
+        for index, shard in enumerate(shards):
+            if shard._fold_due():
+                memory._fold_shard(index)
         return memory
 
     # -- introspection ----------------------------------------------------- #
@@ -412,7 +383,11 @@ class ShardedItemMemory:
     @property
     def labels(self):
         """Every stored label, in global insertion order."""
-        return tuple(self._labels)
+        if not self._dead_orders:
+            return tuple(self._slots)
+        live = np.ones(len(self._slots), dtype=bool)
+        live[self._dead_order_array()] = False
+        return tuple(compress(self._slots, live))
 
     @property
     def shard_sizes(self):
@@ -423,11 +398,22 @@ class ShardedItemMemory:
         return self._shard_of[label]
 
     def index_of(self, label):
-        """Global insertion index of ``label`` (O(1))."""
-        return self._order[label]
+        """Rank of ``label`` in global insertion order among the survivors."""
+        order = self._order[label]
+        dead = self._dead_order_array()
+        return order if dead is None else order - int(np.searchsorted(dead, order))
+
+    def _dead_order_array(self):
+        """Sorted int64 array of the dead global orders, or ``None``."""
+        if not self._dead_orders:
+            return None
+        if self._dead_sorted is None:
+            self._dead_sorted = np.sort(
+                np.asarray(self._dead_orders, dtype=np.int64))
+        return self._dead_sorted
 
     def __len__(self):
-        return len(self._labels)
+        return len(self._order)
 
     def __contains__(self, label):
         return label in self._order
@@ -456,29 +442,28 @@ class ShardedItemMemory:
         """
         if label in self._order:
             raise ValueError(f"label {label!r} already stored")
-        index = route_label(label, len(self._labels), self.num_shards, self.routing)
-        self._shards[index].add(label, vector)  # validates; raises before commit
-        self._shard_of[label] = index
-        rows = np.asarray(vector)[None]
-        self._note_popcounts(index, rows)
-        self._note_geometry(index, rows)
-        self._commit_order(index, label)
+        vector = np.asarray(vector)
+        self._shards[0]._check_rows(vector, (self.dim,))
+        self._ingest_chunk([label], vector[None])
 
     def _segment_rows(self, shard_index):
-        """Rows of one shard covered by journaled segment bound groups."""
+        """Physical rows of one shard covered by journaled segment groups."""
         return sum(group["rows"] for group in self._segment_groups[shard_index])
 
-    def _push_segment_bounds(self, shard_index, rows, pop, centroid, radius):
+    def _push_segment_bounds(self, shard_index, rows, pop, centroid, radius,
+                             live=None):
         """Append one journaled segment's exact bound group to a shard.
 
         Called by the persistence layer when an append commits: the
-        group covers the shard's next ``rows`` rows with its own
-        minus-count interval (``pop``) and centroid + radius ball —
-        ``None`` layers stay unknown (never skip on them). Invalidates
-        the cached bound state.
+        group covers the shard's next ``rows`` physical rows (``live``
+        of them alive, all by default) with its own minus-count
+        interval (``pop``) and centroid + radius ball — ``None`` layers
+        stay unknown (never skip on them). Invalidates the cached bound
+        state.
         """
         self._segment_groups[shard_index].append({
             "rows": int(rows),
+            "live": int(rows if live is None else live),
             "pop": None if pop is None else (int(pop[0]), int(pop[1])),
             "centroid": None if centroid is None else np.asarray(centroid),
             "radius": None if radius is None else int(radius),
@@ -528,7 +513,8 @@ class ShardedItemMemory:
         centroid = self._geo_centroid[shard_index]
         if centroid is None:
             base_rows = (
-                len(self._shards[shard_index]) - self._segment_rows(shard_index)
+                len(self._shards[shard_index]._labels)
+                - self._segment_rows(shard_index)
             )
             if base_rows != rows.shape[0]:
                 return  # unknown base rows (pre-bounds store) stay unknown
@@ -543,22 +529,14 @@ class ShardedItemMemory:
             radius if previous is None else max(previous, radius)
         )
 
-    def _commit_order(self, shard_index, label):
-        """Record one committed label's global order everywhere it lives."""
-        order = len(self._labels)
-        self._order[label] = order
-        self._labels.append(label)
-        self._shard_orders[shard_index].append(order)
-        self._shard_order_arrays[shard_index] = None
-        self._invalidate_bound_state()
-
     def _orders_of(self, shard_index):
-        """Cached ``(n_shard,)`` int64 global-order array for one shard."""
-        cached = self._shard_order_arrays[shard_index]
-        if cached is None:
-            cached = np.asarray(self._shard_orders[shard_index], dtype=np.int64)
-            self._shard_order_arrays[shard_index] = cached
-        return cached
+        """``(physical rows,)`` int64 global orders of one shard's rows."""
+        return self._shard_orders[shard_index][:len(self._shards[shard_index]._labels)]
+
+    def _dense(self, orders):
+        """Global orders with the dead-order gaps below them closed."""
+        dead = self._dead_order_array()
+        return orders if dead is None else orders - np.searchsorted(dead, orders)
 
     def add_many(self, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
         """Stream a stack of vectors into the shards, ``chunk_size`` rows at a time.
@@ -584,7 +562,7 @@ class ShardedItemMemory:
 
     def _ingest_chunk(self, chunk_labels, chunk):
         """Route one pre-validated chunk to its shards and commit it."""
-        base = len(self._labels)
+        base = len(self)  # routing runs on the dense survivor count
         if chunk.ndim != 2 or chunk.shape != (len(chunk_labels), self.dim):
             raise ValueError(
                 f"expected a ({len(chunk_labels)}, {self.dim}) chunk, got {chunk.shape}"
@@ -600,35 +578,51 @@ class ShardedItemMemory:
             shard_labels = [chunk_labels[o] for o in offsets]
             shard_rows = chunk[offsets]
             self._shards[index]._check_rows(shard_rows, (len(offsets), self.dim))
-            plan.append((index, shard_labels, shard_rows))
-        for index, shard_labels, shard_rows in plan:
-            self._shards[index].add_many(shard_labels, shard_rows)
+            plan.append((index, shard_labels, shard_rows, offsets))
+        first = len(self._slots)
+        for index, shard_labels, shard_rows, offsets in plan:
+            shard = self._shards[index]
+            shard.add_many(shard_labels, shard_rows)
             self._note_popcounts(index, shard_rows)
             self._note_geometry(index, shard_rows)
-            for label in shard_labels:
-                self._shard_of[label] = index
-        for label in chunk_labels:
-            index = self._shard_of[label]
-            self._commit_order(index, label)
+            self._shard_of.update(dict.fromkeys(shard_labels, index))
+            # The shard's order buffer grows by doubling, so ingest never
+            # reallocates per row.
+            stop = len(shard._labels)
+            start, buffer = stop - len(offsets), self._shard_orders[index]
+            if stop > buffer.shape[0]:
+                grown = np.empty(max(stop, 2 * buffer.shape[0]), dtype=np.int64)
+                grown[:start] = buffer[:start]
+                self._shard_orders[index] = buffer = grown
+            buffer[start:stop] = first + np.asarray(offsets)
+        self._slots.extend(chunk_labels)
+        self._order.update(zip(chunk_labels, range(first, len(self._slots))))
+        self._version += 1
+        self._invalidate_bound_state()
 
     def delete_many(self, labels):
-        """Remove stored labels from their shards and the global maps.
+        """Delete stored labels: O(batch), nothing else moves.
 
-        The in-memory deletion primitive of the mutable-store subsystem:
-        the whole batch is validated first (in-batch duplicates,
-        membership — a rejected batch touches nothing), then each shard
-        drops its rows (:meth:`ItemMemory.remove_many`) and the global
-        insertion orders are *densely renumbered* over the survivors, so
-        every later decision — including exact-tie resolution — is
-        bit-identical to a memory freshly built from the surviving
-        (label, vector) sequence. Pruning bounds are never recomputed
-        here: a deletion can only shrink a group's row population, so
-        the recorded bounds remain valid (possibly loose) supersets —
-        only ever *tightened* — until a compact recomputes them exactly;
-        a journaled segment group whose rows all die is dropped from the
-        skip test by its zero row count. Single-controller like every
-        other mutation.
+        The whole batch is validated first (in-batch duplicates,
+        membership — a rejected batch touches nothing); then each row is
+        flagged in its shard's dead-row mask and its global order left
+        as a gap, so every later decision — including exact-tie
+        resolution — is bit-identical to a memory freshly built from the
+        surviving (label, vector) sequence. A shard folds its dead rows
+        out once they reach its live rows; the global orders renumber
+        once the dead orders reach the live ones. Pruning bounds stay as
+        recorded: a deletion only shrinks a group, so they remain valid
+        (possibly loose) supersets until a compact recomputes them, and
+        a segment group whose rows all died drops out of the skip test.
+        Single-controller like every other mutation.
         """
+        self._delete(labels)
+        if len(self._dead_orders) >= len(self._order):
+            self._compact()
+
+    def _delete(self, labels):
+        """:meth:`delete_many` without the renumber: the journaled commit
+        path, whose orders must stay the directory's."""
         labels = list(labels)
         if not labels:
             return
@@ -639,58 +633,75 @@ class ShardedItemMemory:
                 raise ValueError(f"label {label!r} is not stored")
         by_shard = {}
         for label in labels:
-            by_shard.setdefault(self._shard_of[label], []).append(label)
-        dead_orders = np.asarray(
-            sorted(self._order[label] for label in labels), dtype=np.int64
-        )
+            by_shard.setdefault(self._shard_of.pop(label), []).append(label)
+            self._dead_orders.append(self._order.pop(label))
+        self._dead_sorted = None
         for index, shard_labels in by_shard.items():
             shard = self._shards[index]
-            positions = sorted(shard.index_of(label) for label in shard_labels)
-            # Attribute each dying row to its bound group *before* the
-            # rows move: base rows come first, then the journaled
-            # segment groups in push order, so a row's group is fixed by
-            # its position against the cumulative group boundaries.
+            positions = [shard._label_index[label] for label in shard_labels]
+            # Attribute each dying row to its bound group by physical
+            # position: base rows come first, then the journaled segment
+            # groups in push order.
             groups = self._segment_groups[index]
             if groups:
-                base_rows = len(shard) - self._segment_rows(index)
                 boundaries = np.cumsum(
-                    [base_rows] + [group["rows"] for group in groups]
+                    [len(shard._labels) - self._segment_rows(index)]
+                    + [group["rows"] for group in groups]
                 )
-                attributed = np.searchsorted(
-                    boundaries, np.asarray(positions, dtype=np.int64),
-                    side="right",
-                )
-                for gi in attributed:
+                for gi in np.searchsorted(boundaries, positions, side="right"):
                     if gi >= 1:  # 0 = base group (bounds stay as supersets)
-                        groups[int(gi) - 1]["rows"] -= 1
-            shard.remove_many(shard_labels)
-            position_set = set(positions)
-            self._shard_orders[index] = [
-                order for pos, order in enumerate(self._shard_orders[index])
-                if pos not in position_set
-            ]
-        # Dense global renumber: survivors keep their relative insertion
-        # order and close ranks, so in-memory orders are always dense —
-        # the persistence layer's physical (on-disk) orders keep their
-        # holes until compact and translate on load.
-        dead_set = set(labels)
-        for label in labels:
-            del self._shard_of[label]
-        self._labels = [
-            label for label in self._labels if label not in dead_set
-        ]
-        self._order = {label: i for i, label in enumerate(self._labels)}
-        for index in range(self.num_shards):
-            kept = np.asarray(self._shard_orders[index], dtype=np.int64)
-            renumbered = kept - np.searchsorted(dead_orders, kept, side="left")
-            self._shard_orders[index] = renumbered.tolist()
-            self._shard_order_arrays[index] = None
+                        groups[int(gi) - 1]["live"] -= 1
+            shard._kill(positions)
+            if shard._fold_due():
+                self._fold_shard(index)
+        self._version += 1
         self._invalidate_bound_state()
+
+    def _fold_shard(self, index):
+        """Fold one shard's dead rows out; its orders and groups follow."""
+        orders = self._orders_of(index)
+        keep = self._shards[index]._fold()
+        self._shard_orders[index] = orders[keep]
+        for group in self._segment_groups[index]:
+            group["rows"] = group["live"]
+        self._invalidate_bound_state()
+
+    def _compact(self):
+        """Fold every dead row out and renumber the global orders densely
+        (save/compact, and :meth:`delete_many` once the dead orders reach
+        the live ones). Bumps the version: an attachment names old orders.
+        """
+        for index, shard in enumerate(self._shards):
+            if shard._dead:
+                self._fold_shard(index)
+        if not self._dead_orders:
+            return
+        for index in range(self.num_shards):
+            self._shard_orders[index] = self._dense(self._orders_of(index))
+        self._slots = list(self.labels)
+        self._order = {label: i for i, label in enumerate(self._slots)}
+        self._dead_orders, self._dead_sorted = [], None
+        self._version += 1
+
+    def _adopt_orders(self, label_orders, slots, dead_orders):
+        """Take a store directory's physical orders for the same live
+        labels — what a journaled commit does after a cold manifest read
+        (say, after the handle saved a dense copy elsewhere), so the
+        orders it journals and those process workers return are the
+        directory's."""
+        self._compact()
+        for index, shard in enumerate(self._shards):
+            self._shard_orders[index] = np.fromiter(
+                (label_orders[label] for label in shard.labels),
+                dtype=np.int64, count=len(shard))
+        self._slots, self._order = list(slots), dict(label_orders)
+        self._dead_orders, self._dead_sorted = list(dead_orders), None
+        self._version += 1
 
     # -- queries ----------------------------------------------------------- #
 
     def _check_queries(self, queries):
-        if not self._labels:
+        if not self._order:
             raise LookupError("sharded item memory is empty")
         queries = np.asarray(queries)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
@@ -705,11 +716,12 @@ class ShardedItemMemory:
         """Record a persisted twin directory process workers may re-open.
 
         Called by the persistence layer after every successful
-        save/open/append/compact; the attachment is only trusted while
-        the row count still matches (in-memory growth past the persisted
-        state forces a fresh spill).
+        save/open/commit; the attachment is only trusted while the
+        memory is at the version it was recorded at (any in-memory
+        mutation since — an add, a delete, a renumber — forces a fresh
+        spill).
         """
-        self._attachment = (str(path), int(generation), len(self._labels))
+        self._attachment = (str(path), int(generation), self._version)
 
     def _ensure_process_store(self):
         """``(path, generation)`` of a persisted twin of this memory.
@@ -719,10 +731,10 @@ class ShardedItemMemory:
         An unsaved in-memory store spills its shards to a fresh temp
         store directory on the first process query (``save_store``
         attaches it); the spill lives until the memory is closed,
-        collected, or re-spilled after further in-memory growth.
+        collected, or re-spilled after a further in-memory mutation.
         """
         attachment = self._attachment
-        if attachment is not None and attachment[2] == len(self._labels):
+        if attachment is not None and attachment[2] == self._version:
             return attachment[0], attachment[1]
         from .persistence import save_store  # deferred import (module cycle)
 
@@ -754,7 +766,7 @@ class ShardedItemMemory:
         the stacked backend-native centroid matrix and radius vector all
         ball slots index into, so one batched Hamming call bounds every
         ball of every shard at once. The cache is invalidated by every
-        mutation (:meth:`_invalidate_bound_state` via ``_commit_order``,
+        mutation (:meth:`_invalidate_bound_state` via ``_publish``,
         ``_push_segment_bounds``, and the persistence layer's compact
         adoption); a stale stack can therefore never bound fresh rows.
         """
@@ -765,8 +777,9 @@ class ShardedItemMemory:
         centroids, radii = [], []
         for index in range(self.num_shards):
             shard_groups = []
-            base_rows = len(self._shards[index]) - self._segment_rows(index)
-            if base_rows > 0:
+            base_live = len(self._shards[index]) - sum(
+                group["live"] for group in self._segment_groups[index])
+            if base_live > 0:
                 pop = self._pop_bounds[index]
                 if pop is not None and pop[1] < pop[0]:
                     pop = None  # empty-sentinel bounds on a nonempty group
@@ -778,7 +791,7 @@ class ShardedItemMemory:
                     radii.append(int(self._geo_radius[index]))
                 shard_groups.append((pop, ball))
             for group in self._segment_groups[index]:
-                if group["rows"] <= 0:
+                if group["live"] <= 0:
                     continue
                 ball = None
                 if group["centroid"] is not None and group["radius"] is not None:
@@ -999,7 +1012,7 @@ class ShardedItemMemory:
         bounded-memory paths are :meth:`cleanup_batch` / :meth:`topk_batch`.
         """
         queries = self._check_queries(queries)
-        out = np.empty((queries.shape[0], len(self._labels)), dtype=np.float64)
+        out = np.empty((queries.shape[0], len(self)), dtype=np.float64)
         active = self._active_shards()
         if self._executor.kind == "process":
             path, generation = self._ensure_process_store()
@@ -1014,7 +1027,11 @@ class ShardedItemMemory:
                 active,
             )
         for index, sims in zip(active, results):
-            out[:, self._orders_of(index)] = sims
+            # A shard answers its live rows in physical order.
+            orders, shard = self._orders_of(index), self._shards[index]
+            if shard._dead:
+                orders = orders[shard._live_mask()]
+            out[:, self._dense(orders)] = sims
         return out
 
     def cleanup(self, query):
@@ -1055,7 +1072,7 @@ class ShardedItemMemory:
             )
         else:
             sims = -best_primary
-        return [self._labels[order] for order in best_orders], sims
+        return [self._slots[order] for order in best_orders], sims
 
     def topk(self, query, k=5):
         """Return the ``k`` best ``(label, similarity)`` pairs, best first.
@@ -1078,7 +1095,7 @@ class ShardedItemMemory:
         merged winners are the only values converted to float.
         """
         queries = self._check_queries(queries)
-        k = min(k, len(self._labels))
+        k = min(k, len(self))
         native = self._native_queries(queries)
         if native is not None:
             partials = self._fanout_ints("topk_ints", native, k)
@@ -1098,7 +1115,7 @@ class ShardedItemMemory:
             sims = -merged_primary
         return [
             [
-                (self._labels[order], float(sim))
+                (self._slots[order], float(sim))
                 for order, sim in zip(order_row, sim_row)
             ]
             for order_row, sim_row in zip(merged_orders, sims)

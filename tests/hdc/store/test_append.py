@@ -270,6 +270,47 @@ class TestFormatVersion:
                     in str(refused.value))
 
 
+    @pytest.mark.parametrize("attach", ["open", "worker attach"])
+    @pytest.mark.parametrize("damage", [
+        "entry.shard", "entry.file", "entry.labels", "entry.orders",
+        "tombstone.shard", "tombstone.labels", "tombstone.orders",
+        "entries", "tombstones",
+    ])
+    def test_malformed_delta_refused_naming_file_and_generation(
+            self, damage, attach, tmp_path, rng):
+        """A delta sidecar without a field that readers index — in an
+        appended segment entry, a tombstone group, or the sidecar itself
+        — is refused with a ValueError naming the delta file and its
+        generation, at open and at process-worker attach alike, never a
+        bare KeyError."""
+        path = tmp_path / "store"
+        vectors = random_bipolar(8, 64, rng)
+        AssociativeStore.from_vectors(list("abcd"), vectors[:4], shards=2,
+                                      backend="packed").save(path)
+        handle = AssociativeStore.open(path)
+        handle.add_many(list("efgh"), vectors[4:])  # delta.g00001: entries
+        handle.delete(["a", "f"])  # delta.g00002: tombstone groups
+        what, _, field = damage.partition(".")
+        delta_generation = 1 if what.startswith("entr") else 2
+        delta_path = path / f"delta.g{delta_generation:05d}.json"
+        delta = json.loads(delta_path.read_text())
+        if field:
+            del delta["entries" if what == "entry" else "tombstones"][0][field]
+        else:
+            del delta[what]
+        delta_path.write_text(json.dumps(delta))
+        if attach == "open":
+            def attach_call():
+                return AssociativeStore.open(path)
+        else:
+            def attach_call():
+                return load_worker_shard(path, 0, _manifest(path)["generation"])
+        with pytest.raises(ValueError) as refused:
+            attach_call()
+        assert (f"[file {delta_path}, generation {delta_generation}]"
+                in str(refused.value))
+
+
 class TestCorruptedSegments:
     def _saved_with_segment(self, tmp_path, rng, dim=64):
         vectors = random_bipolar(8, dim, rng)

@@ -528,22 +528,25 @@ class TestBoundsUnderMutation:
             for seg_before, seg_after in zip(entry_before["segments"],
                                              entry_after["segments"]):
                 assert seg_after["bounds"] == seg_before["bounds"]
-        # live-row accounting moved instead, by exactly the batch size
-        lost = sum(
-            (b.get("live_rows", b["rows"]) - a["live_rows"])
-            + sum(sb.get("live_rows", sb["rows"]) - sa["live_rows"]
-                  for sb, sa in zip(b["segments"], a["segments"]))
-            for b, a in zip(before["shards"], after["shards"])
-        )
-        assert lost == len(victims)
+        # live-row accounting moved instead, by exactly the batch size:
+        # a reopen masks just the victims, and each segment group counts
+        # the live rows of its own physical block
+        fresh = open_store(path)
+        assert sum(len(shard._dead) for shard in fresh.shards) == len(victims)
+        for index, shard in enumerate(fresh.shards):
+            live, stop = shard._live_mask(), len(shard._labels)
+            for group in reversed(fresh._segment_groups[index]):
+                assert group["live"] == int(live[stop - group["rows"]:stop].sum())
+                stop -= group["rows"]
 
         # ... and the untouched radii are still *sound* supersets over
-        # the surviving rows of every in-memory bound group
+        # the rows of every in-memory bound group (deleted rows stay in
+        # place, masked, so the groups still cover physical rows)
         memory = opened.memory
         for index, shard in enumerate(memory.shards):
             native = shard.native_matrix()
             segments = memory._segment_groups[index]
-            base_rows = len(shard) - sum(group["rows"] for group in segments)
+            base_rows = native.shape[0] - sum(group["rows"] for group in segments)
             blocks = [(memory._geo_centroid[index],
                        memory._geo_radius[index], native[:base_rows])]
             offset = base_rows

@@ -400,12 +400,16 @@ class TestWireMutations:
             expected.append(jsonable_result("topk", reference.topk(q, k=5)))
         jobs.append(("POST", "/v1/delete", {"labels": ["item3", "item17"]}))
         expected.append({"status": "ok", "deleted": 2})
-        reference.remove_many(["item3", "item17"])
         jobs.append(("POST", "/v1/upsert",
                      {"labels": ["item5", "new0"],
                       "vectors": [_wire(v) for v in batch]}))
         expected.append({"status": "ok", "upserted": 2})
-        reference.remove_many(["item5"])
+        # The reference never runs a delete: a fresh memory over the
+        # surviving (label, vector) sequence, the upsert batch last.
+        kept = [i for i, label in enumerate(labels)
+                if label not in ("item3", "item17", "item5")]
+        reference = ItemMemory(dim, backend="packed")
+        reference.add_many([labels[i] for i in kept], vectors[kept])
         reference.add_many(["item5", "new0"], batch)
         for q in queries:
             jobs.append(("POST", "/v1/topk", {"query": _wire(q), "k": 5}))

@@ -11,6 +11,9 @@ anything but the global insertion index, and including the early-exit
 pruning bounds (strict skips can never drop a boundary tie).
 """
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -740,6 +743,68 @@ class TestProcessPersistedLifecycle:
         assert "generation" in str(excinfo.value)
         opened.memory.close()
 
+    def test_save_elsewhere_then_delete_keeps_the_attached_orders(
+            self, rng, tmp_path):
+        """A journaling handle saves a copy to a second directory (which
+        folds and renumbers its memory to match that copy), then deletes
+        on its own directory: the cold commit must take the first
+        directory's physical orders back, so the orders process workers
+        read there are the handle's and every answer stays exact."""
+        from repro.hdc.store import load_worker_shard, read_manifest
+
+        dim = 128
+        vectors = random_bipolar(40, dim, rng)
+        labels = [f"v{i}" for i in range(40)]
+        AssociativeStore.from_vectors(
+            labels[:30], vectors[:30], backend="packed", shards=3,
+        ).save(tmp_path / "a")
+        opened = AssociativeStore.open(tmp_path / "a", workers=2,
+                                       executor="process")
+        opened.delete(["v2", "v9"])  # gaps in the physical orders of "a"
+        opened.add_many(labels[30:], vectors[30:])
+        opened.save(tmp_path / "b")  # dense orders, attached to "b"
+        opened.delete(["v4", "v31"])  # journaled on "a" again
+
+        memory = opened.memory
+        generation = read_manifest(tmp_path / "a")["generation"]
+        assert memory._attachment[:2] == (str(tmp_path / "a"), generation)
+        for index, shard in enumerate(memory.shards):
+            attached, orders = load_worker_shard(tmp_path / "a", index,
+                                                 generation)
+            assert np.array_equal(orders[attached._live_mask()],
+                                  memory._orders_of(index)[shard._live_mask()])
+        survivors = [i for i in range(40) if labels[i] not in
+                     ("v2", "v9", "v4", "v31")]
+        reference = ItemMemory(dim, backend="packed")
+        reference.add_many([labels[i] for i in survivors], vectors[survivors])
+        queries = _noisy_queries(vectors, rng)
+        assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(queries)[0]
+        assert opened.topk_batch(queries, k=6) == reference.topk_batch(queries, k=6)
+        fresh = AssociativeStore.open(tmp_path / "a")
+        assert fresh.topk_batch(queries, k=6) == reference.topk_batch(queries, k=6)
+        opened.memory.close()
+
+    def test_in_memory_delete_respills(self, rng):
+        """A delete (even one an add of the same size hides from a row
+        count) invalidates the spilled twin: the next process query
+        re-spills and answers the store as it is now."""
+        dim = 64
+        vectors = random_bipolar(10, dim, rng)
+        sharded = ShardedItemMemory(dim, num_shards=2, backend="packed",
+                                    executor="process")
+        sharded.add_many([f"v{i}" for i in range(8)], vectors[:8])
+        assert sharded.cleanup(vectors[3])[0] == "v3"
+        first_spill = sharded._attachment
+        sharded.delete_many(["v3"])
+        sharded.add_many(["w"], vectors[3:4])  # same row count as the spill
+        assert sharded.cleanup(vectors[3])[0] == "w"
+        assert sharded._attachment != first_spill
+        second_spill = sharded._attachment
+        sharded.delete_many(["v5"])
+        assert sharded.cleanup(vectors[5])[0] != "v5"
+        assert sharded._attachment != second_spill
+        sharded.close()
+
     def test_in_memory_growth_respills(self, rng):
         dim = 64
         vectors = random_bipolar(12, dim, rng)
@@ -820,6 +885,28 @@ class TestStoreScale:
             queries, k=10
         )
         opened.memory.close()
+
+    def test_commit_time_is_flat_in_store_size(self, store_scale_items,
+                                               tmp_path, monkeypatch):
+        """The complexity fence behind "O(batch) commits": the median of
+        ten 64-row delete commits, and of ten upsert commits — the first
+        after a ``compact()`` among them — on a persisted 8-shard packed
+        store must not grow more than 2x from ``store_scale_items // 10``
+        to ``store_scale_items`` rows. Timed by the same
+        ``_mutation_point`` that records the benchmark's ``mutation``
+        surface."""
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[3] / "benchmarks"))
+        bench_append = importlib.import_module("bench_append")
+        small, large = (
+            bench_append._mutation_point(items, np.random.default_rng(items),
+                                         tmp_root=tmp_path)
+            for items in (store_scale_items // 10, store_scale_items)
+        )
+        assert small["commits"] == large["commits"] >= 18
+        for kind in ("delete", "upsert"):
+            key = f"seconds_per_{kind}_median"
+            assert large[key] <= 2 * small[key], (kind, small, large)
 
     def test_mutation_at_scale(self, store_scale_items, store_scale_executor,
                                tmp_path):

@@ -196,10 +196,12 @@ class TestMutationAgreement:
         base = random_bipolar(1, dim, rng)[0]
         labels = [f"dup{i}" for i in range(12)]
         vectors = np.tile(base, (12, 1))
-        reference, sharded = _pair(dim, labels, vectors, backend, shards)
+        _, sharded = _pair(dim, labels, vectors, backend, shards)
+        model = list(zip(labels, vectors))
 
         sharded.delete_many(["dup0", "dup5"])
-        reference.remove_many(["dup0", "dup5"])
+        model = self._apply(model, "delete", ["dup0", "dup5"])
+        reference = self._rebuilt(dim, backend, model)
         label, sim = sharded.cleanup(base)
         assert (label, sim) == reference.cleanup(base)
         assert label == "dup1" and np.isclose(sim, 1.0)
@@ -210,8 +212,8 @@ class TestMutationAgreement:
         # re-enroll dup1: same vector, but recency moves it to the back
         sharded.delete_many(["dup1"])
         sharded.add("dup1", base)
-        reference.remove_many(["dup1"])
-        reference.add("dup1", base)
+        model = self._apply(model, "add", ["dup1"], [base])
+        reference = self._rebuilt(dim, backend, model)
         assert sharded.cleanup(base) == reference.cleanup(base)
         assert sharded.cleanup(base)[0] == "dup2"
         order = [lab for lab, _ in sharded.topk(base, k=12)]
@@ -235,6 +237,40 @@ class TestMutationAgreement:
                    for row in answers for lab, _ in row)
         assert sharded.cleanup(vectors[4])[0] != "v4"
         assert sharded.similarities_batch(vectors[:1]).shape[1] == 8
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dead_rows_fold_out_once_they_reach_the_live_rows(self, backend,
+                                                              rng):
+        """The one fold rule bounds what kernels scan and what an
+        unattached store holds: after every delete batch, physical rows
+        (and the global order space) stay within twice the live rows
+        plus one batch, while answers stay those of a fresh rebuild."""
+        dim, n, batch = 64, 200, 16
+        labels = [f"v{i}" for i in range(n)]
+        vectors = random_bipolar(n, dim, rng)
+        sharded = ShardedItemMemory(dim, num_shards=4, backend=backend)
+        sharded.add_many(labels, vectors)
+        single = ItemMemory(dim, backend=backend)
+        single.add_many(labels, vectors)
+        model = list(zip(labels, vectors))
+        queries = _noisy_queries(vectors, rng)
+        for start in range(0, n - batch, batch):
+            doomed = labels[start:start + batch]
+            sharded.delete_many(doomed)
+            single.remove_many(doomed)
+            model = self._apply(model, "delete", doomed)
+            physical = sum(shard.native_matrix().shape[0] for shard in sharded.shards)
+            assert physical <= 2 * len(sharded) + batch
+            assert len(sharded._slots) <= 2 * len(sharded) + batch
+            assert single.native_matrix().shape[0] <= 2 * len(single) + batch
+            reference = self._rebuilt(dim, backend, model)
+            assert sharded.topk_batch(queries, k=3) == reference.topk_batch(
+                queries, k=3)
+            assert single.topk_batch(queries, k=3) == reference.topk_batch(
+                queries, k=3)
+            assert [sharded.index_of(label) for label, _ in model] == list(
+                range(len(model)))
+        assert len(sharded) == len(single) == len(model) == 8
 
     def test_delete_rejects_unknown_and_duplicate_labels_atomically(self, rng):
         sharded = ShardedItemMemory(32, num_shards=2)

@@ -380,3 +380,136 @@ class TestHammingTopk:
         qs = packed.from_bipolar(random_bipolar(2, 256, rng))
         with pytest.raises(ValueError, match="bounds"):
             packed.hamming_topk(qs, store, 2, bounds=np.zeros(3, dtype=np.int64))
+
+
+class TestHammingTopkDeadRows:
+    """``hamming_topk`` under a dead-row mask: every backend and every
+    branch of the packed prefix-pruned kernel returns exactly the top-k
+    of the *live* rows alone (computed here without any mask), with dead
+    rows only ever as ``(dim + 1, -1)`` sentinels."""
+
+    DIM = 512  # 8 words: the packed kernel's pruned path applies
+
+    def _case(self, rng, n, dead, planted, queries=3):
+        """A store whose first ``queries`` queries have exact copies at
+        every ``planted`` row (so a masked winner would show at once)."""
+        vectors = random_bipolar(n, self.DIM, rng)
+        qs = random_bipolar(queries, self.DIM, rng)
+        for row in planted:
+            vectors[row] = qs[row % queries]
+        return vectors, qs, np.asarray(sorted(dead), dtype=np.int64)
+
+    def _expected(self, vectors, qs, dead, k, bounds=None):
+        """The exact top-k over a store rebuilt from the live rows only,
+        mapped back to physical indices and padded with sentinels."""
+        from repro.hdc.ordering import topk_order
+
+        dense = DenseBackend(self.DIM)
+        n = vectors.shape[0]
+        live = np.setdiff1d(np.arange(n), dead)
+        width = min(k, n)
+        out_d = np.full((qs.shape[0], width), self.DIM + 1, dtype=np.int64)
+        out_i = np.full((qs.shape[0], width), -1, dtype=np.int64)
+        if live.size:
+            distances = np.atleast_2d(dense.hamming(qs, vectors[live]))
+            selected = topk_order(distances, min(k, live.size))
+            rows = np.arange(qs.shape[0])[:, None]
+            out_d[:, : selected.shape[1]] = distances[rows, selected]
+            out_i[:, : selected.shape[1]] = live[selected]
+        if bounds is not None:
+            pruned = out_d > np.asarray(bounds)[:, None]
+            out_d[pruned], out_i[pruned] = self.DIM + 1, -1
+        return out_d, out_i
+
+    def _packed(self, gather_fraction=None):
+        packed = PackedBackend(self.DIM)
+        packed._TOPK_TILE, packed._TOPK_PROBE = 1024, 256  # small tiles
+        if gather_fraction is not None:
+            packed._TOPK_GATHER_FRACTION = gather_fraction
+        return packed
+
+    def _assert_agree(self, backend, vectors, qs, dead, k, bounds=None):
+        store, native_qs = backend.from_bipolar(vectors), backend.from_bipolar(qs)
+        got_d, got_i = backend.hamming_topk(native_qs, store, k, bounds=bounds,
+                                            dead=dead)
+        expected_d, expected_i = self._expected(vectors, qs, dead, k, bounds)
+        assert not np.isin(got_i, dead).any(), backend.name
+        if bounds is None:
+            assert np.array_equal(got_d, expected_d), backend.name
+            assert np.array_equal(got_i, expected_i), backend.name
+            return
+        for qi in range(qs.shape[0]):  # the bounds permit, as for live rows
+            ok = expected_d[qi] <= bounds[qi]
+            assert np.array_equal(got_d[qi][ok], expected_d[qi][ok]), backend.name
+            assert np.array_equal(got_i[qi][ok], expected_i[qi][ok]), backend.name
+            assert (got_d[qi][~ok] > bounds[qi]).all(), backend.name
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_dead_rows_inside_the_probe_block(self, rng, k):
+        planted = [10, 11, 12, 100, 2500]  # the last one stays live
+        vectors, qs, dead = self._case(rng, 3000, dead=[10, 11, 12, 100, 7],
+                                       planted=planted)
+        for backend in (DenseBackend(self.DIM), self._packed()):
+            self._assert_agree(backend, vectors, qs, dead, k)
+
+    @pytest.mark.parametrize("bound", [None, 60, DIM])
+    def test_dead_rows_across_a_tile_boundary(self, rng, bound):
+        span = list(range(1020, 1029))  # tiles are 1024 rows
+        vectors, qs, dead = self._case(rng, 3000, dead=span,
+                                       planted=span + [2900])
+        bounds = None if bound is None else np.full(3, bound, dtype=np.int64)
+        for backend in (DenseBackend(self.DIM), self._packed()):
+            self._assert_agree(backend, vectors, qs, dead, 3, bounds)
+
+    @pytest.mark.parametrize("branch, fraction", [("dense finish", 0.0),
+                                                  ("gathered finish", 1.0)])
+    def test_dead_rows_in_each_finish_branch(self, rng, branch, fraction):
+        """A tight bound filters after a few words; the survivor fraction
+        then picks the finish — forced here both ways."""
+        planted = [5, 300, 1500, 1501, 2999]
+        vectors, qs, dead = self._case(rng, 3000, dead=[5, 300, 1500, 2999],
+                                       planted=planted)
+        bounds = np.full(3, 100, dtype=np.int64)
+        for backend in (DenseBackend(self.DIM), self._packed(fraction)):
+            self._assert_agree(backend, vectors, qs, dead, 2, bounds)
+            self._assert_agree(backend, vectors, qs, dead, 2)
+
+    def test_dead_rows_stay_out_when_the_tail_words_wrap_the_counter(self, rng):
+        """At 60,000-d the running counts are uint16: a dead row pinned to
+        the sentinel at the first checkpoint wraps past 65,535 while the
+        dense finish adds its tail words, unless it is pinned again."""
+        dim, n = 60_000, 600
+        packed = PackedBackend(dim)
+        packed._TOPK_TILE, packed._TOPK_PROBE = 1024, 256
+        packed._TOPK_GATHER_FRACTION = 0.0  # always the dense finish
+        vectors = random_bipolar(n, dim, rng)  # every row ~dim/2 away ...
+        qs = random_bipolar(2, dim, rng)
+        vectors[[50, 51]] = qs  # ... but one live copy per query survives
+        dead = np.asarray([4, 9], dtype=np.int64)  # 60,001 + ~30,000 wraps
+        got_d, got_i = packed.hamming_topk(
+            packed.from_bipolar(qs), packed.from_bipolar(vectors), 2,
+            bounds=np.full(2, 100, dtype=np.int64), dead=dead)
+        assert not np.isin(got_i, dead).any()
+        assert got_i[:, 0].tolist() == [50, 51] and (got_d[:, 0] == 0).all()
+
+    @pytest.mark.parametrize("n, live, k", [(3000, 0, 4), (3000, 3, 5),
+                                            (40, 0, 7), (40, 2, 40)])
+    def test_k_at_or_above_the_live_rows(self, rng, n, live, k):
+        vectors, qs, _ = self._case(rng, n, dead=(), planted=())
+        dead = np.arange(live, n, dtype=np.int64)
+        for backend in (DenseBackend(self.DIM), self._packed()):
+            self._assert_agree(backend, vectors, qs, dead, k)
+            got_d, got_i = backend.hamming_topk(
+                backend.from_bipolar(qs), backend.from_bipolar(vectors), k,
+                dead=dead)
+            assert (got_i[:, live:] == -1).all()
+            assert (got_d[:, live:] == self.DIM + 1).all()
+
+    def test_empty_mask_is_the_unmasked_kernel(self, rng):
+        vectors, qs, _ = self._case(rng, 3000, dead=(), planted=[7])
+        packed = self._packed()
+        store, native_qs = packed.from_bipolar(vectors), packed.from_bipolar(qs)
+        plain = packed.hamming_topk(native_qs, store, 4)
+        masked = packed.hamming_topk(native_qs, store, 4,
+                                     dead=np.empty(0, dtype=np.int64))
+        assert all(np.array_equal(a, b) for a, b in zip(plain, masked))

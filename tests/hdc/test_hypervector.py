@@ -92,3 +92,37 @@ class TestQuasiOrthogonality:
             sims = (hv / np.sqrt(d)) @ (hv / np.sqrt(d)).T
             stds.append(sims[np.triu_indices(30, k=1)].std())
         assert stds[1] < stds[0]
+
+
+class TestMembershipChecks:
+    """``is_bipolar`` / ``is_binary`` are elementwise comparisons; they
+    must answer exactly what ``np.isin`` answers, on every dtype."""
+
+    @pytest.mark.parametrize("values", [
+        np.array([1, -1, 1], dtype=np.int8),
+        np.array([1, 0], dtype=np.int8),
+        np.array([-1, 1, 2], dtype=np.int64),
+        np.array([0, 1, 1], dtype=np.int64),
+        np.array([255, 1], dtype=np.uint8),
+        np.array([0, 1], dtype=np.uint8),
+        np.array([True, False]),
+        np.array([True, True]),
+        np.array([1.0, -1.0]),
+        np.array([np.nan, 1.0]),
+        np.array([-0.0, 1.0]),
+        np.array([0.0, 1.0]),
+        np.array([1 + 0j, -1 + 0j]),
+        np.array([1 + 1j, 0j]),
+        np.array([1, -1], dtype=object),
+        np.array([0, 1, 2], dtype=object),
+        np.zeros((0,), dtype=np.int8),
+        np.zeros((0, 3), dtype=np.float64),
+        np.array(1),
+        np.array(-1),
+        np.array(0),
+        np.array(2.5),
+        np.ones((4, 64), dtype=np.int8),
+    ], ids=lambda values: f"{values.dtype}{values.shape}")
+    def test_matches_isin(self, values):
+        assert is_bipolar(values) == bool(np.isin(values, (-1, 1)).all())
+        assert is_binary(values) == bool(np.isin(values, (0, 1)).all())
