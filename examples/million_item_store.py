@@ -11,18 +11,19 @@ Stated memory budget (d = 1024, N = 1,000,000, 8 shards):
   (the dense int8 equivalent would be 1 GB);
 - ingestion transient: one 64k × 1024 int8 chunk → **64 MB**, freed
   after packing — the full dense matrix never exists;
-- query transient: the item-tiled Hamming kernel caps each popcount
-  temporary at ~4 MB, and the fan-out merge stays in the integer
-  distance domain — per-shard partials are (distance, insertion-index)
-  pairs, never float similarity rows — so the peak is bounded by the
-  kernel tile for any store size.
+- query transient: the tiled top-k kernel caps each XOR/popcount
+  temporary at ~1 MB per shard call, and the fan-out merge stays in
+  the integer distance domain — per-shard partials are (distance,
+  insertion-index) pairs, never float similarity rows — so the peak is
+  bounded by the kernel tile for any store size.
 
     python examples/million_item_store.py [num_items] [workers] [executor]
 
-``workers`` (default 1) fans the per-shard kernels out and ``executor``
-picks the pool kind (``thread`` default / ``process`` — worker
-processes re-open the spilled shards via np.memmap); decisions are
-identical for any worker count and either executor.
+``workers`` (default: every core this process may run on) sets the
+per-shard fan-out width and ``executor`` picks the pool kind
+(``thread`` default / ``process`` — worker processes re-open the
+spilled shards via np.memmap); decisions are identical for any worker
+count and either executor.
 """
 
 import sys
@@ -39,7 +40,7 @@ CHUNK = 65536
 QUERY_BATCH = 64
 
 
-def main(num_items=1_000_000, workers=1, executor="thread"):
+def main(num_items=1_000_000, workers=None, executor="thread"):
     store = AssociativeStore(DIM, backend="packed", shards=SHARDS,
                              workers=workers, executor=executor)
     rng = np.random.default_rng(0)
@@ -90,6 +91,6 @@ def main(num_items=1_000_000, workers=1, executor="thread"):
 if __name__ == "__main__":
     main(
         int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000,
-        int(sys.argv[2]) if len(sys.argv) > 2 else 1,
+        int(sys.argv[2]) if len(sys.argv) > 2 else None,
         sys.argv[3] if len(sys.argv) > 3 else "thread",
     )

@@ -46,9 +46,10 @@ class ExperimentScale:
     #: shard count of the deployment class store (repro.hdc.store);
     #: sharding never changes decisions, only layout and scalability.
     store_shards: int = 1
-    #: pool width of the store's per-shard query fan-out;
-    #: parallelism never changes decisions, only wall-clock.
-    store_workers: int = 1
+    #: pool width of the store's per-shard query fan-out (None: every
+    #: core this process may run on); parallelism never changes
+    #: decisions, only wall-clock.
+    store_workers: int | None = None
     #: fan-out executor of the store ("thread" pool / "process" pool with
     #: memmap-reopened shards); executor choice never changes decisions.
     store_executor: str = "thread"

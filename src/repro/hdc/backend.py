@@ -31,7 +31,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .ordering import topk_order_partitioned, topk_order_partitioned_batch
+from .ordering import topk_order_partitioned_batch
 from .hypervector import (
     WORD_BITS,
     pack_bipolar,
@@ -112,8 +112,12 @@ class HDCBackend(ABC):
         return self.from_bipolar(random_bipolar(num_vectors, self.dim, rng))
 
     @abstractmethod
-    def from_bipolar(self, vectors):
-        """Convert a dense bipolar ``(..., d)`` array to the native store."""
+    def from_bipolar(self, vectors, checked=False):
+        """Convert a dense bipolar ``(..., d)`` array to the native store.
+
+        ``checked=True`` says the caller has already verified that every
+        component is ±1, so a backend that would check again skips it.
+        """
 
     @abstractmethod
     def to_bipolar(self, store):
@@ -222,7 +226,8 @@ class HDCBackend(ABC):
                 f"expected ({self.dim},) column counts, got {counts.shape}"
             )
         bits = _majority_bits(counts, int(rows), None)
-        return self.from_bipolar((1 - 2 * bits.astype(np.int8)).astype(np.int8))
+        return self.from_bipolar((1 - 2 * bits.astype(np.int8)).astype(np.int8),
+                                 checked=True)
 
     def hamming_topk(self, queries, store, k, bounds=None, dead=None):
         """Exact ``(distances, indices)`` top-``k`` of queries vs store rows.
@@ -299,7 +304,7 @@ class DenseBackend(HDCBackend):
 
     name = "dense"
 
-    def from_bipolar(self, vectors):
+    def from_bipolar(self, vectors, checked=False):
         vectors = np.asarray(vectors)
         if vectors.shape[-1] != self.dim:
             raise ValueError(f"expected last axis {self.dim}, got {vectors.shape}")
@@ -381,11 +386,11 @@ class PackedBackend(HDCBackend):
         super().__init__(dim)
         self.num_words = (self.dim + WORD_BITS - 1) // WORD_BITS
 
-    def from_bipolar(self, vectors):
+    def from_bipolar(self, vectors, checked=False):
         vectors = np.asarray(vectors)
         if vectors.shape[-1] != self.dim:
             raise ValueError(f"expected last axis {self.dim}, got {vectors.shape}")
-        return pack_bipolar(vectors)
+        return pack_bits(vectors < 0) if checked else pack_bipolar(vectors)
 
     def to_bipolar(self, store):
         return unpack_bipolar(store, self.dim)
@@ -486,11 +491,14 @@ class PackedBackend(HDCBackend):
         return _popcount_sum(store)  # padding bits are zero, so they never count
 
     #: early-exit top-k kernel tuning — items per word-major tile, items in
-    #: the bound-seeding probe block, and the survivor fraction above which
-    #: finishing the whole tile contiguously beats a gathered finish
-    _TOPK_TILE = 65536
+    #: the bound-seeding probe block, the survivor fraction above which a
+    #: query finishes its whole tile contiguously rather than gathered, and
+    #: the size of the ``(query block, tile)`` uint64 XOR temporary, which
+    #: sets how many queries each NumPy call covers
+    _TOPK_TILE = 16384
     _TOPK_PROBE = 2048
     _TOPK_GATHER_FRACTION = 0.25
+    _TOPK_BLOCK_BYTES = 1 << 20
 
     def _first_checkpoint(self, bound):
         """Words to accumulate before the first early-exit filter pass.
@@ -515,26 +523,39 @@ class PackedBackend(HDCBackend):
     def hamming_topk(self, queries, store, k, bounds=None, dead=None):
         """Early-exit exact top-``k``: prefix distances prune the tail words.
 
-        Same contract as :meth:`HDCBackend.hamming_topk`, with an
-        *adaptive* prefix schedule: each word-major tile accumulates
-        Hamming counts up to a first checkpoint chosen from the running
-        bound (:meth:`_first_checkpoint` — tight bounds checkpoint after
-        a word or two, loose bounds degrade gracefully to one contiguous
-        pass); since the remaining words can only *add* distance, any
-        item whose prefix count already exceeds the running k-th-best
-        distance (or the caller's ``bounds``) is done. Sparse survivor
-        sets are gathered and re-filtered at escalating (doubling)
-        word-block checkpoints, so a near-match workload pays popcounts
-        for little more than the true candidates. A small fully-scored
-        probe block seeds the running bound when the caller brings none.
+        Same contract as :meth:`HDCBackend.hamming_topk`. The store is
+        swept in word-major tiles, and every NumPy call covers a *block*
+        of queries across a whole tile, sized so the ``(block, tile)``
+        uint64 XOR temporary stays near ``_TOPK_BLOCK_BYTES``: each call
+        runs long enough with the GIL released for shard kernels on
+        other threads to overlap it, and the per-call overhead is paid
+        once per block instead of once per query.
+
+        Adaptive prefix schedule: blocks take the queries in bound order,
+        a block accumulates Hamming counts up to a first checkpoint
+        chosen from its *loosest* bound (:meth:`_first_checkpoint` —
+        tight bounds checkpoint after a word or two, loose bounds degrade
+        to one contiguous pass), and every query then filters against
+        its *own* bound, the smaller of its running k-th-best distance
+        and the caller's ``bounds``: the
+        remaining words can only add distance, so an item whose prefix
+        count already exceeds it is done. A query with dense survivors
+        finishes its tile contiguously; the block's sparse survivors are
+        gathered and re-filtered at escalating (doubling) word-block
+        checkpoints, so a near-match workload pays popcounts for little
+        more than the true candidates. A small fully-scored probe block
+        seeds the running bounds when the caller brings none.
+
         Exact ties survive: items are kept while the prefix is ``<=``
-        the bound, and every candidate's final ranking uses its exact
-        full distance with the shared (distance, index) tie contract.
-        ``dead`` rows have their running count pinned to the sentinel
-        ``dim + 1`` wherever the kernel filters or selects, so they never
-        survive a prefix filter and never displace the ``(dim + 1, -1)``
-        rows a query's running top-``k`` starts from (the smaller index
-        wins the tie); an empty mask runs the unmasked kernel unchanged.
+        the bound, and every candidate ranks by its exact full distance
+        under the shared (distance, index) tie contract, folded into one
+        int64 key ``distance * (n + 1) + index + 1`` (the ``(dim + 1,
+        -1)`` sentinel rows a query's top-``k`` starts from rank behind
+        every real candidate). ``dead`` rows have their running count
+        pinned to the sentinel ``dim + 1`` after the prefix and again
+        after a contiguous finish (the tail words can wrap a uint16
+        counter), and no filter admits a count above ``dim``, so they
+        never survive; an empty mask runs the unmasked kernel unchanged.
         """
         a2 = np.ascontiguousarray(np.atleast_2d(self._as_words(np.asarray(queries))))
         b2 = self._as_words(np.asarray(store))
@@ -545,139 +566,151 @@ class PackedBackend(HDCBackend):
         if k <= 0:
             empty = np.empty((num_a, 0), dtype=np.int64)
             return empty, empty.copy()
-        num_words = self.num_words
         if dead is not None and not len(dead):
             dead = None
-        if num_words < 4 or n < 2 * self._TOPK_PROBE or 4 * k >= n:
+        if self.num_words < 4 or n < 2 * self._TOPK_PROBE or 4 * k >= n:
             return super().hamming_topk(a2, b2, k, bounds, dead)
-        if bounds is not None:
+        if bounds is None:
+            # No caller bound: a fully-scored head block seeds every
+            # query's running bound before the first real tile.
+            limits = np.full(num_a, self.dim, dtype=np.int64)
+            cuts = [0, *range(self._TOPK_PROBE, n, self._TOPK_TILE), n]
+        else:
             bounds = np.asarray(bounds, dtype=np.int64)
             if bounds.shape != (num_a,):
                 raise ValueError(
                     f"bounds must have shape ({num_a},), got {bounds.shape}"
                 )
-        sentinel = self.dim + 1
+            limits = np.clip(bounds, 0, self.dim)
+            cuts = [*range(0, n, self._TOPK_TILE), n]
+        scale = n + 1
+        best = np.full((num_a, k), (self.dim + 1) * scale, dtype=np.int64)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            b_tile = np.ascontiguousarray(b2[lo:hi].T)
+            tile_dead = None
+            if dead is not None:
+                start, stop = np.searchsorted(dead, (lo, hi))
+                tile_dead = dead[start:stop] - lo if stop > start else None
+            self._topk_tile(a2, b_tile, lo, tile_dead, limits, best, scale)
+        return best // scale, best % scale - 1
+
+    def _topk_tile(self, a2, b_tile, lo, tile_dead, limits, best, scale):
+        """Fold one word-major tile (store rows from ``lo``) into ``best``."""
+        num_a, num_words, sentinel = a2.shape[0], self.num_words, self.dim + 1
+        t = b_tile.shape[1]
+        block = max(1, self._TOPK_BLOCK_BYTES // (8 * t))
+        size = min(block, num_a) * t
         acc_dtype = np.uint16 if sentinel <= np.iinfo(np.uint16).max else np.uint32
-        best_d = np.full((num_a, k), sentinel, dtype=np.int64)
-        best_i = np.full((num_a, k), -1, dtype=np.int64)
-        tile = self._TOPK_TILE
-        xor = np.empty(tile, dtype=np.uint64)
-        cnt = np.empty(tile, dtype=np.uint8)
-        acc = np.empty(tile, dtype=acc_dtype)
-        start = 0
-        if bounds is None:
-            # No caller bound: fully score a small head block per query so
-            # the prefix filter has a tight bound from the first real tile.
-            start = min(self._TOPK_PROBE, n)
-            chunk = np.ascontiguousarray(b2[:start].T)
-            xv, cv, av = xor[:start], cnt[:start], acc[:start]
-            probe_dead = self._tile_dead(dead, 0, start)
-            for qi in range(num_a):
-                row = a2[qi]
-                np.bitwise_xor(chunk[0], row[0], out=xv)
-                np.bitwise_count(xv, out=cv)
-                av[:] = cv
-                for word in range(1, num_words):
-                    np.bitwise_xor(chunk[word], row[word], out=xv)
-                    np.bitwise_count(xv, out=cv)
-                    np.add(av, cv, out=av)
-                if probe_dead is not None:
-                    av[probe_dead] = sentinel
-                local = topk_order_partitioned(av, k)
-                self._topk_merge(best_d[qi], best_i[qi],
-                                 av[local].astype(np.int64), local, k)
-        for b_start in range(start, n, tile):
-            b_tile = np.ascontiguousarray(b2[b_start : b_start + tile].T)
-            t = b_tile.shape[1]
-            xv, cv, av = xor[:t], cnt[:t], acc[:t]
-            tile_dead = self._tile_dead(dead, b_start, b_start + t)
-            for qi in range(num_a):
-                row = a2[qi]
-                kth = best_d[qi, k - 1]
-                if bounds is not None and bounds[qi] < kth:
-                    kth = bounds[qi]
-                eff = int(kth)
-                first = self._first_checkpoint(eff)
-                np.bitwise_xor(b_tile[0], row[0], out=xv)
-                np.bitwise_count(xv, out=cv)
-                av[:] = cv
-                for word in range(1, first):
-                    np.bitwise_xor(b_tile[word], row[word], out=xv)
-                    np.bitwise_count(xv, out=cv)
-                    np.add(av, cv, out=av)
+        buffers = [np.empty(size, dtype) for dtype in (np.uint64, np.uint8, acc_dtype)]
+        # Each query's bound for this tile; blocks take the queries in
+        # bound order, so a tight query shares its block (and the block's
+        # first checkpoint) with other tight ones.
+        bound = np.minimum(best[:, -1] // scale, limits).astype(acc_dtype)
+        by_bound = np.argsort(bound, kind="stable")
+        for q0 in range(0, num_a, block):
+            index = by_bound[q0 : q0 + block]
+            rows, eff = a2[index], bound[index]
+            m = index.size
+            xv, cv, av = (buf[: m * t].reshape(m, t) for buf in buffers)
+            first = self._first_checkpoint(int(eff.max()))
+            self._accumulate(rows, b_tile, 0, first, xv, cv, av)
+            if tile_dead is not None:
+                av[:, tile_dead] = sentinel  # above every filter bound
+            if first == num_words:
+                # Loose bounds: the schedule collapsed to one contiguous
+                # pass — select straight from the fully-summed tile.
+                self._merge_scored(best, index, av, eff, lo, scale)
+                continue
+            passed = av <= eff[:, None]
+            tallies = self._row_tallies(passed)
+            dense = tallies > t * self._TOPK_GATHER_FRACTION
+            gathered = np.arange(m)
+            if dense.any():
+                # Dense survivors: these queries finish the whole tile
+                # contiguously, which beats gathering.
+                picked = np.flatnonzero(dense)
+                scored = av if picked.size == m else av[picked]
+                self._accumulate(rows[picked], b_tile, first, num_words,
+                                 xv[: picked.size], cv[: picked.size], scored)
                 if tile_dead is not None:
-                    av[tile_dead] = sentinel  # above every filter bound
-                if first == num_words:
-                    # Loose bound: the schedule collapsed to one contiguous
-                    # pass — select straight from the fully-summed tile.
-                    local = topk_order_partitioned(av, k)
-                    self._topk_merge(best_d[qi], best_i[qi],
-                                     av[local].astype(np.int64),
-                                     local.astype(np.int64) + b_start, k)
+                    # re-pin: the tail words may wrap a narrow counter
+                    scored[:, tile_dead] = sentinel
+                self._merge_scored(best, index[picked], scored, eff[picked], lo, scale)
+                if picked.size == m:
                     continue
-                survivors = int(np.count_nonzero(av <= eff))
-                if survivors == 0:
-                    continue
-                if survivors > t * self._TOPK_GATHER_FRACTION:
-                    # Dense tile: finishing contiguously beats gathering.
-                    for word in range(first, num_words):
-                        np.bitwise_xor(b_tile[word], row[word], out=xv)
-                        np.bitwise_count(xv, out=cv)
-                        np.add(av, cv, out=av)
-                    if tile_dead is not None:
-                        # re-pin: the tail words may wrap a narrow counter
-                        av[tile_dead] = sentinel
-                    local = topk_order_partitioned(av, k)
-                    cand_d = av[local].astype(np.int64)
-                    cand_i = local.astype(np.int64) + b_start
-                else:
-                    # Gathered finish with escalating (doubling) word-block
-                    # checkpoints: survivors re-filter against the bound
-                    # after each block, so far items stop accumulating as
-                    # soon as they provably cannot matter.
-                    keep = np.flatnonzero(av <= eff)  # ascending store order
-                    cand_d = av[keep].astype(np.int64)
-                    word, span = first, max(1, first)
-                    while word < num_words and keep.size:
-                        stop = min(num_words, word + span)
-                        for w in range(word, stop):
-                            cand_d += np.bitwise_count(b_tile[w, keep] ^ row[w])
-                        word, span = stop, span * 2
-                        if word < num_words:
-                            alive = cand_d <= eff
-                            if not alive.all():
-                                keep, cand_d = keep[alive], cand_d[alive]
-                    if keep.size == 0:
-                        continue
-                    if keep.size > k:
-                        local = topk_order_partitioned(cand_d, k)
-                        cand_d, keep = cand_d[local], keep[local]
-                    cand_i = keep.astype(np.int64) + b_start
-                self._topk_merge(best_d[qi], best_i[qi], cand_d, cand_i, k)
-        return best_d, best_i
+                gathered = np.flatnonzero(~dense)
+                passed, tallies = passed[gathered], tallies[gathered]
+            # Gathered finish with escalating (doubling) word-block
+            # checkpoints: survivors re-filter against their query's bound
+            # after each block, so far items stop accumulating as soon as
+            # they provably cannot matter.
+            local = np.repeat(np.arange(gathered.size), tallies)
+            keep = np.flatnonzero(passed) - local * t
+            group = gathered[local]
+            dist = av.ravel().take(group * t + keep)
+            limit = eff.take(group)
+            word, span = first, first
+            while word < num_words and keep.size:
+                stop = min(num_words, word + span)
+                for w in range(word, stop):
+                    dist += np.bitwise_count(b_tile[w].take(keep) ^ rows[:, w].take(group))
+                word, span = stop, span * 2
+                alive = dist <= limit
+                if not alive.all():
+                    group, keep, dist, limit = (
+                        group[alive], keep[alive], dist[alive], limit[alive])
+            self._topk_merge(best, index, group,
+                             dist.astype(np.int64) * scale + (keep + lo + 1))
 
     @staticmethod
-    def _tile_dead(dead, start, stop):
-        """Tile-local indices of the dead rows in ``[start, stop)``, or None."""
-        if dead is None:
-            return None
-        lo, hi = np.searchsorted(dead, (start, stop))
-        return dead[lo:hi] - start if hi > lo else None
+    def _accumulate(rows, b_tile, lo, hi, xv, cv, av):
+        """Add words ``[lo, hi)`` of the Hamming counts of query ``rows``
+        against a word-major tile into the ``(m, t)`` counts ``av``
+        (``lo == 0`` starts them); ``xv``/``cv`` are working buffers."""
+        for word in range(lo, hi):
+            np.bitwise_xor(b_tile[word], rows[:, word, None], out=xv)
+            if word == 0:
+                np.bitwise_count(xv, out=av)
+            else:
+                np.add(av, np.bitwise_count(xv, out=cv), out=av)
 
     @staticmethod
-    def _topk_merge(best_d_row, best_i_row, cand_d, cand_i, k):
-        """Merge tile candidates into one query's running top-``k`` in place.
+    def _row_tallies(passed):
+        """Per-row ``True`` counts of an ``(m, t)`` mask (``m`` 1-D counts
+        beat one ``count_nonzero(axis=1)``)."""
+        return np.fromiter(map(np.count_nonzero, passed), dtype=np.intp,
+                           count=passed.shape[0])
 
-        ``np.lexsort`` on (index, distance) keys realizes the exact
-        shared tie contract: distance ascending, then store index
-        ascending. Sentinel rows (distance ``dim + 1``) always rank
-        behind real candidates.
-        """
-        merged_d = np.concatenate([best_d_row, cand_d])
-        merged_i = np.concatenate([best_i_row, cand_i])
-        order = np.lexsort((merged_i, merged_d))[:k]
-        best_d_row[:] = merged_d[order]
-        best_i_row[:] = merged_i[order]
+    def _merge_scored(self, best, index, scored, eff, lo, scale):
+        """Merge fully-scored ``(m, t)`` tile rows into queries ``index``:
+        each row's top-``k`` and its ties, none above the row's bound."""
+        k, t = best.shape[1], scored.shape[1]
+        limit = eff
+        if t > k:
+            limit = np.minimum(limit, np.partition(scored, k - 1, axis=1)[:, k - 1])
+        passed = scored <= limit[:, None]
+        group = np.repeat(np.arange(scored.shape[0]), self._row_tallies(passed))
+        flat = np.flatnonzero(passed)
+        dist = scored.ravel().take(flat).astype(np.int64)
+        self._topk_merge(best, index, group, dist * scale + (flat - group * t + lo + 1))
+
+    @staticmethod
+    def _topk_merge(best, index, group, keys):
+        """Fold candidate ``keys`` into the running top-``k`` keys of the
+        queries ``index`` in place; ``group`` (ascending) gives each
+        key's position in ``index``. Distinct keys make the merge the
+        exact (distance, index) contract."""
+        if not keys.size:
+            return
+        k = best.shape[1]
+        counts = np.bincount(group, minlength=index.size)
+        table = np.full((index.size, k + int(counts.max())),
+                        np.iinfo(np.int64).max, dtype=np.int64)
+        table[:, :k] = best[index]
+        slots = np.arange(keys.size) - (np.cumsum(counts) - counts)[group]
+        table[group, k + slots] = keys
+        table.partition(k - 1, axis=1)
+        best[index] = np.sort(table[:, :k], axis=1)
 
 
 BACKENDS = {DenseBackend.name: DenseBackend, PackedBackend.name: PackedBackend}

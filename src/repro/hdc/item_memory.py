@@ -72,9 +72,9 @@ class ItemMemory:
         # plus the sorted array the kernels take (built on first use).
         self._dead = set()
         self._dead_sorted = None
-        # Contiguous native store + rows added since it was last built.
-        # The pending list folds into the matrix on the next query, so the
-        # steady-state residency is one contiguous copy, not two.
+        # Contiguous native store + blocks of rows added since it was last
+        # built. The pending blocks fold into the matrix on the next query,
+        # so the steady-state residency is one contiguous copy, not two.
         self._matrix = None
         self._pending = []
 
@@ -148,10 +148,7 @@ class ItemMemory:
             raise ValueError(f"label {label!r} already stored")
         # Convert before touching any state: a failed conversion must
         # leave the memory exactly as it was.
-        row = self._backend.from_bipolar(vector)
-        self._label_index[label] = len(self._labels)
-        self._labels.append(label)
-        self._pending.append(row)
+        self._append([label], self._backend.from_bipolar(vector[None], checked=True))
 
     def add_many(self, labels, vectors):
         """Store a stack of vectors under corresponding labels.
@@ -183,11 +180,14 @@ class ItemMemory:
         for label in labels:
             if label in self._label_index:
                 raise ValueError(f"label {label!r} already stored")
-        rows = self._backend.from_bipolar(vectors)
-        for label, row in zip(labels, rows):
-            self._label_index[label] = len(self._labels)
-            self._labels.append(label)
-            self._pending.append(row)
+        self._append(labels, self._backend.from_bipolar(vectors, checked=True))
+
+    def _append(self, labels, rows):
+        """Commit validated ``labels`` and their block of native ``rows``."""
+        start = len(self._labels)
+        self._label_index.update(zip(labels, range(start, start + len(labels))))
+        self._labels.extend(labels)
+        self._pending.append(rows)
 
     def __len__(self):
         return len(self._label_index)
@@ -262,10 +262,9 @@ class ItemMemory:
         """
         if self._matrix is None or self._pending:
             parts = [] if self._matrix is None else [self._matrix]
-            if self._pending:
-                parts.append(np.stack(self._pending))
+            parts.extend(self._pending)
             if parts:
-                matrix = parts[0] if len(parts) == 1 else np.vstack(parts)
+                matrix = parts[0] if len(parts) == 1 else np.concatenate(parts)
                 self._matrix = np.ascontiguousarray(matrix)
             else:
                 self._matrix = self._backend.from_bipolar(
@@ -443,11 +442,7 @@ class ItemMemory:
         for label in labels:
             if label in self._label_index:
                 raise ValueError(f"label {label!r} already stored")
-        rows = np.array(matrix)  # one materialized copy (the file may be a memmap)
-        for label, row in zip(labels, rows):
-            self._label_index[label] = len(self._labels)
-            self._labels.append(label)
-            self._pending.append(row)
+        self._append(labels, np.array(matrix))  # one copy: the file may be a memmap
 
     def remove_many(self, labels):
         """Delete stored rows by label: O(batch), nothing moves.

@@ -79,9 +79,10 @@ class AssociativeStore:
         Max queries scored per underlying call — bounds the similarity
         temporary at ``query_block × largest-shard`` entries.
     workers:
-        Pool width of the sharded query fan-out (int ≥ 1 or
-        ``"auto"``); never changes decisions, only wall-clock. With one
-        shard there is nothing to fan out and the value is ignored.
+        Pool width of the sharded query fan-out: an int ≥ 1, or the
+        default (``None``, or ``"auto"``) — every core this process may
+        run on. Never changes decisions, only wall-clock. With one shard
+        there is nothing to fan out and the value is ignored.
     executor:
         Fan-out executor kind: ``"thread"`` (default) or ``"process"``
         (true multi-core; persisted shards re-open via ``np.memmap``
@@ -90,7 +91,7 @@ class AssociativeStore:
     """
 
     def __init__(self, dim, backend="dense", shards=1, routing="hash",
-                 query_block=1024, workers=1, executor="thread"):
+                 query_block=1024, workers=None, executor="thread"):
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if query_block < 1:
@@ -123,7 +124,7 @@ class AssociativeStore:
 
     @classmethod
     def from_vectors(cls, labels, vectors, backend="dense", shards=1,
-                     routing="hash", query_block=1024, workers=1,
+                     routing="hash", query_block=1024, workers=None,
                      executor="thread", chunk_size=DEFAULT_CHUNK_SIZE):
         """Build a store directly from a labelled ``(n, dim)`` stack."""
         vectors = np.asarray(vectors)
@@ -136,7 +137,7 @@ class AssociativeStore:
         return store
 
     @classmethod
-    def open(cls, path, mmap=True, query_block=1024, workers=1,
+    def open(cls, path, mmap=True, query_block=1024, workers=None,
              executor="thread", auto_compact_segments=None):
         """Reopen a saved store (lazily memmapped by default).
 

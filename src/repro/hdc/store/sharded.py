@@ -149,11 +149,13 @@ class ShardedItemMemory:
         :mod:`repro.hdc.store.routing`.
     workers:
         Pool width for the per-shard query fan-out: an int ≥ 1
-        (``1`` = sequential for threads) or ``"auto"`` for the CPU
-        count. Worker count never changes decisions, only wall-clock.
+        (``1`` = sequential for threads); the default (``None``, or
+        ``"auto"``) is every core this process may run on. Worker count
+        never changes decisions, only wall-clock.
     executor:
-        Fan-out executor kind: ``"thread"`` (default; NumPy kernels
-        release the GIL) or ``"process"`` (a true multi-core pool —
+        Fan-out executor kind: ``"thread"`` (default; the packed
+        kernel's blocked NumPy calls release the GIL long enough for
+        shard calls to overlap) or ``"process"`` (a true multi-core pool —
         worker processes re-open persisted shards via ``np.memmap``;
         an in-memory store spills its shards to a temp store directory
         on the first process query, so labels must then be
@@ -165,7 +167,7 @@ class ShardedItemMemory:
     EMPTY_POP_BOUNDS = (2**62, -1)
 
     def __init__(self, dim, num_shards=4, backend="dense", routing="hash",
-                 workers=1, executor="thread"):
+                 workers=None, executor="thread"):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         if routing not in ROUTINGS:
@@ -442,9 +444,7 @@ class ShardedItemMemory:
         """
         if label in self._order:
             raise ValueError(f"label {label!r} already stored")
-        vector = np.asarray(vector)
-        self._shards[0]._check_rows(vector, (self.dim,))
-        self._ingest_chunk([label], vector[None])
+        self._ingest_chunk([label], np.asarray(vector)[None])
 
     def _segment_rows(self, shard_index):
         """Physical rows of one shard covered by journaled segment groups."""
@@ -475,7 +475,7 @@ class ShardedItemMemory:
         self._bound_state_cache = None
 
     def _note_popcounts(self, shard_index, rows):
-        """Fold committed bipolar rows into one shard's *base* minus-count
+        """Fold committed native rows into one shard's *base* minus-count
         bounds (skipped while the persistence layer journals an append —
         those rows get their own exact segment group instead)."""
         if self._suspend_bound_folds:
@@ -483,14 +483,14 @@ class ShardedItemMemory:
         bounds = self._pop_bounds[shard_index]
         if bounds is None:
             return  # unknown base rows (pre-bounds store) stay unknown
-        counts = (np.asarray(rows) < 0).sum(axis=1)
+        counts = self.backend.minus_counts(rows)
         self._pop_bounds[shard_index] = (
             min(bounds[0], int(counts.min())),
             max(bounds[1], int(counts.max())),
         )
 
     def _note_geometry(self, shard_index, rows):
-        """Fold committed bipolar rows into one shard's *base* centroid +
+        """Fold committed native rows into one shard's *base* centroid +
         radius.
 
         Called *after* the rows landed in the shard. The centroid is
@@ -509,7 +509,6 @@ class ShardedItemMemory:
         """
         if self._suspend_bound_folds:
             return
-        rows = np.asarray(rows)
         centroid = self._geo_centroid[shard_index]
         if centroid is None:
             base_rows = (
@@ -518,12 +517,11 @@ class ShardedItemMemory:
             )
             if base_rows != rows.shape[0]:
                 return  # unknown base rows (pre-bounds store) stay unknown
-            counts = (rows < 0).sum(axis=0, dtype=np.int64)
+            counts = self.backend.column_minus_counts(rows)
             centroid = self.backend.centroid(counts, rows.shape[0])
             self._geo_centroid[shard_index] = centroid
             self._geo_radius[shard_index] = None
-        native = self.backend.from_bipolar(rows)
-        radius = int(np.max(np.atleast_1d(self.backend.hamming(centroid, native))))
+        radius = int(np.max(np.atleast_1d(self.backend.hamming(centroid, rows))))
         previous = self._geo_radius[shard_index]
         self._geo_radius[shard_index] = (
             radius if previous is None else max(previous, radius)
@@ -561,7 +559,16 @@ class ShardedItemMemory:
             self._ingest_chunk(chunk_labels, chunk)
 
     def _ingest_chunk(self, chunk_labels, chunk):
-        """Route one pre-validated chunk to its shards and commit it."""
+        """Route one chunk (its labels already checked for duplicates) to
+        its shards and commit it.
+
+        Each shard's slice is checked for bipolarity and converted to
+        native rows once, and every slice is checked before any shard
+        commits, so one non-bipolar row refuses the chunk. Each shard
+        then takes its native rows as they are, and the bound folds read
+        the same rows. (Slice by slice, the temporaries of the check and
+        the conversion stay a shard's share of the chunk.)
+        """
         base = len(self)  # routing runs on the dense survivor count
         if chunk.ndim != 2 or chunk.shape != (len(chunk_labels), self.dim):
             raise ValueError(
@@ -571,20 +578,18 @@ class ShardedItemMemory:
         for offset, label in enumerate(chunk_labels):
             index = route_label(label, base + offset, self.num_shards, self.routing)
             groups.setdefault(index, []).append(offset)
-        # Validate the whole chunk (one shard call checks bipolarity of its
-        # slice; checking the full chunk first keeps the commit atomic).
         plan = []
         for index, offsets in groups.items():
-            shard_labels = [chunk_labels[o] for o in offsets]
-            shard_rows = chunk[offsets]
-            self._shards[index]._check_rows(shard_rows, (len(offsets), self.dim))
-            plan.append((index, shard_labels, shard_rows, offsets))
+            rows = chunk[offsets]
+            self._shards[index]._check_rows(rows, rows.shape)
+            plan.append((index, offsets, self.backend.from_bipolar(rows, checked=True)))
         first = len(self._slots)
-        for index, shard_labels, shard_rows, offsets in plan:
+        for index, offsets, rows in plan:
+            shard_labels = [chunk_labels[o] for o in offsets]
             shard = self._shards[index]
-            shard.add_many(shard_labels, shard_rows)
-            self._note_popcounts(index, shard_rows)
-            self._note_geometry(index, shard_rows)
+            shard._append(shard_labels, rows)
+            self._note_popcounts(index, rows)
+            self._note_geometry(index, rows)
             self._shard_of.update(dict.fromkeys(shard_labels, index))
             # The shard's order buffer grows by doubling, so ingest never
             # reallocates per row.
@@ -709,8 +714,19 @@ class ShardedItemMemory:
         return queries
 
     def _active_shards(self):
-        """Indices of the non-empty shards."""
-        return [index for index, shard in enumerate(self._shards) if len(shard)]
+        """Indices of the non-empty shards.
+
+        On the thread executor each one's pending rows fold into its
+        matrix here, on the calling thread and one shard at a time:
+        otherwise the first read after an append would re-stack whole
+        shards inside the pool threads, several at once, each holding
+        its old matrix and its new one.
+        """
+        active = [index for index, shard in enumerate(self._shards) if len(shard)]
+        if self._executor.kind == "thread":
+            for index in active:
+                self._shards[index]._native_matrix()
+        return active
 
     def _attach(self, path, generation):
         """Record a persisted twin directory process workers may re-open.

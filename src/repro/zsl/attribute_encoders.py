@@ -81,7 +81,7 @@ class HDCAttributeEncoder(nn.Module):
         return self.dictionary.backend.name
 
     def attribute_store(self, shards=1, routing="hash", query_block=1024,
-                        workers=1, executor="thread"):
+                        workers=None, executor="thread"):
         """The dictionary ``B`` as an :class:`~repro.hdc.store.AssociativeStore`.
 
         One labelled hypervector per attribute combination

@@ -148,7 +148,7 @@ class HDCZSC(nn.Module):
 
     def class_store(self, class_attributes, labels=None, shards=1,
                     routing="hash", backend=None, query_block=1024,
-                    workers=1, executor="thread"):
+                    workers=None, executor="thread"):
         """Build the class-level item memory behind store-backed inference.
 
         Encodes ``class_attributes`` through φ(·), sign-binarizes the

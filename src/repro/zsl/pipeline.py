@@ -44,9 +44,10 @@ class PipelineConfig:
     #: sharding changes layout and scalability, never decisions.
     store_shards: int = 1
     store_routing: str = "hash"  # "hash" | "round_robin"
-    #: pool width of the store's per-shard query fan-out;
-    #: parallelism changes wall-clock, never decisions.
-    store_workers: int = 1
+    #: pool width of the store's per-shard query fan-out (None: every
+    #: core this process may run on); parallelism changes wall-clock,
+    #: never decisions.
+    store_workers: int | None = None
     #: fan-out executor kind ("thread" | "process"); the process pool
     #: re-opens persisted shards via np.memmap inside each worker.
     store_executor: str = "thread"

@@ -12,6 +12,9 @@ pruning bounds (strict skips can never drop a boundary tie).
 """
 
 import importlib
+import os
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,8 @@ import pytest
 
 from repro.hdc import ItemMemory, random_bipolar
 from repro.hdc.store import AssociativeStore, ShardedItemMemory, resolve_workers
-from repro.hdc.store.parallel import ShardExecutor, distances_to_similarities
+from repro.hdc.store.parallel import (ShardExecutor, available_cores,
+                                      distances_to_similarities)
 
 WORKER_COUNTS = (1, 2)
 SHARD_COUNTS = (1, 3, 8)
@@ -352,11 +356,26 @@ class TestFacadeAndExecutor:
         assert sharded.workers == 4
         assert sharded.topk_batch(query, k=4) == before
 
+    def test_default_width_is_the_affinity_core_count(self, tmp_path, rng):
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        vectors = random_bipolar(20, 128, rng)
+        labels = [f"v{i}" for i in range(20)]
+        store = AssociativeStore.from_vectors(labels, vectors, shards=4,
+                                              backend="packed")
+        assert store.workers == cores
+        assert ShardedItemMemory(64, num_shards=2).workers == cores
+        store.save(tmp_path / "store")
+        reopened = AssociativeStore.open(tmp_path / "store")
+        assert reopened.workers == cores
+        assert reopened.memory._executor.cores == cores
+        assert AssociativeStore.from_vectors(labels, vectors).workers == 1
+
     def test_resolve_workers(self):
-        assert resolve_workers(None) == 1
+        assert resolve_workers(None) == available_cores()
+        assert resolve_workers("auto") == available_cores()
         assert resolve_workers(1) == 1
         assert resolve_workers(7) == 7
-        assert resolve_workers("auto") >= 1
         with pytest.raises(ValueError, match="workers"):
             resolve_workers(0)
         with pytest.raises(ValueError, match="workers"):
@@ -907,6 +926,62 @@ class TestStoreScale:
         for kind in ("delete", "upsert"):
             key = f"seconds_per_{kind}_median"
             assert large[key] <= 2 * small[key], (kind, small, large)
+
+    def test_default_width_overlaps_shard_kernels(self, store_scale_items):
+        """The fence behind the cores-wide default: on a packed 8-shard
+        store of ``store_scale_items`` 1024-d rows, the median 64-query
+        ``topk_batch`` at the default width (every core this process may
+        run on) takes at most 0.8x the median at ``workers=1`` — the
+        thread fan-out must overlap the shard kernels, not serialize
+        them on the GIL. Calls alternate between two handles over the
+        same rows, so drifting machine load hits both alike.
+
+        Skipped where two threads cannot run at once: on one core, and
+        when a virtual machine's cores share one host core — each
+        repetition also times a GIL-free reference (``np.bitwise_count``
+        over a 1M-word array, in two threads and then one), and the fence
+        needs that reference to run at least 1.5x faster on two threads.
+        """
+        if available_cores() < 2:
+            pytest.skip("needs at least 2 cores")
+        rng = np.random.default_rng(107)
+        dim, items = 1024, store_scale_items
+        vectors = random_bipolar(items, dim, rng)
+        labels = list(range(items))
+        wide = AssociativeStore.from_vectors(labels, vectors, backend="packed",
+                                             shards=8)
+        narrow = AssociativeStore.from_vectors(labels, vectors, backend="packed",
+                                               shards=8, workers=1)
+        assert wide.workers == available_cores() and narrow.workers == 1
+        queries = _noisy_queries(vectors, rng, num=64, flip_fraction=0.125)
+        assert wide.topk_batch(queries, k=5) == narrow.topk_batch(queries, k=5)
+        words = [rng.integers(0, 2**63, size=1 << 20, dtype=np.uint64) for _ in range(2)]
+
+        def reference(index):
+            out = np.empty(words[index].shape, dtype=np.uint8)
+            for _ in range(20):
+                np.bitwise_count(words[index], out=out)
+
+        runs = {
+            "narrow": lambda: narrow.topk_batch(queries, k=5),
+            "wide": lambda: wide.topk_batch(queries, k=5),
+            "reference x1": lambda: (reference(0), reference(1)),
+            "reference x2": lambda: list(pool.map(reference, (0, 1))),
+        }
+        times = {name: [] for name in runs}
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(9):
+                for name, run in runs.items():
+                    start = time.perf_counter()
+                    run()
+                    times[name].append(time.perf_counter() - start)
+        wide.memory.close()
+        median = {name: float(np.median(spans)) for name, spans in times.items()}
+        capacity = median["reference x1"] / median["reference x2"]
+        if capacity < 1.5:
+            pytest.skip(f"two threads ran GIL-free NumPy only {capacity:.2f}x "
+                        f"faster than one: no second core to overlap on")
+        assert median["wide"] <= 0.8 * median["narrow"], median
 
     def test_mutation_at_scale(self, store_scale_items, store_scale_executor,
                                tmp_path):

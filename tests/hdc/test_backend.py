@@ -374,6 +374,70 @@ class TestHammingTopk:
         assert np.array_equal(
             dense.column_minus_counts(dense.from_bipolar(vectors)), expected)
 
+    BLOCK = 4  # queries per NumPy call on a full 1024-row tile (below)
+
+    def _blocked(self, dim):
+        """A packed kernel with small tiles (probe 256, tiles of 1024 rows)
+        whose query block on a full tile is ``BLOCK`` queries."""
+        packed = PackedBackend(dim)
+        packed._TOPK_TILE, packed._TOPK_PROBE = 1024, 256
+        packed._TOPK_BLOCK_BYTES = 8 * 1024 * self.BLOCK
+        return packed
+
+    def _tied_case(self, rng, dim, n, num_queries):
+        """A store whose second half duplicates its first (exact ties must
+        resolve to the smaller index), and noisy copies of stored rows."""
+        vectors = random_bipolar(n, dim, rng)
+        vectors[n // 2 :] = vectors[: n - n // 2]
+        queries = vectors[rng.integers(0, n, size=num_queries)].copy()
+        for row in queries:
+            row[rng.choice(dim, dim // 8, replace=False)] *= -1
+        return vectors, queries
+
+    @pytest.mark.parametrize("num_queries", [1, BLOCK - 1, BLOCK, BLOCK + 1, 65])
+    def test_query_blocks_match_the_dense_reference(self, rng, num_queries):
+        """Every query count around the block size — a partial block, an
+        exact one, one query over — ranks exactly like the reference, both
+        seeded by the probe and under per-query bounds."""
+        dim, n, k = 512, 3000, 4  # tiles: probe 256, 1024, 1024, 696 rows
+        dense, packed = DenseBackend(dim), self._blocked(dim)
+        vectors, queries = self._tied_case(rng, dim, n, num_queries)
+        nd, nq = dense.from_bipolar(vectors), dense.from_bipolar(queries)
+        expected_d, expected_i = self._reference(dense, nq, nd, k)
+        store, qs = packed.from_bipolar(vectors), packed.from_bipolar(queries)
+        got_d, got_i = packed.hamming_topk(qs, store, k)
+        assert np.array_equal(got_d, expected_d)
+        assert np.array_equal(got_i, expected_i)
+        bounds = expected_d[:, -1].copy()  # every query keeps its top-k
+        got_d, got_i = packed.hamming_topk(qs, store, k, bounds=bounds)
+        assert np.array_equal(got_d, expected_d)
+        assert np.array_equal(got_i, expected_i)
+
+    def test_mixed_bounds_inside_one_block(self, rng):
+        """One block holds queries bounded at 0, tight, ``dim`` and
+        ``dim + 1``: the block checkpoints on its loosest bound, yet each
+        query keeps exactly what its own bound permits."""
+        dim, n, k = 512, 3000, 5
+        dense, packed = DenseBackend(dim), self._blocked(dim)
+        vectors, queries = self._tied_case(rng, dim, n, 3 * self.BLOCK)
+        nd, nq = dense.from_bipolar(vectors), dense.from_bipolar(queries)
+        expected_d, expected_i = self._reference(dense, nq, nd, k)
+        kinds = np.arange(queries.shape[0]) % 4
+        bounds = np.choose(kinds, [np.zeros_like(expected_d[:, 0]),
+                                   expected_d[:, 1],  # tight: keeps ranks 0..1
+                                   np.full_like(expected_d[:, 0], dim),
+                                   np.full_like(expected_d[:, 0], dim + 1)])
+        got_d, got_i = packed.hamming_topk(packed.from_bipolar(queries),
+                                           packed.from_bipolar(vectors), k,
+                                           bounds=bounds)
+        for qi in range(queries.shape[0]):
+            ok = expected_d[qi] <= bounds[qi]
+            assert np.array_equal(got_d[qi][ok], expected_d[qi][ok]), kinds[qi]
+            assert np.array_equal(got_i[qi][ok], expected_i[qi][ok]), kinds[qi]
+            assert (got_d[qi][~ok] > bounds[qi]).all(), kinds[qi]
+            if kinds[qi] >= 2:  # a loose bound permits nothing to prune
+                assert ok.all()
+
     def test_bad_bounds_shape_rejected(self, rng):
         packed = PackedBackend(256)
         store = packed.from_bipolar(random_bipolar(5000, 256, rng))
@@ -404,11 +468,11 @@ class TestHammingTopkDeadRows:
         mapped back to physical indices and padded with sentinels."""
         from repro.hdc.ordering import topk_order
 
-        dense = DenseBackend(self.DIM)
-        n = vectors.shape[0]
+        n, dim = vectors.shape
+        dense = DenseBackend(dim)
         live = np.setdiff1d(np.arange(n), dead)
         width = min(k, n)
-        out_d = np.full((qs.shape[0], width), self.DIM + 1, dtype=np.int64)
+        out_d = np.full((qs.shape[0], width), dim + 1, dtype=np.int64)
         out_i = np.full((qs.shape[0], width), -1, dtype=np.int64)
         if live.size:
             distances = np.atleast_2d(dense.hamming(qs, vectors[live]))
@@ -418,7 +482,7 @@ class TestHammingTopkDeadRows:
             out_i[:, : selected.shape[1]] = live[selected]
         if bounds is not None:
             pruned = out_d > np.asarray(bounds)[:, None]
-            out_d[pruned], out_i[pruned] = self.DIM + 1, -1
+            out_d[pruned], out_i[pruned] = dim + 1, -1
         return out_d, out_i
 
     def _packed(self, gather_fraction=None):
@@ -491,6 +555,40 @@ class TestHammingTopkDeadRows:
             bounds=np.full(2, 100, dtype=np.int64), dead=dead)
         assert not np.isin(got_i, dead).any()
         assert got_i[:, 0].tolist() == [50, 51] and (got_d[:, 0] == 0).all()
+
+    @pytest.mark.parametrize("bound", [None, 60, DIM])
+    def test_dead_rows_on_probe_and_tile_edges(self, rng, bound):
+        """Dead copies of the queries on the first and last row of the
+        probe (rows 0..255, run only without bounds) and of every tile
+        either way (1024-row tiles from the probe's end, or from row 0
+        under bounds), over queries spanning several blocks."""
+        edges = [0, 255, 256, 1023, 1024, 1279, 1280, 2047, 2048, 2303, 2304,
+                 2999]
+        vectors, qs, dead = self._case(rng, 3000, dead=edges,
+                                       planted=edges + [1500, 2600], queries=9)
+        bounds = None if bound is None else np.full(9, bound, dtype=np.int64)
+        packed = self._packed()
+        packed._TOPK_BLOCK_BYTES = 8 * 1024 * 4  # 4 queries per full tile
+        for backend in (DenseBackend(self.DIM), packed):
+            self._assert_agree(backend, vectors, qs, dead, 3, bounds)
+
+    @pytest.mark.parametrize("bound", [None, 200])
+    def test_dead_rows_above_the_uint16_range(self, rng, bound):
+        """Above 65,534-d the sentinel ``dim + 1`` no longer fits a uint16
+        count, so the running counts widen to uint32: dead rows pinned
+        there stay out, and the live rows rank exactly."""
+        dim, n = 70_000, 600
+        packed = PackedBackend(dim)
+        packed._TOPK_TILE, packed._TOPK_PROBE = 256, 128
+        vectors = random_bipolar(n, dim, rng)
+        qs = random_bipolar(3, dim, rng)
+        vectors[[10, 11, 300, 301]] = qs[[0, 1, 0, 1]]  # exact copies ...
+        vectors[[12, 302]] = qs[2]
+        vectors[[12, 302], :100] *= -1  # ... and a tied pair of near ones
+        dead = np.asarray([10, 11, 127, 128, 300, 599], dtype=np.int64)
+        bounds = None if bound is None else np.full(3, bound, dtype=np.int64)
+        for backend in (DenseBackend(dim), packed):
+            self._assert_agree(backend, vectors, qs, dead, 3, bounds)
 
     @pytest.mark.parametrize("n, live, k", [(3000, 0, 4), (3000, 3, 5),
                                             (40, 0, 7), (40, 2, 40)])
