@@ -490,6 +490,30 @@ class PackedBackend(HDCBackend):
             raise ValueError(f"expected a native (n, words) store, got {store.shape}")
         return _popcount_sum(store)  # padding bits are zero, so they never count
 
+    #: rows per block of the packed column count: a uint8 column sum of
+    #: up to 255 bits cannot overflow
+    _COLUMN_COUNT_ROWS = 255
+
+    def column_minus_counts(self, store):
+        """Per-column −1 counts straight from the packed words.
+
+        Same contract as :meth:`HDCBackend.column_minus_counts`, without
+        the bipolar round trip: each block of at most 255 rows is
+        unpacked to one uint8 bit per component (``np.unpackbits`` over
+        the words' little-endian byte view, so bit ``i`` is component
+        ``i``) and summed down its columns in uint8.
+        """
+        store = self._as_words(np.asarray(store))
+        if store.ndim != 2:
+            raise ValueError(f"expected a native (n, words) store, got {store.shape}")
+        counts = np.zeros(self.num_words * WORD_BITS, dtype=np.int64)
+        for start in range(0, store.shape[0], self._COLUMN_COUNT_ROWS):
+            block = np.ascontiguousarray(
+                store[start : start + self._COLUMN_COUNT_ROWS], dtype="<u8")
+            bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
+            counts += bits.sum(axis=0, dtype=np.uint8)
+        return counts[: self.dim]
+
     #: early-exit top-k kernel tuning — items per word-major tile, items in
     #: the bound-seeding probe block, the survivor fraction above which a
     #: query finishes its whole tile contiguously rather than gathered, and

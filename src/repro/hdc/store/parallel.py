@@ -4,21 +4,26 @@ The sharded store's query path has three independent scaling levers,
 all implemented here:
 
 - **Fan-out** — per-shard Hamming kernels are independent, so
-  :class:`ShardExecutor` maps a partial function over the shards:
-  sequentially for ``workers=1``, on a reused ``ThreadPoolExecutor``,
-  or — with ``kind="process"`` — on a ``ProcessPoolExecutor`` that
-  sidesteps the GIL entirely. The default width is every core this
-  process may run on (:func:`available_cores`, its CPU affinity).
+  :class:`ShardExecutor` runs them as submitted tasks: inline for a
+  1-wide thread executor, on a reused ``ThreadPoolExecutor``, or — with
+  ``kind="process"`` — on a ``ProcessPoolExecutor`` that sidesteps the
+  GIL entirely. The default width is every core this process may run on
+  (:func:`available_cores`, its CPU affinity). The store layer keeps
+  that many kernel calls in flight and starts the next shard whenever
+  one finishes (a list schedule, never a barrier), and a shard that
+  would run alone has its queries split across the width
+  (:func:`query_slices`; :func:`join_partials` stitches the parts back).
   Threads overlap because the packed top-k kernel
   (``PackedBackend.hamming_topk``) makes each NumPy call cover a block
   of queries across a whole tile, so a call holds the GIL released for
-  20–80 µs: on a 2-core container, eight 12,500-row 1024-d shard calls
-  of 64 queries (bound 455) took 100–140 ms on two threads against
-  ~160 ms one after another. The per-query kernel it replaced took
-  180–220 ms one after another and 1.2–1.5× that on two threads.
+  20–80 µs: on a 2-core container, a 64-query ``topk_batch`` over a
+  100k × 1024 store in eight packed shards took 113–122 ms on two
+  threads against 180–199 ms on one (barrier waves: 140–143 ms). The
+  per-query kernel that the blocked one replaced took 180–220 ms one
+  after another and 1.2–1.5× that on two threads.
   Worker processes never receive pickled shard matrices: tasks name a
-  persisted store directory and a shard index, and each
-  worker re-opens its shard's ``.npy`` files via ``np.memmap``
+  persisted store directory, a shard index and the task's query slice,
+  and each worker re-opens its shard's ``.npy`` files via ``np.memmap``
   (:func:`process_shard_task`) — zero-copy, shared through the page
   cache, cached per ``(path, generation)`` inside the worker.
 - **Integer domain** — per-shard partials are ``(uint distance, global
@@ -59,7 +64,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -73,6 +78,9 @@ __all__ = [
     "ShardExecutor",
     "BoundTracker",
     "ORDER_SENTINEL",
+    "query_slices",
+    "join_partials",
+    "run_shard_task",
     "shard_cleanup_ints",
     "shard_topk_ints",
     "shard_cleanup_floats",
@@ -123,31 +131,34 @@ def resolve_executor(kind):
 
 
 class ShardExecutor:
-    """Maps a function over shards: sequentially, on threads, or on processes.
+    """Runs shard tasks: inline, on threads, or on processes.
 
-    Results come back in submission (shard) order regardless of
-    completion order — the merge's tie-break correctness never depends
-    on scheduling. The pool is created lazily on the first parallel map
-    and reused across queries; :meth:`close` (also called on garbage
-    collection) shuts it down, cancelling any queued work, after which
-    :meth:`map` raises rather than silently rebuilding a pool.
+    :meth:`submit` starts one task and returns its
+    :class:`~concurrent.futures.Future`; the store layer's fan-out keeps
+    the executor's width of them in flight and reacts to each
+    completion. A 1-wide thread executor runs every task inline on the
+    calling thread (the future comes back done). :meth:`map` is
+    :meth:`submit` over a list, with results in submission order. The
+    pool is created lazily on the first pooled task and reused across
+    queries; :meth:`close` (also called on garbage collection) shuts it
+    down, cancelling any queued work, after which :meth:`submit` and
+    :meth:`map` raise rather than silently rebuilding a pool.
 
-    ``kind="process"`` requires the mapped function and its items to be
+    ``kind="process"`` requires the task function and its items to be
     picklable (the store layer sends :func:`process_shard_task` plus
     plain task tuples); worker processes are forked where the platform
     supports it, so a large parent store is never copied eagerly.
 
-    **Determinism**: submission-order results make the executor
-    transparent to the merge — pool width, kind, and completion order
-    never change decisions. **Safety**: :meth:`map` may be called from
+    **Determinism**: the executor never decides anything — the store
+    layer merges partials under a tie contract that ignores the order
+    they arrive in, so pool width, kind and completion order never
+    change decisions. **Safety**: :meth:`submit` may be called from
     concurrent threads (the underlying pools are thread-safe), and
     :meth:`close` is idempotent and safe to call from any thread — even
     one that never ran a query (the serving layer's event loop hands the
     store between threads): a lock serializes pool creation against
-    shutdown, so a racing ``map`` either runs on the live pool (its
+    shutdown, so a racing ``submit`` either runs on the live pool (its
     in-flight work may then be cancelled by the shutdown) or raises.
-    After ``close`` every ``map`` raises rather than silently rebuilding
-    a pool.
     """
 
     def __init__(self, workers=None, kind="thread"):
@@ -156,9 +167,9 @@ class ShardExecutor:
         self._lock = threading.Lock()  # pool creation vs close, any thread
         self.kind = resolve_executor(kind)
         #: cores this process may run on, probed once per executor — the
-        #: default pool width, and the store layer caps its fan-out wave
-        #: width at this (a per-query ``sched_getaffinity`` syscall would
-        #: be pure overhead on the hot path)
+        #: default pool width, and the store layer caps the kernel calls
+        #: it keeps in flight at this (a per-query ``sched_getaffinity``
+        #: syscall would be pure overhead on the hot path)
         self.cores = available_cores()
         self.workers = resolve_workers(workers)
 
@@ -173,32 +184,44 @@ class ShardExecutor:
             max_workers=self.workers, thread_name_prefix="repro-shard"
         )
 
-    def map(self, fn, items):
-        items = list(items)
-        sequential = self.kind == "thread" and (
-            self.workers == 1 or len(items) <= 1
-        )
+    def submit(self, fn, item):
+        """Start ``fn(item)``; returns its :class:`~concurrent.futures.Future`.
+
+        A 1-wide thread executor runs it inline, so the returned future
+        is already done (holding the result or the raised exception).
+        """
+        inline = self.kind == "thread" and self.workers == 1
         with self._lock:
             if self._closed:
                 raise RuntimeError(
                     "ShardExecutor is closed; create a new executor (or assign "
                     "memory.workers / memory.executor) instead of reusing it"
                 )
-            if not sequential and self._pool is None:
+            if not inline and self._pool is None:
                 self._pool = self._make_pool()
             pool = self._pool
-        if sequential:
-            return [fn(item) for item in items]
-        return list(pool.map(fn, items))
+        if not inline:
+            return pool.submit(fn, item)
+        future = Future()
+        try:
+            future.set_result(fn(item))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def map(self, fn, items):
+        """``[fn(item) for item in items]`` over the pool, in submission order."""
+        futures = [self.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
 
     def close(self):
         """Shut the pool down (idempotent; callable from any thread).
 
         Queued work is cancelled and in-flight futures of a racing
-        :meth:`map` may raise ``CancelledError`` — close concurrently
-        with maps only when abandoning their results (the store layer's
-        own contract: mutation must not race queries). Subsequent
-        :meth:`map` calls raise.
+        :meth:`submit` may raise ``CancelledError`` — close concurrently
+        with queries only when abandoning their results (the store
+        layer's own contract: mutation must not race queries).
+        Subsequent :meth:`submit` and :meth:`map` calls raise.
         """
         with self._lock:
             pool, self._pool = self._pool, None
@@ -311,6 +334,51 @@ def shard_topk_floats(shard, queries, k, orders):
     return -sims[rows, selected], orders[selected]
 
 
+def query_slices(num_queries, parts):
+    """``min(parts, num_queries)`` contiguous, near-equal slices of a batch.
+
+    How the fan-out splits one shard's queries across idle workers: the
+    packed kernel blocks its queries anyway, so each part is a smaller
+    batch of the same call, and its rows of the partial are exactly the
+    whole call's rows (every query's top-k is independent of the rest).
+    """
+    parts = max(1, min(int(parts), num_queries))
+    cuts = [num_queries * part // parts for part in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def join_partials(parts):
+    """One shard's ``(primary, orders)`` partial from its query-slice parts.
+
+    ``parts`` are ``(slice, partial)`` pairs in any (completion) order;
+    the pieces are stacked back in query order.
+    """
+    if len(parts) == 1:
+        return parts[0][1]
+    parts = sorted(parts, key=lambda part: part[0].start)
+    return tuple(np.concatenate([partial[side] for _, partial in parts])
+                 for side in (0, 1))
+
+
+def run_shard_task(mode, shard, orders, queries, k, bounds=None):
+    """One shard's partial of kind ``mode`` — the body of every task.
+
+    The thread executor calls it on the live shard; a process worker
+    calls it on the shard it re-opened (:func:`process_shard_task`).
+    """
+    if mode == "cleanup_ints":
+        return shard_cleanup_ints(shard, queries, orders, bounds=bounds)
+    if mode == "topk_ints":
+        return shard_topk_ints(shard, queries, k, orders, bounds=bounds)
+    if mode == "cleanup_floats":
+        return shard_cleanup_floats(shard, queries, orders)
+    if mode == "topk_floats":
+        return shard_topk_floats(shard, queries, k, orders)
+    if mode == "similarities":
+        return shard.similarities_batch(queries)
+    raise ValueError(f"unknown shard task mode {mode!r}")
+
+
 # -- process-executor tasks --------------------------------------------------- #
 
 #: per-process cache of re-opened shards:
@@ -342,27 +410,18 @@ def _worker_shard(path, generation, shard_index):
 
 
 def process_shard_task(task):
-    """Execute one shard's query partial inside a worker process.
+    """Execute one shard task inside a worker process.
 
     ``task`` is a plain tuple ``(mode, path, generation, shard_index,
-    queries, k, bounds)`` — no shard matrix ever crosses the process
+    queries, k, bounds)`` whose ``queries`` (and ``bounds``) are the
+    task's query slice — no shard matrix ever crosses the process
     boundary; the worker re-opens the persisted shard lazily via
     ``np.memmap`` and shares pages with every other worker through the
     OS page cache.
     """
     mode, path, generation, shard_index, queries, k, bounds = task
     shard, orders = _worker_shard(path, generation, shard_index)
-    if mode == "cleanup_ints":
-        return shard_cleanup_ints(shard, queries, orders, bounds=bounds)
-    if mode == "topk_ints":
-        return shard_topk_ints(shard, queries, k, orders, bounds=bounds)
-    if mode == "cleanup_floats":
-        return shard_cleanup_floats(shard, queries, orders)
-    if mode == "topk_floats":
-        return shard_topk_floats(shard, queries, k, orders)
-    if mode == "similarities":
-        return shard.similarities_batch(queries)
-    raise ValueError(f"unknown shard task mode {mode!r}")
+    return run_shard_task(mode, shard, orders, queries, k, bounds)
 
 
 def distances_to_similarities(distances, dim, backend_name, queries):

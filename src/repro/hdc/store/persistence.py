@@ -94,7 +94,7 @@ import numpy as np
 from ..hypervector import pack_bipolar, unpack_bipolar
 from ..item_memory import ItemMemory
 from .faults import active_io
-from .routing import ROUTINGS, route_label
+from .routing import ROUTINGS
 from .sharded import DEFAULT_CHUNK_SIZE, ShardedItemMemory, validate_batch
 
 __all__ = [
@@ -1287,52 +1287,59 @@ def _validate_ingest(memory, labels, vectors, sharded, what,
 
 
 def _ingest_grouped(memory, labels, vectors, sharded, chunk_size):
-    """Route + add one validated batch; returns {shard: [batch offsets]}.
+    """Add one validated batch; returns ``{shard: (batch offsets, native rows)}``.
 
-    Routing uses the same ``route_label`` over *dense* insertion orders
-    that the in-memory ingest uses, so journal placement can never
-    diverge; placement then persists via the journal and is never
-    re-derived on load.
+    A sharded memory routes with its own ingest
+    (:meth:`ShardedItemMemory._ingest_chunk`, over *dense* insertion
+    orders), so journal placement can never diverge; placement then
+    persists via the journal and is never re-derived on load. The native
+    rows are the ones the ingest packed, so the commit journals them as
+    they are: the batch was checked once up front, and no row is packed
+    twice.
     """
-    base = len(memory)
-    if sharded:
-        groups = {}
-        for offset, label in enumerate(labels):
-            index = route_label(label, base + offset, memory.num_shards,
-                                memory.routing)
-            groups.setdefault(index, []).append(offset)
-        # Journaled rows get their own exact per-segment bound groups
-        # in _commit instead of folding into the shard-level base
-        # bounds — that is what lets appends *tighten* pruning.
-        memory._suspend_bound_folds = True
-        try:
-            memory.add_many(labels, vectors, chunk_size=chunk_size)
-        finally:
-            memory._suspend_bound_folds = False
-    else:
-        groups = {0: list(range(len(labels)))}
-        memory.add_many(labels, vectors)
-    return groups
+    if not sharded:
+        native = memory.backend.from_bipolar(vectors, checked=True)
+        memory._append(labels, native)
+        return {0: (list(range(len(labels))), native)}
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    groups = {}
+    # Journaled rows get their own exact per-segment bound groups in
+    # _commit instead of folding into the shard-level base bounds —
+    # that is what lets appends *tighten* pruning.
+    memory._suspend_bound_folds = True
+    try:
+        for start in range(0, len(labels), chunk_size):
+            plan = memory._ingest_chunk(labels[start : start + chunk_size],
+                                        vectors[start : start + chunk_size])
+            for index, offsets, rows in plan:
+                group = groups.setdefault(index, ([], []))
+                group[0].extend(start + offset for offset in offsets)
+                group[1].append(rows)
+    finally:
+        memory._suspend_bound_folds = False
+    return {index: (offsets, np.concatenate(blocks))
+            for index, (offsets, blocks) in groups.items()}
 
 
 def _commit(memory, path, manifest, sharded, op, base_rows,
-            add_labels=(), vectors=None, groups=None,
-            remove_labels=(), tombstones=()):
+            add_labels=(), groups=None, remove_labels=(), tombstones=()):
     """Write one commit: segment files + delta sidecar + manifest swap.
 
     ``base_rows`` is the *surviving* row count before this commit;
-    ``add_labels``/``groups`` describe rows entering at the end of the
-    physical order, ``remove_labels``/``tombstones`` the rows leaving
-    it. The delta sidecar carries both sides, so replay reconstructs
-    the commit from O(batch) bytes, and every step here is O(batch) too.
+    ``add_labels`` and ``groups`` (per shard, the batch offsets and
+    native rows :func:`_ingest_grouped` made) describe rows entering at
+    the end of the physical order, ``remove_labels``/``tombstones`` the
+    rows leaving it. The delta sidecar carries both sides, so replay
+    reconstructs the commit from O(batch) bytes, and every step here is
+    O(batch) too.
     """
     generation = int(manifest["generation"]) + 1
     next_order = int(manifest["next_order"])
     delta_name = _delta_filename(generation)
     delta_entries = []
     for index in sorted(groups or {}):
-        offsets = groups[index]
-        native = memory.backend.from_bipolar(np.asarray(vectors[offsets]))
+        offsets, native = groups[index]
         filename = _segment_filename(index, generation)
         _save_array(path / filename, native)
         # Exact bounds of just this batch: the segment's own minus-count
@@ -1413,7 +1420,7 @@ def append_rows(memory, path, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
     groups = _ingest_grouped(memory, labels, vectors, sharded, chunk_size)
     return _commit(
         memory, path, manifest, sharded, "append", base,
-        add_labels=labels, vectors=vectors, groups=groups,
+        add_labels=labels, groups=groups,
     )
 
 
@@ -1491,6 +1498,6 @@ def upsert_rows(memory, path, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
     groups = _ingest_grouped(memory, labels, vectors, sharded, chunk_size)
     return _commit(
         memory, path, manifest, sharded, "upsert", base,
-        add_labels=labels, vectors=vectors, groups=groups,
+        add_labels=labels, groups=groups,
         remove_labels=existing, tombstones=tombstones,
     )

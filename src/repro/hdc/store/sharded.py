@@ -7,12 +7,17 @@ or on a process pool (``workers=`` / ``executor=``, see
 :mod:`.parallel`; process workers re-open persisted shards via
 ``np.memmap``, and an in-memory store spills to a temp store directory
 on its first process query) — and merging the per-shard partial
-results. The fan-out runs in waves (capped at the visible cores) so
-every completed shard tightens a shared k-th-best bound: shards whose
-recorded bounds — the minus-count interval *or* the geometric
-centroid + radius ball (``d(q, x) >= max(|minus(q) − band|,
-d(q, centroid) − radius)``) — provably cannot beat it are skipped
-outright, and dispatched shards pass the bound into the kernels'
+results. The fan-out is a list schedule: as many kernel calls as the
+executor is wide (capped at the visible cores) stay in flight, and
+each completion starts the next shard, so no worker idles while a
+shard is left. The most promising shard (the seed) runs first, and it
+and the last shard — each of which would otherwise run alone — split
+their queries across the width. Every completed shard tightens a
+shared k-th-best bound: a shard whose recorded bounds — the
+minus-count interval *or* the geometric centroid + radius ball
+(``d(q, x) >= max(|minus(q) − band|, d(q, centroid) − radius)``) —
+provably cannot beat the bound of the moment it comes up is skipped
+outright, and dispatched shards pass that bound into the kernels'
 adaptive prefix-Hamming early exit. Per-shard scoring runs through
 :class:`ItemMemory`'s blocked Hamming kernels, so the peak temporary is
 bounded by the kernel tile, not the store — the property that lets one
@@ -39,7 +44,8 @@ items in the same insertion order. That holds because
   :func:`repro.hdc.ordering.topk_order` — primary key ascending, then
   *global insertion order* ascending — which is exactly ``ItemMemory``'s
   first-maximum / stable-sort behaviour, and
-- the executor returns partials in shard order, so completion order
+- the merge ranks candidates by that key alone, never by which
+  partial (or query slice of one) arrived first, so completion order
   cannot reorder a merge.
 
 Global insertion orders are *physical*: strictly increasing, never
@@ -59,6 +65,8 @@ from __future__ import annotations
 
 import tempfile
 import threading
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, wait
 from itertools import compress
 
 import numpy as np
@@ -70,11 +78,10 @@ from .parallel import (
     BoundTracker,
     ShardExecutor,
     distances_to_similarities,
+    join_partials,
     process_shard_task,
-    shard_cleanup_floats,
-    shard_cleanup_ints,
-    shard_topk_floats,
-    shard_topk_ints,
+    query_slices,
+    run_shard_task,
 )
 from .routing import ROUTINGS, route_label
 
@@ -343,6 +350,14 @@ class ShardedItemMemory:
           bound into their kernel's early-exit schedule;
         - ``skip_rate`` — ``skipped / tasks`` (derived).
 
+        With more than one worker, ``skipped`` (and so ``bounded``) can
+        depend on the order in which shards complete: each shard is
+        tested against the bound of the moment it comes up, and that
+        moment depends on which kernels have finished. Only what the
+        seed shard alone proves is fixed, since its query slices all
+        finish before any other shard is tested. The counters are
+        telemetry; decisions never move with them.
+
         **Thread-safety contract** (pinned by the concurrent suite in
         ``tests/hdc/store/test_parallel.py``): each batched query
         accumulates its counts privately and folds them in *atomically,
@@ -567,7 +582,9 @@ class ShardedItemMemory:
         commits, so one non-bipolar row refuses the chunk. Each shard
         then takes its native rows as they are, and the bound folds read
         the same rows. (Slice by slice, the temporaries of the check and
-        the conversion stay a shard's share of the chunk.)
+        the conversion stay a shard's share of the chunk.) Returns the
+        plan, one ``(shard, chunk offsets, native rows)`` per touched
+        shard, so a journaled commit writes the rows the ingest packed.
         """
         base = len(self)  # routing runs on the dense survivor count
         if chunk.ndim != 2 or chunk.shape != (len(chunk_labels), self.dim):
@@ -604,6 +621,7 @@ class ShardedItemMemory:
         self._order.update(zip(chunk_labels, range(first, len(self._slots))))
         self._version += 1
         self._invalidate_bound_state()
+        return plan
 
     def delete_many(self, labels):
         """Delete stored labels: O(batch), nothing else moves.
@@ -887,32 +905,66 @@ class ShardedItemMemory:
                 minus_lower[index] = minus_only if minus_known else None
         return lower, minus_lower
 
+    def _submit(self, mode, index, queries, k, bounds=None):
+        """Start one shard's ``mode`` task over ``queries`` on the executor.
+
+        The thread executor runs it on the live shard; the process
+        executor sends the task tuple (the query slice included) to a
+        worker that re-opens the shard from the persisted twin.
+        """
+        if self._executor.kind == "process":
+            path, generation = self._ensure_process_store()
+            return self._executor.submit(process_shard_task, (
+                mode, path, generation, index, queries, k, bounds))
+        shard, orders = self._shards[index], self._orders_of(index)
+        return self._executor.submit(
+            lambda _: run_shard_task(mode, shard, orders, queries, k, bounds),
+            None)
+
+    @staticmethod
+    def _skips(index, lower, minus_lower, tracker, counts):
+        """Count one considered shard; True when it provably cannot
+        contribute — its lower bound strictly beats the tracked k-th
+        best for every query. The skip is attributed to the minus-count
+        interval when that bound alone proves it, else to the centroid
+        + radius bound (alone or jointly)."""
+        counts["tasks"] += 1
+        bound_row = lower.get(index)
+        if bound_row is None or not tracker.can_skip(bound_row):
+            return False
+        minus_row = minus_lower.get(index)
+        minus = minus_row is not None and tracker.can_skip(minus_row)
+        counts["skipped"] += 1
+        counts["skipped_minus" if minus else "skipped_centroid"] += 1
+        return True
+
     def _fanout_ints(self, mode, native, k):
         """Bounded integer-domain fan-out; returns the partial list.
 
-        Shards run in waves of the executor width, cheapest lower bound
-        first: every completed partial tightens the shared
-        :class:`~repro.hdc.store.parallel.BoundTracker`, later waves
-        skip shards whose lower bound — the min over the shard's bound
-        groups (base + journaled segments) of each group's elementwise
-        max of the minus-count interval bound and the centroid + radius
-        geometric bound (:meth:`_lower_bounds`)
-        — strictly beats the current k-th-best for every query
-        (the kernel never runs; :attr:`pruning_stats` attributes the
-        skip to the layer that proved it), and dispatched shards carry
-        the current bound so their kernels can early-exit internally.
-        Skips are strict, so decisions are bit-identical with pruning on
-        or off. Pruning counters accumulate in batch-local variables and
-        fold into :attr:`pruning_stats` once, under the stats lock, when
-        the batch completes — concurrent batches stay exact.
+        A list schedule, cheapest lower bound first: the executor width
+        (capped at the cores) of kernel calls stays in flight, and each
+        completion lets the next shard start. Every completed shard
+        tightens the shared
+        :class:`~repro.hdc.store.parallel.BoundTracker`; a shard whose
+        lower bound — the min over its bound groups (base + journaled
+        segments) of each group's elementwise max of the minus-count
+        interval bound and the centroid + radius geometric bound
+        (:meth:`_lower_bounds`) — strictly beats the k-th best of that
+        moment for every query is skipped (the kernel never runs;
+        :attr:`pruning_stats` attributes the skip to the layer that
+        proved it), and every other shard carries that moment's bound
+        so its kernel can early-exit internally. Skips are strict, so
+        decisions are bit-identical with pruning on or off and under
+        any completion order (which only moves the counters). Pruning
+        counters accumulate in batch-local variables and fold into
+        :attr:`pruning_stats` once, under the stats lock, when the batch
+        completes — concurrent batches stay exact.
         """
         counts = dict.fromkeys(
             ("tasks", "skipped", "skipped_minus", "skipped_centroid",
              "bounded"), 0,
         )
         active = self._active_shards()
-        process = self._executor.kind == "process"
-        store_ref = self._ensure_process_store() if process else None
         tracker = BoundTracker(
             native.shape[0], 1 if mode == "cleanup_ints" else k, self.dim + 1
         )
@@ -924,67 +976,44 @@ class ShardedItemMemory:
             active,
             key=lambda i: -1 if lower.get(i) is None else int(lower[i].min()),
         )
-        # Wave width: the pool size, capped at the cores this process may
+        # In flight: the pool width, capped at the cores this process may
         # actually run on — extra workers beyond that only time-slice one
-        # core and thrash the kernels' cache-sized tiles, while narrower
-        # waves tighten the shared bound more often. (Pool width above the
-        # cap still helps absorb worker startup/page-in latency. The core
-        # count is probed once per executor, not per batch.)
-        wave = max(1, min(self._executor.workers, self._executor.cores))
-        # Seed wave: the single most-promising shard (smallest lower bound)
-        # runs alone so every subsequent wave — including the first full-width
-        # one — carries a real k-th-best bound into its kernels. Costs one
-        # shard of serial latency, saves each later shard its probe pass and
-        # arms the skip test as early as possible.
-        waves = [order[:1]] if len(order) > 1 else [order]
-        for start in range(len(waves[0]), len(order), wave):
-            waves.append(order[start : start + wave])
-        partials = []
-        first_wave = True
-        for current in waves:
-            dispatch = []
-            for index in current:
-                counts["tasks"] += 1
-                bound_row = lower.get(index)
-                if bound_row is not None and tracker.can_skip(bound_row):
-                    counts["skipped"] += 1
-                    minus_row = minus_lower.get(index)
-                    if minus_row is not None and tracker.can_skip(minus_row):
-                        counts["skipped_minus"] += 1
-                    else:  # the minus interval alone could not prove it:
-                        # the geometric bound was needed (alone or jointly)
-                        counts["skipped_centroid"] += 1
+        # core and thrash the kernels' cache-sized tiles. (The core count
+        # is probed once per executor, not per batch.)
+        width = max(1, min(self._executor.workers, self._executor.cores))
+        split = query_slices(native.shape[0], width)
+        # The seed (smallest lower bound) and the last shard would each run
+        # alone, so their queries split across the width. The seed's parts
+        # all finish before anything else starts, bound-free: every later
+        # shard then carries a real k-th best into its kernel, and which
+        # shards the seed alone lets skip does not depend on timing.
+        counts["tasks"] += 1
+        seed = [(rows, self._submit(mode, order[0], native[rows], k))
+                for rows in split]
+        partials = [join_partials([(rows, f.result()) for rows, f in seed])]
+        tracker.update(partials[0][0])
+        queue, ready, running, parts = deque(order[1:]), deque(), {}, {}
+        while queue or ready or running:
+            while len(running) < width and (ready or queue):
+                if ready:
+                    index, rows = ready.popleft()
+                    running[self._submit(mode, index, native[rows], k,
+                                         tracker.bounds()[rows])] = index, rows
                     continue
-                bounds = None if first_wave else tracker.bounds()
-                if bounds is not None:
+                index = queue.popleft()
+                if not self._skips(index, lower, minus_lower, tracker, counts):
                     counts["bounded"] += 1
-                dispatch.append((index, bounds))
-            first_wave = False
-            if not dispatch:
-                continue
-            if process:
-                path, generation = store_ref
-                results = self._executor.map(
-                    process_shard_task,
-                    [
-                        (mode, path, generation, index, native, k, bounds)
-                        for index, bounds in dispatch
-                    ],
-                )
-            else:
-                def run(task):
-                    index, bounds = task
-                    shard, orders = self._shards[index], self._orders_of(index)
-                    if mode == "cleanup_ints":
-                        return shard_cleanup_ints(shard, native, orders,
-                                                  bounds=bounds)
-                    return shard_topk_ints(shard, native, k, orders,
-                                           bounds=bounds)
-
-                results = self._executor.map(run, dispatch)
-            for primary, orders_part in results:
-                tracker.update(primary)
-                partials.append((primary, orders_part))
+                    slices = split if not queue else [slice(None)]
+                    parts[index] = (len(slices), [])
+                    ready.extend((index, rows) for rows in slices)
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                index, rows = running.pop(future)
+                expected, got = parts[index]
+                got.append((rows, future.result()))
+                if len(got) == expected:  # the shard's last query slice
+                    partials.append(join_partials(got))
+                    tracker.update(partials[-1][0])
         with self._stats_lock:
             self._pruning["batches"] += 1
             for key, value in counts.items():
@@ -993,22 +1022,9 @@ class ShardedItemMemory:
 
     def _fanout_floats(self, mode, queries, k):
         """Unbounded float fan-out (real-valued dense queries)."""
-        active = self._active_shards()
-        if self._executor.kind == "process":
-            path, generation = self._ensure_process_store()
-            return self._executor.map(
-                process_shard_task,
-                [(mode, path, generation, index, queries, k, None)
-                 for index in active],
-            )
-
-        def run(index):
-            shard, orders = self._shards[index], self._orders_of(index)
-            if mode == "cleanup_floats":
-                return shard_cleanup_floats(shard, queries, orders)
-            return shard_topk_floats(shard, queries, k, orders)
-
-        return self._executor.map(run, active)
+        futures = [self._submit(mode, index, queries, k)
+                   for index in self._active_shards()]
+        return [future.result() for future in futures]
 
     def _native_queries(self, queries):
         """Queries in backend-native form for the integer-distance path,
@@ -1030,19 +1046,10 @@ class ShardedItemMemory:
         queries = self._check_queries(queries)
         out = np.empty((queries.shape[0], len(self)), dtype=np.float64)
         active = self._active_shards()
-        if self._executor.kind == "process":
-            path, generation = self._ensure_process_store()
-            results = self._executor.map(
-                process_shard_task,
-                [("similarities", path, generation, index, queries, None, None)
-                 for index in active],
-            )
-        else:
-            results = self._executor.map(
-                lambda index: self._shards[index].similarities_batch(queries),
-                active,
-            )
-        for index, sims in zip(active, results):
+        futures = [self._submit("similarities", index, queries, None)
+                   for index in active]
+        for index, future in zip(active, futures):
+            sims = future.result()
             # A shard answers its live rows in physical order.
             orders, shard = self._orders_of(index), self._shards[index]
             if shard._dead:

@@ -552,6 +552,52 @@ class TestMutationPersistence:
         assert compacted.topk_batch(queries, k=6) == reference.topk_batch(
             queries, k=6)
 
+    def test_upsert_packs_each_journaled_row_once(
+        self, tmp_path, rng, monkeypatch
+    ):
+        """A 100-row upsert on an opened 8-shard packed store: the batch
+        is checked once up front and each shard slice once at ingest, and
+        the commit journals the rows the ingest packed. What is left per
+        touched shard is the segment centroid (packed once, and encoded
+        for the delta sidecar through one more check and pack)."""
+        import repro.hdc.backend as backend_module
+        import repro.hdc.hypervector as hypervector_module
+        import repro.hdc.item_memory as item_memory_module
+
+        path, labels, vectors = self._saved(tmp_path, rng, n=2000, dim=256,
+                                            shards=8)
+        handle = AssociativeStore.open(path)
+        calls = {"is_bipolar": 0, "pack_bits": 0}
+
+        def counted(name):
+            original = getattr(hypervector_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        is_bipolar, pack_bits = counted("is_bipolar"), counted("pack_bits")
+        for module in (hypervector_module, item_memory_module):
+            monkeypatch.setattr(module, "is_bipolar", is_bipolar)
+        for module in (hypervector_module, backend_module):
+            monkeypatch.setattr(module, "pack_bits", pack_bits)
+        upserted = labels[1950:] + [f"w{i}" for i in range(50)]
+        batch = random_bipolar(100, 256, rng)
+        handle.upsert(upserted, batch)
+        monkeypatch.undo()
+        assert len(_manifest(path)["shards"]) == 8
+        assert all(len(entry["segments"]) == 1
+                   for entry in _manifest(path)["shards"])  # all 8 touched
+        assert calls == {"is_bipolar": 1 + 8 + 8, "pack_bits": 8 + 8 + 8}
+        reference = _reference(labels[:1950] + upserted,
+                               np.concatenate([vectors[:1950], batch]))
+        queries = np.concatenate([vectors[:4], batch[:4]])
+        for store in (handle, AssociativeStore.open(path)):
+            assert store.topk_batch(queries, k=3) == reference.topk_batch(
+                queries, k=3)
+
     def test_delete_commit_writes_only_a_delta_and_the_manifest(
         self, tmp_path, rng
     ):

@@ -674,6 +674,147 @@ class TestEarlyExitPruning:
         sharded.close()
 
 
+class TestWorkConservingSchedule:
+    """The bounded fan-out's schedule at width 2, on any machine: the
+    core count that caps the width is pinned to 2, so a 1-core runner
+    sees the same schedule as a 2-core one."""
+
+    @staticmethod
+    def _store(monkeypatch, rng, executor):
+        import repro.hdc.store.parallel as parallel_module
+
+        monkeypatch.setattr(parallel_module, "available_cores", lambda: 2)
+        dim = 256
+        labels = [f"item{i}" for i in range(800)]
+        vectors = random_bipolar(800, dim, rng)
+        reference, sharded = _pair(dim, labels, vectors, "packed", 8, 2,
+                                   executor=executor)
+        assert sharded._executor.cores == 2 and all(sharded.shard_sizes)
+        return reference, sharded, vectors
+
+    @staticmethod
+    def _trace_submits(sharded, monkeypatch):
+        """Record each task the fan-out submits: ``(shard, queries,
+        bound-free, every bound-free task submitted before it had
+        finished)``. The bound-free tasks are the seed's."""
+        submits, seed = [], []
+        original = sharded._submit
+
+        def submit(mode, index, queries, k, bounds=None):
+            settled = all(future.done() for future in seed)
+            future = original(mode, index, queries, k, bounds)
+            if bounds is None:
+                seed.append(future)
+            submits.append((index, len(queries), bounds is None, settled))
+            return future
+
+        monkeypatch.setattr(sharded, "_submit", submit)
+        return submits, seed
+
+    @staticmethod
+    def _trace_kernels(sharded, monkeypatch):
+        """Record ``("start"|"end", shard, queries)`` around every packed
+        kernel call (thread executor: the calls run in this process)."""
+        import threading
+
+        from repro.hdc.backend import PackedBackend
+
+        events, lock = [], threading.Lock()
+        shard_of = {id(shard._native_matrix()): index
+                    for index, shard in enumerate(sharded.shards)}
+        original = PackedBackend.hamming_topk
+
+        def hamming_topk(self, queries, store, *args, **kwargs):
+            key = (shard_of[id(store)], len(queries))
+            with lock:
+                events.append(("start", *key))
+            try:
+                return original(self, queries, store, *args, **kwargs)
+            finally:
+                with lock:
+                    events.append(("end", *key))
+
+        monkeypatch.setattr(PackedBackend, "hamming_topk", hamming_topk)
+        return events
+
+    @staticmethod
+    def _assert_split_schedule(submits):
+        """64 queries on 8 shards at width 2: two bound-free seed halves
+        first, every later task submitted only once both had finished,
+        the last shard split in halves too and every other shard whole."""
+        shards = [index for index, *_ in submits]
+        first, last = shards[0], shards[-1]
+        assert len(submits) == 8 + 2
+        assert [task[:3] for task in submits[:2]] == [(first, 32, True)] * 2
+        assert shards[-2:] == [last, last] and last != first
+        assert all(not free and settled for _, _, free, settled in submits[2:])
+        sizes = {index: sorted(n for i, n, *_ in submits if i == index)
+                 for index in shards}
+        assert sizes.pop(first) == sizes.pop(last) == [32, 32]
+        assert sorted(sizes) == sorted(set(range(8)) - {first, last})
+        assert all(split == [64] for split in sizes.values())
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_seed_and_last_shard_split_across_the_width(
+        self, executor, monkeypatch, rng
+    ):
+        """Each 64-query batch makes 8 + 2 shard tasks in the split
+        schedule, and answers like the reference."""
+        reference, sharded, vectors = self._store(monkeypatch, rng, executor)
+        queries = _noisy_queries(vectors, rng, num=64)
+        submits, seed = self._trace_submits(sharded, monkeypatch)
+        assert sharded.topk_batch(queries, k=5) == reference.topk_batch(
+            queries, k=5)
+        self._assert_split_schedule(submits)
+        submits.clear()
+        seed.clear()
+        labels, sims = sharded.cleanup_batch(queries)
+        self._assert_split_schedule(submits)
+        ref_labels, ref_sims = reference.cleanup_batch(queries)
+        assert labels == ref_labels and np.array_equal(sims, ref_sims)
+        assert sharded.pruning_stats["skipped"] == 0  # every shard ran
+        sharded.close()
+
+    def test_kernel_calls_of_a_batch(self, monkeypatch, rng):
+        """The same schedule seen from the packed kernel (thread executor):
+        8 + 2 calls, the seed's two 32-query calls both end before any
+        other shard's call starts, and the last shard's calls are the
+        only other 32-query ones."""
+        reference, sharded, vectors = self._store(monkeypatch, rng, "thread")
+        queries = _noisy_queries(vectors, rng, num=64)
+        events = self._trace_kernels(sharded, monkeypatch)
+        assert sharded.topk_batch(queries, k=5) == reference.topk_batch(
+            queries, k=5)
+        starts = [event[1:] for event in events if event[0] == "start"]
+        assert len(starts) == len(events) // 2 == 8 + 2
+        first = starts[0][0]
+        seed_ends = [i for i, event in enumerate(events)
+                     if event[:2] == ("end", first)]
+        other_starts = [i for i, event in enumerate(events)
+                        if event[0] == "start" and event[1] != first]
+        assert starts[:2] == [(first, 32)] * 2 and len(seed_ends) == 2
+        assert max(seed_ends) < min(other_starts)
+        last = starts[-1][0]
+        assert sorted(starts) == sorted(
+            [(first, 32)] * 2 + [(last, 32)] * 2
+            + [(index, 64) for index in range(8) if index not in (first, last)])
+        sharded.close()
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_one_query_runs_the_seed_alone(self, executor, monkeypatch, rng):
+        """One query cannot split: the seed runs alone and finishes before
+        any other shard starts, and every shard runs once."""
+        reference, sharded, vectors = self._store(monkeypatch, rng, executor)
+        query = _noisy_queries(vectors, rng, num=1)
+        submits, _ = self._trace_submits(sharded, monkeypatch)
+        assert sharded.topk_batch(query, k=5) == reference.topk_batch(query, k=5)
+        assert submits[0][1:3] == (1, True)
+        assert all(not free and settled for _, _, free, settled in submits[1:])
+        assert sorted(index for index, *_ in submits) == list(range(8))
+        assert all(n == 1 for _, n, *_ in submits)
+        sharded.close()
+
+
 class TestProcessPersistedLifecycle:
     """The process executor across the save → open → append → compact cycle."""
 

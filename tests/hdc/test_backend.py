@@ -374,6 +374,30 @@ class TestHammingTopk:
         assert np.array_equal(
             dense.column_minus_counts(dense.from_bipolar(vectors)), expected)
 
+    @pytest.mark.parametrize("dim", [63, 64, 200, 1024])
+    def test_packed_column_counts_past_the_uint8_block(self, dim, rng,
+                                                       tmp_path):
+        """The packed count sums each block of rows in uint8: an all −1
+        column over more rows than one block (255 + more) must not wrap,
+        on an in-memory store and on a memmapped one."""
+        packed = PackedBackend(dim)
+        rows = 2 * packed._COLUMN_COUNT_ROWS + 7
+        vectors = random_bipolar(rows, dim, rng)
+        vectors[:, 0] = -1
+        vectors[:, dim - 1] = -1
+        vectors[:, dim // 2] = 1
+        expected = (vectors < 0).sum(axis=0)
+        native = packed.from_bipolar(vectors)
+        np.save(tmp_path / "store.npy", native)
+        mapped = np.load(tmp_path / "store.npy", mmap_mode="r")
+        for store in (native, mapped, native[:1]):
+            counts = packed.column_minus_counts(store)
+            assert counts.dtype == np.int64 and counts.shape == (dim,)
+            assert np.array_equal(
+                counts, (packed.to_bipolar(store) < 0).sum(axis=0))
+        assert np.array_equal(packed.column_minus_counts(native), expected)
+        assert expected[0] == rows > 255
+
     BLOCK = 4  # queries per NumPy call on a full 1024-row tile (below)
 
     def _blocked(self, dim):
