@@ -6,6 +6,9 @@ attribute-dictionary analysis and in the HDC example applications, and as
 the single-shard reference implementation underneath the sharded store
 subsystem (:mod:`repro.hdc.store`).
 
+:class:`RowMemory` owns the rows and knows no labels; :class:`ItemMemory`
+adds the label list and label → row index on top.
+
 Design notes for scale:
 
 - label membership is a dict lookup (O(1), not a list scan);
@@ -42,11 +45,22 @@ from .backend import make_backend
 from .hypervector import is_bipolar
 from .ordering import topk_order
 
-__all__ = ["ItemMemory"]
+__all__ = ["ItemMemory", "RowMemory", "require_bipolar"]
 
 
-class ItemMemory:
-    """Associative memory over labelled hypervectors.
+def require_bipolar(queries, who="the store"):
+    """``queries`` as an array; refuses any component other than ±1."""
+    queries = np.asarray(queries)
+    if not is_bipolar(queries):
+        raise ValueError(f"{who} accepts only bipolar (+1/-1) queries; use "
+                         "ItemMemory(dim, backend='dense') for real-valued queries")
+    return queries
+
+
+class RowMemory:
+    """The rows of an associative memory, without labels: the native
+    store, the dead-row mask, and the kernels that answer in *physical*
+    rows. A :class:`~repro.hdc.store.ShardedItemMemory`'s shards are these.
 
     Parameters
     ----------
@@ -64,10 +78,7 @@ class ItemMemory:
             raise ValueError("dim must be positive")
         self._backend = make_backend(backend, dim)
         self.dim = self._backend.dim
-        # One label per *physical* row (dead rows keep theirs) and the
-        # live label -> physical row map.
-        self._labels = []
-        self._label_index = {}
+        self._rows = 0  # physical rows, dead ones included
         # Dead-row mask: physical rows deleted but not yet folded out,
         # plus the sorted array the kernels take (built on first use).
         self._dead = set()
@@ -78,52 +89,42 @@ class ItemMemory:
         self._matrix = None
         self._pending = []
 
-    @classmethod
-    def from_native(cls, dim, labels, matrix, backend="dense"):
-        """Adopt a backend-native ``(n, ·)`` matrix without copying it.
-
-        ``matrix`` must already be in the backend's storage layout
-        (dense: ``(n, dim)`` int8; packed: ``(n, ⌈dim/64⌉)`` uint64) —
-        e.g. a read-only ``np.memmap`` over a saved shard file. The
-        matrix is used as the store directly, so a memmap stays lazy
-        until queried. Rows added afterwards fold in normally (which
-        materializes the memmap into RAM on the next query).
-        """
-        memory = cls(dim, backend=backend)
-        labels = list(labels)
-        matrix = np.asanyarray(matrix)
-        memory._check_native(labels, matrix, "store")
-        memory._labels = labels
-        memory._label_index = {label: i for i, label in enumerate(labels)}
-        if matrix.flags.writeable:
-            # Freeze a zero-copy view, not the caller's array in place.
-            matrix = matrix.view()
-            matrix.setflags(write=False)
-        memory._matrix = matrix
-        return memory
-
     @property
     def backend(self):
         """The storage/compute backend holding the stored items."""
         return self._backend
 
-    def _check_native(self, labels, matrix, what):
-        """Refuse a native matrix of the wrong width or dtype, a row count
-        that is not the label count, or duplicate labels."""
+    def _check_native(self, matrix, what, labels=None):
+        """Refuse a native matrix of the wrong width or dtype (and, given
+        ``labels``, a row count that is not theirs, or duplicate labels)."""
         expected = self._backend.from_bipolar(np.ones((0, self.dim), dtype=np.int8))
         if matrix.ndim != 2 or matrix.shape[1:] != expected.shape[1:]:
             raise ValueError(
-                f"expected a native ({len(labels)}, {expected.shape[1]}) {what}, "
-                f"got {matrix.shape}"
+                f"expected a native ({'n' if labels is None else len(labels)}, "
+                f"{expected.shape[1]}) {what}, got {matrix.shape}"
             )
         if matrix.dtype != expected.dtype:
             raise ValueError(
                 f"expected a {expected.dtype} native {what}, got {matrix.dtype}"
             )
-        if matrix.shape[0] != len(labels):
+        if labels is not None and matrix.shape[0] != len(labels):
             raise ValueError(f"{len(labels)} labels but {matrix.shape[0]} {what} rows")
-        if len(set(labels)) != len(labels):
+        if labels is not None and len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels in a native {what}")
+
+    def _take(self, matrix, what="store", labels=None):
+        """Check a native matrix; an empty memory adopts it without a copy
+        (a memmap stays lazy), any other appends one copy of it."""
+        matrix = np.asanyarray(matrix)
+        self._check_native(matrix, what, labels)
+        if self._rows:
+            self._append_rows(np.array(matrix))
+            return
+        if matrix.flags.writeable:
+            # Freeze a zero-copy view, not the caller's array in place.
+            matrix = matrix.view()
+            matrix.setflags(write=False)
+        self._matrix, self._rows = matrix, matrix.shape[0]
 
     def _check_rows(self, vectors, expected_shape):
         """Validate shape and bipolarity before any conversion/commit."""
@@ -135,78 +136,13 @@ class ItemMemory:
                 "otherwise silently truncate components to int8"
             )
 
-    def add(self, label, vector):
-        """Store ``vector`` under ``label``.
-
-        Raises ``ValueError`` on a duplicate label, on a shape other than
-        ``(dim,)``, and on non-bipolar components (which the dense
-        backend would otherwise truncate silently).
-        """
-        vector = np.asarray(vector)
-        self._check_rows(vector, (self.dim,))
-        if label in self._label_index:
-            raise ValueError(f"label {label!r} already stored")
-        # Convert before touching any state: a failed conversion must
-        # leave the memory exactly as it was.
-        self._append([label], self._backend.from_bipolar(vector[None], checked=True))
-
-    def add_many(self, labels, vectors):
-        """Store a stack of vectors under corresponding labels.
-
-        Atomic like :meth:`add`: every label and vector is validated and
-        converted (in one batched call) before any state changes, so a
-        failure leaves the memory untouched. Raises ``ValueError`` on
-        label/vector count mismatch, duplicate labels (within the batch
-        or against the store), a shape other than ``(len(labels), dim)``,
-        and non-bipolar components.
-        """
-        labels = list(labels)
-        vectors = np.asarray(vectors)
-        if len(labels) != len(vectors):
-            raise ValueError(
-                f"labels and vectors must align: {len(labels)} labels, "
-                f"{len(vectors)} vectors"
-            )
-        if not labels:
-            return
-        if vectors.ndim != 2:
-            raise ValueError(
-                f"expected a 2-D ({len(labels)}, {self.dim}) vector stack, "
-                f"got {vectors.ndim}-D {vectors.shape}"
-            )
-        self._check_rows(vectors, (len(labels), self.dim))
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels in add_many")
-        for label in labels:
-            if label in self._label_index:
-                raise ValueError(f"label {label!r} already stored")
-        self._append(labels, self._backend.from_bipolar(vectors, checked=True))
-
-    def _append(self, labels, rows):
-        """Commit validated ``labels`` and their block of native ``rows``."""
-        start = len(self._labels)
-        self._label_index.update(zip(labels, range(start, start + len(labels))))
-        self._labels.extend(labels)
+    def _append_rows(self, rows):
+        """Commit one validated block of native ``rows``."""
         self._pending.append(rows)
+        self._rows += rows.shape[0]
 
     def __len__(self):
-        return len(self._label_index)
-
-    def __contains__(self, label):
-        return label in self._label_index
-
-    @property
-    def labels(self):
-        """Every live label, in insertion order."""
-        if not self._dead:
-            return tuple(self._labels)
-        return tuple(compress(self._labels, self._live_mask()))
-
-    def index_of(self, label):
-        """Rank of ``label`` among the live rows, in insertion order."""
-        row = self._label_index[label]
-        dead = self._dead_rows()
-        return row if dead is None else row - int(np.searchsorted(dead, row))
+        return self._rows - len(self._dead)  # live rows
 
     # -- the dead-row mask -------------------------------------------------- #
 
@@ -221,35 +157,31 @@ class ItemMemory:
 
     def _live_mask(self):
         """``(physical rows,)`` bool mask of the live rows."""
-        keep = np.ones(len(self._labels), dtype=bool)
+        keep = np.ones(self._rows, dtype=bool)
         if self._dead:
             keep[self._dead_rows()] = False
         return keep
 
     def _kill(self, rows):
         """Flag live physical ``rows`` dead: O(len(rows)), nothing moves."""
-        for row in rows:
-            del self._label_index[self._labels[row]]
         self._dead.update(rows)
         self._dead_sorted = None
 
     def _fold_due(self):
         """The one fold rule: dead rows have reached the live rows."""
-        return bool(self._dead) and len(self._dead) >= len(self._label_index)
+        return bool(self._dead) and len(self._dead) >= len(self)
 
     def _fold(self):
         """Gather the live rows into a fresh contiguous store.
 
         Returns the ``(old physical rows,)`` keep mask so an owner that
-        indexes physical rows (the sharded store's order arrays and
-        bound groups) can follow.
+        indexes physical rows (labels, or the sharded store's order
+        arrays and bound groups) can follow.
         """
         keep = self._live_mask()
         matrix = np.ascontiguousarray(np.asarray(self._native_matrix())[keep])
         matrix.setflags(write=False)
-        self._matrix = matrix
-        self._labels = list(compress(self._labels, keep))
-        self._label_index = {label: i for i, label in enumerate(self._labels)}
+        self._matrix, self._rows = matrix, matrix.shape[0]
         self._dead = set()
         self._dead_sorted = None
         return keep
@@ -304,13 +236,8 @@ class ItemMemory:
     def _pack_query(self, query):
         if query.shape[-1] != self.dim:
             raise ValueError(f"expected last axis {self.dim}, got {query.shape}")
-        try:
-            return self._backend.from_bipolar(query)
-        except ValueError as exc:
-            raise ValueError(
-                "the packed backend accepts only bipolar (+1/-1) queries; "
-                "use ItemMemory(dim, backend='dense') for real-valued queries"
-            ) from exc
+        return self._backend.from_bipolar(
+            require_bipolar(query, "the packed backend"), checked=True)
 
     #: target size (bytes) of the float64 store-conversion temporary
     _DENSE_BLOCK_BYTES = 4 << 20
@@ -342,6 +269,15 @@ class ItemMemory:
             dots[:, start:stop] = queries @ native[start:stop].astype(np.float64).T
         return dots / (norms[:, None] * np.sqrt(self.dim))
 
+    def _single(self, query):
+        """One ``(dim,)`` query as a ``(1, dim)`` batch (validated)."""
+        query = np.asarray(query)
+        if query.ndim != 1:
+            raise ValueError(f"expected a ({self.dim},) query, got {query.shape}")
+        if query.shape[0] != self.dim:
+            raise ValueError(f"expected last axis {self.dim}, got {query.shape}")
+        return query[None]
+
     def similarities(self, query):
         """Cosine similarity of ``query`` against every stored item.
 
@@ -359,6 +295,15 @@ class ItemMemory:
         dead = self._dead_rows()
         return sims if dead is None else np.delete(sims, dead, axis=1)
 
+    def _check_batch(self, queries):
+        """A non-empty memory and a ``(B, dim)`` query block."""
+        if not len(self):
+            raise LookupError("item memory is empty")
+        queries = np.asarray(queries)
+        if queries.ndim != 2 or queries.shape[1] != self.dim:
+            raise ValueError(f"expected (B, {self.dim}) queries, got {queries.shape}")
+        return queries
+
     def _masked_similarities(self, queries):
         """``(B, physical rows)`` similarities, every dead column ``-inf``.
 
@@ -366,11 +311,7 @@ class ItemMemory:
         never win an ``argmax`` or a descending top-``k`` over the live
         rows, and ranking by physical index is ranking by insertion.
         """
-        if not self._label_index:
-            raise LookupError("item memory is empty")
-        queries = np.asarray(queries)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise ValueError(f"expected (B, {self.dim}) queries, got {queries.shape}")
+        queries = self._check_batch(queries)
         if self._backend.name == "dense":
             sims = self._dense_similarities(queries)
         else:
@@ -391,11 +332,7 @@ class ItemMemory:
         monotone decreasing function of it, so rankings in either domain
         agree.
         """
-        if not self._label_index:
-            raise LookupError("item memory is empty")
-        queries = np.asarray(queries)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise ValueError(f"expected (B, {self.dim}) queries, got {queries.shape}")
+        queries = self._check_batch(queries)
         if not is_bipolar(queries):
             raise ValueError(
                 "integer Hamming distances are defined for bipolar (+1/-1) "
@@ -420,25 +357,127 @@ class ItemMemory:
         caller's ``bounds`` permits the backend to prune (distance
         strictly above the bound).
         """
-        if not self._label_index:
+        if not len(self):
             raise LookupError("item memory is empty")
         return self._backend.hamming_topk(
             native_queries, self._native_matrix(), k, bounds=bounds,
             dead=self._dead_rows(),
         )
 
-    def extend_native(self, labels, matrix):
-        """Append backend-native rows without converting through bipolar.
 
-        The persistence layer's append path: journaled segment files
-        hold native rows, and a reopened shard folds them in behind its
-        base matrix through the normal pending-row machinery. Validates
-        like :meth:`from_native` (dtype, width, row/label alignment,
-        duplicate labels) before any state changes.
+class ItemMemory(RowMemory):
+    """Associative memory over labelled hypervectors: a :class:`RowMemory`
+    (same parameters) plus one label per physical row (dead rows keep
+    theirs until a fold) and the live label → physical row index."""
+
+    def __init__(self, dim, backend="dense"):
+        super().__init__(dim, backend=backend)
+        self._labels = []
+        self._label_index = {}
+
+    @classmethod
+    def from_native(cls, dim, labels, matrix, backend="dense"):
+        """Adopt a backend-native ``(n, ·)`` matrix without copying it.
+
+        ``matrix`` must already be in the backend's storage layout
+        (dense: ``(n, dim)`` int8; packed: ``(n, ⌈dim/64⌉)`` uint64) —
+        e.g. a read-only ``np.memmap`` over a saved shard file. The
+        matrix is used as the store directly, so a memmap stays lazy
+        until queried. Rows added afterwards fold in normally (which
+        materializes the memmap into RAM on the next query).
+        """
+        memory = cls(dim, backend=backend)
+        labels = list(labels)
+        memory._take(matrix, labels=labels)
+        memory._labels = labels
+        memory._label_index = {label: i for i, label in enumerate(labels)}
+        return memory
+
+    def add(self, label, vector):
+        """Store ``vector`` under ``label``.
+
+        Raises ``ValueError`` on a duplicate label, on a shape other than
+        ``(dim,)``, and on non-bipolar components (which the dense
+        backend would otherwise truncate silently).
+        """
+        vector = np.asarray(vector)
+        self._check_rows(vector, (self.dim,))
+        if label in self._label_index:
+            raise ValueError(f"label {label!r} already stored")
+        # Convert before touching any state: a failed conversion must
+        # leave the memory exactly as it was.
+        self._append([label], self._backend.from_bipolar(vector[None], checked=True))
+
+    def add_many(self, labels, vectors):
+        """Store a stack of vectors under corresponding labels.
+
+        Atomic like :meth:`add`: every label and vector is validated and
+        converted (in one batched call) before any state changes, so a
+        failure leaves the memory untouched. Raises ``ValueError`` on
+        label/vector count mismatch, duplicate labels (within the batch
+        or against the store), a shape other than ``(len(labels), dim)``,
+        and non-bipolar components.
+        """
+        labels = list(labels)
+        vectors = np.asarray(vectors)
+        if len(labels) != len(vectors):
+            raise ValueError(
+                f"labels and vectors must align: {len(labels)} labels, "
+                f"{len(vectors)} vectors"
+            )
+        if not labels:
+            return
+        if vectors.ndim != 2:
+            raise ValueError(
+                f"expected a 2-D ({len(labels)}, {self.dim}) vector stack, "
+                f"got {vectors.ndim}-D {vectors.shape}"
+            )
+        self._check_rows(vectors, (len(labels), self.dim))
+        if len(set(labels)) != len(labels):
+            raise ValueError("duplicate labels in add_many")
+        for label in labels:
+            if label in self._label_index:
+                raise ValueError(f"label {label!r} already stored")
+        self._append(labels, self._backend.from_bipolar(vectors, checked=True))
+
+    def _append(self, labels, rows):
+        """Commit validated ``labels`` and their block of native ``rows``."""
+        start = self._rows
+        self._label_index.update(zip(labels, range(start, start + len(labels))))
+        self._labels.extend(labels)
+        self._append_rows(rows)
+
+    def __contains__(self, label):
+        return label in self._label_index
+
+    @property
+    def labels(self):
+        """Every live label, in insertion order."""
+        if not self._dead:
+            return tuple(self._labels)
+        return tuple(compress(self._labels, self._live_mask()))
+
+    def index_of(self, label):
+        """Rank of ``label`` among the live rows, in insertion order."""
+        row = self._label_index[label]
+        dead = self._dead_rows()
+        return row if dead is None else row - int(np.searchsorted(dead, row))
+
+    def _fold(self):
+        keep = super()._fold()
+        self._labels = list(compress(self._labels, keep))
+        self._label_index = {label: i for i, label in enumerate(self._labels)}
+        return keep
+
+    def extend_native(self, labels, matrix):
+        """Append backend-native rows (say, a saved segment file's) without
+        converting through bipolar; they fold in behind the store on the
+        next query. Validates like :meth:`from_native` (dtype, width,
+        row/label alignment, duplicate labels) before any state changes.
         """
         labels = list(labels)
         matrix = np.asanyarray(matrix)
-        self._check_native(labels, matrix, "segment")
+        self._check_native(matrix, "segment", labels)
         for label in labels:
             if label in self._label_index:
                 raise ValueError(f"label {label!r} already stored")
@@ -462,7 +501,7 @@ class ItemMemory:
         for label in labels:
             if label not in self._label_index:
                 raise ValueError(f"label {label!r} is not stored")
-        self._kill([self._label_index[label] for label in labels])
+        self._kill([self._label_index.pop(label) for label in labels])
         if self._fold_due():
             self._fold()
 
@@ -473,15 +512,6 @@ class ItemMemory:
         """
         labels, sims = self.cleanup_batch(self._single(query))
         return labels[0], float(sims[0])
-
-    def _single(self, query):
-        """One ``(dim,)`` query as a ``(1, dim)`` batch (validated)."""
-        query = np.asarray(query)
-        if query.ndim != 1:
-            raise ValueError(f"expected a ({self.dim},) query, got {query.shape}")
-        if query.shape[0] != self.dim:
-            raise ValueError(f"expected last axis {self.dim}, got {query.shape}")
-        return query[None]
 
     def cleanup_batch(self, queries):
         """Batched cleanup: ``(B, dim)`` queries → ``(labels, similarities)``.

@@ -66,7 +66,7 @@ from .faults import (
     injected_faults,
     install_io,
 )
-from .persistence import MANIFEST_NAME
+from .persistence import MANIFEST_NAME, read_manifest
 from .planner import AssociativeStore
 from .routing import ROUTINGS
 
@@ -217,8 +217,8 @@ def run_schedule(schedule, path, start_step=0, end_step=None):
 def fingerprint(path, executor="thread", workers=1):
     """Digest of a store directory's *logical* state.
 
-    Covers the global label order, every shard's labels and live native
-    row bytes, and ranked top-k answers for fixed queries — so two
+    Covers the global label order, every shard's live labels (a sharded
+    store's via its slots) and native row bytes, and top-k answers — so two
     directories fingerprint equal iff they answer identically, while
     physical debris (orphaned temp/segment files a crash legally leaves
     behind) does not participate. Raises whatever ``open`` raises: the
@@ -229,13 +229,15 @@ def fingerprint(path, executor="thread", workers=1):
     digest = hashlib.sha256()
     digest.update(json.dumps(list(store.labels)).encode())
     memory = store.memory
-    shards = memory.shards if hasattr(memory, "shards") else [memory]
-    for shard in shards:
+    sharded = hasattr(memory, "shards")
+    for index, shard in enumerate(memory.shards if sharded else [memory]):
         # Live rows only: a tombstoned row stays in place until compact,
         # which must not move the logical state.
-        live = shard.native_matrix()[shard._live_mask()]
-        digest.update(json.dumps(list(shard.labels)).encode())
-        digest.update(np.ascontiguousarray(live).tobytes())
+        live = shard._live_mask()
+        labels = ([memory._slots[order] for order in memory._orders_of(index)[live]]
+                  if sharded else list(shard.labels))
+        digest.update(json.dumps(labels).encode())
+        digest.update(np.ascontiguousarray(shard.native_matrix()[live]).tobytes())
     rng = np.random.default_rng(0xF1D0)
     queries = random_bipolar(3, store.dim, rng)
     for answers in store.topk_batch(queries, k=min(5, len(store))):
@@ -467,6 +469,17 @@ def _corrupt_orders(root, name, mutate):
     np.save(path, mutate(orders))
 
 
+def _cross_shard_collision(root):
+    """Relabel a journaled row as a live base label of *another* shard."""
+    manifest = read_manifest(root)
+    index = next(i for i, e in enumerate(manifest["shards"]) if e["segments"])
+    other = set(manifest["shards"][1 - index]["orders"])
+    taken = next(label for label, order in manifest["label_orders"].items() if order in other)
+    _edit_json(Path(root) / manifest["shards"][index]["segments"][0]["delta_file"],
+               lambda d: next(part for part in d["entries"] if part["shard"] == index)
+               ["labels"].__setitem__(0, taken))
+
+
 def _expect_raise(exc_types, *needles, attributed=True):
     def check(root):
         try:
@@ -605,6 +618,7 @@ CORRUPTION_CASES = [
                                .read_text())[0]]
             * len(d["entries"][0]["labels"]))),
      _expect_raise(ValueError, "")),
+    ("CF-34", 12, _cross_shard_collision, _expect_raise(ValueError, "label collision")),
     ("CF-24", 13, lambda r: None, _case_save_rejects_bad_label),
     ("CF-26", 14, lambda r: None, _case_generation_mismatch),
     ("CF-27", 15, lambda r: _edit_manifest(
@@ -640,12 +654,20 @@ CORRUPTION_CASES = [
         r, lambda m: (m.update(format_version=4),
                       m.pop("deltas"), m.pop("next_order"))),
      _expect_raise(ValueError, "not supported")),
+    ("CF-35", 19, lambda r: _corrupt_orders(
+        r, _case_paths(r)["orders"], lambda o: o[[1, 0, *range(2, len(o))]]),
+     _expect_raise(ValueError, "not strictly increasing")),
+    ("CF-36", 19, lambda r: _edit_json(
+        Path(r) / _case_paths(r)["delta"],
+        lambda d: next(part["orders"] for part in d["entries"]
+                       if len(part["orders"]) > 1).reverse()),
+     _expect_raise(ValueError, "not strictly increasing")),
 ]
 
-#: corruption-table row count the cases above must cover (17 rows
+#: corruption-table row count the cases above must cover (18 rows
 #: refused at open or query + the save-time label row + the
 #: malformed-bounds tolerance paragraph)
-CORRUPTION_TABLE_ROWS = 19
+CORRUPTION_TABLE_ROWS = 20
 
 
 def _build_case_store(root):

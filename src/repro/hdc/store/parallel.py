@@ -53,10 +53,8 @@ Partials from bounded shards may contain *sentinel* rows (distance
 cannot win; sentinels rank behind every real candidate under the shared
 ordering contract and are never selected by a merge.
 
-Real-valued queries on the dense backend have no integer distance; the
-float partials (:func:`shard_cleanup_floats` / :func:`shard_topk_floats`)
-carry ``(−similarity, global insertion index)`` instead, which merges
-through the identical ascending contract (and skips pruning).
+Every partial is integer-domain (the store refuses real-valued queries),
+and a shard is a label-free row memory: partials never carry labels.
 """
 
 from __future__ import annotations
@@ -67,8 +65,6 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
-
-from ..ordering import topk_order
 
 __all__ = [
     "available_cores",
@@ -83,8 +79,6 @@ __all__ = [
     "run_shard_task",
     "shard_cleanup_ints",
     "shard_topk_ints",
-    "shard_cleanup_floats",
-    "shard_topk_floats",
     "process_shard_task",
     "distances_to_similarities",
 ]
@@ -288,7 +282,7 @@ def _orders_with_sentinels(orders, rows):
 def shard_cleanup_ints(shard, native_queries, orders, bounds=None):
     """One shard's cleanup partial: per-query ``(distance, global order)``.
 
-    A shard receives its labels in global insertion order, so the
+    A shard receives its rows in global insertion order, so the
     earliest local row is also the earliest global row — the kernel's
     (distance, row) tie contract realizes the global tie-break before
     the merge ever runs. ``bounds`` lets the kernel early-exit items
@@ -303,35 +297,6 @@ def shard_topk_ints(shard, native_queries, k, orders, bounds=None):
     """One shard's top-k partial: ``(B, k')`` distances + global orders."""
     distances, rows = shard.topk_native(native_queries, k, bounds=bounds)
     return distances, _orders_with_sentinels(orders, rows)
-
-
-def shard_cleanup_floats(shard, queries, orders):
-    """Float fallback of :func:`shard_cleanup_ints` (real-valued queries).
-
-    Carries the *negated* similarity so the merge ranks ascending on the
-    primary key in both domains. Scores every physical row with dead
-    rows at ``-inf``, so ``orders`` indexes the winner directly.
-    """
-    sims = shard._masked_similarities(queries)
-    local = np.argmax(sims, axis=1)
-    rows = np.arange(sims.shape[0])
-    return -sims[rows, local], orders[local]
-
-
-def shard_topk_floats(shard, queries, k, orders):
-    """Float fallback of :func:`shard_topk_ints` (real-valued queries).
-
-    One batched stable sort selects every row's top-k (``topk_order``
-    on the negated similarities) — no per-query Python loop — with the
-    identical (similarity descending, insertion ascending) contract.
-    ``k`` is capped at the shard's live rows, so a dead (``-inf``) row
-    is never selected.
-    """
-    sims = shard._masked_similarities(queries)
-    k = min(k, len(shard))
-    selected = topk_order(-sims, k)
-    rows = np.arange(sims.shape[0])[:, None]
-    return -sims[rows, selected], orders[selected]
 
 
 def query_slices(num_queries, parts):
@@ -370,10 +335,6 @@ def run_shard_task(mode, shard, orders, queries, k, bounds=None):
         return shard_cleanup_ints(shard, queries, orders, bounds=bounds)
     if mode == "topk_ints":
         return shard_topk_ints(shard, queries, k, orders, bounds=bounds)
-    if mode == "cleanup_floats":
-        return shard_cleanup_floats(shard, queries, orders)
-    if mode == "topk_floats":
-        return shard_topk_floats(shard, queries, k, orders)
     if mode == "similarities":
         return shard.similarities_batch(queries)
     raise ValueError(f"unknown shard task mode {mode!r}")

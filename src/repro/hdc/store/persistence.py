@@ -19,7 +19,7 @@ Each shard's base file is a plain ``.npy`` of the shard's native store
 (dense: ``(n, dim)`` int8; packed: ``(n, ⌈dim/64⌉)`` uint64) written
 with ``np.save``, so :func:`open_store` can hand it straight to
 ``np.load(..., mmap_mode="r")``: a multi-million-item store opens lazily
-— only the manifest and label maps load (O(labels): ~1.5 s at 1M items),
+— only the manifest and one label index load (O(labels): ~0.3 s at 1M),
 the vector data stays on disk until a query touches it — and queries
 against the memmap are bit-identical to the in-memory store (same
 kernels over the same words/bytes). Process-executor workers attach
@@ -44,16 +44,16 @@ behind.
 Labels must be JSON-serializable scalars (``str`` / ``int`` / ``float`` /
 ``bool``) and round-trip exactly. The manifest never inlines them: the
 global insertion-order list lives in a ``labels.g<gen>.json`` sidecar
-rewritten only at save/compact, each shard's base labels are recovered
-through its normative ``orders_*.npy`` sidecar (``shard labels =
-global[orders]``), and each journaled commit writes one
+rewritten only at save/compact, each shard's normative ``orders_*.npy``
+sidecar names the global rows its base holds (an open store keeps one
+label index, not one per shard), and each journaled commit writes one
 ``delta.g<gen>.json`` sidecar carrying *only the batch's* labels,
 global orders and tombstones. A commit therefore writes O(batch) bytes
 — the segment files, one delta, and a small constant-size manifest —
 instead of rewriting full label maps; :func:`open_store` replays the
-delta chain (validating truncation, label collisions, and row-count
-drift — a corrupted chain raises, never mis-answers) and the documented
-tie-breaking is preserved across save/open/append cycles.
+delta chain (validating truncation, label collisions, shard order and
+row-count drift — a corrupted chain raises, never mis-answers) and the
+documented tie-breaking is preserved across save/open/append cycles.
 
 **One deletion model**: a tombstoned row stays where it is, on disk and
 in memory. Open and worker attach flag tombstoned rows in each shard's
@@ -92,7 +92,7 @@ from pathlib import Path
 import numpy as np
 
 from ..hypervector import pack_bipolar, unpack_bipolar
-from ..item_memory import ItemMemory
+from ..item_memory import ItemMemory, RowMemory
 from .faults import active_io
 from .routing import ROUTINGS
 from .sharded import DEFAULT_CHUNK_SIZE, ShardedItemMemory, validate_batch
@@ -200,10 +200,9 @@ def _unlink_stale(path):
     active_io().unlink(path)
 
 
-#: segment fields that persist in the manifest itself — labels, orders,
-#: bounds, and live-row counts are *materialized* onto segments by
-#: :func:`_read_manifest` (from the delta sidecars) and must never be
-#: inlined back
+#: segment fields that persist in the manifest itself — orders and
+#: bounds are *materialized* onto segments by :func:`_read_manifest`
+#: (from the delta sidecars) and must never be inlined back
 _SEGMENT_DISK_KEYS = ("file", "rows", "delta_file")
 
 #: top-level manifest fields materialized by :func:`_read_manifest`
@@ -214,8 +213,8 @@ _SEGMENT_DISK_KEYS = ("file", "rows", "delta_file")
 _MANIFEST_MATERIALIZED_KEYS = ("labels", "slots", "label_orders",
                                "deleted_orders")
 
-#: shard-entry fields materialized by :func:`_read_manifest`
-_ENTRY_MATERIALIZED_KEYS = ("labels", "orders")
+#: shard-entry fields materialized by :func:`_read_manifest` (no labels)
+_ENTRY_MATERIALIZED_KEYS = ("orders",)
 
 
 def _manifest_to_disk(manifest):
@@ -223,9 +222,9 @@ def _manifest_to_disk(manifest):
 
     :func:`_read_manifest` materializes the global surviving ``labels``
     list, the ``slots`` / ``label_orders`` / ``deleted_orders``
-    physical-order maps, each shard entry's ``labels`` / ``orders``, and
-    each segment's ``labels`` / ``orders`` / ``bounds`` into the
-    returned dict so in-process callers see one uniform shape. On
+    physical-order maps, each shard entry's ``orders``, and each
+    segment's ``orders`` / ``bounds`` into the returned dict so
+    in-process callers see one uniform shape. On
     disk those belong to the label/orders/delta sidecars — inlining
     them back would make every commit O(store) again.
     """
@@ -379,10 +378,10 @@ def save_store(memory, path):
         _save_array(path / filename, native)
         entry = {"file": filename, "rows": len(shard), "segments": []}
         if kind == "sharded":
-            # Per-shard global insertion orders (dense after the fold) as
-            # a normative sidecar .npy (shard labels = global
-            # labels[orders]); process workers attach through it without
-            # parsing any label.
+            # Per-shard global insertion orders (dense after the fold,
+            # ascending) as a normative sidecar .npy: the global rows the
+            # shard holds. Open and process workers attach through it
+            # without a label list per shard.
             entry["orders_file"] = _orders_filename(index, generation)
             _save_array(path / entry["orders_file"], memory._orders_of(index))
         if len(shard):
@@ -458,11 +457,14 @@ def read_manifest(path):
     """Read, validate and materialize the store manifest at ``path``.
 
     Returns the manifest dict with every sidecar-held field filled in
-    (labels, orders, live-row counts, segment bounds) — an O(store)
-    inspection helper for tests and tools; most callers want
-    :func:`open_store` instead.
+    (labels, label → order map, orders, segment bounds; no label list
+    per shard), JSON-serializable — an O(store) inspection helper for
+    tests and tools; most callers want :func:`open_store` instead.
     """
-    return _read_manifest(path)
+    manifest = _read_manifest(path)
+    for entry in manifest["shards"]:
+        entry["orders"] = entry["orders"].tolist()
+    return manifest
 
 
 def _gen_tag(file_path, generation):
@@ -629,21 +631,20 @@ def _bounds_block(raw):
 def _materialize_sidecars(path, manifest):
     """Rebuild the in-memory label/orders/bounds view of a manifest.
 
-    Loads the global label sidecar, recovers each shard's base labels
-    through its normative orders sidecar, then replays the journaled
-    delta chain in generation order (appends and tombstone/replacement
-    commits). Every structural inconsistency —
-    truncated or missing sidecars, orders that do not partition the base
-    rows, a delta that chains from the wrong row count, insertion orders
-    that are not the contiguous next block, a tombstone naming a dead,
-    unknown, or mislabelled slot, a journaled segment without its delta
-    record — raises: a corrupted store must fail to open, not
-    mis-answer. The materialized fields (``manifest["labels"]`` — the
-    *surviving* labels in physical order — plus ``label_orders`` /
-    ``slots`` / ``deleted_orders``, entry ``labels``/``orders``,
-    segment ``labels``/``orders``/``bounds``) exist only
-    in the returned dict; :func:`_manifest_to_disk` strips them on
-    write.
+    Loads the global label sidecar and each shard's normative orders
+    sidecar, then replays the journaled delta chain in generation order
+    (appends and tombstone/replacement commits). Every structural
+    inconsistency — truncated or missing sidecars, orders that do not
+    partition the base rows, a delta that chains from the wrong row
+    count, insertion orders that are not the contiguous next block, a
+    tombstone naming a dead, unknown, or mislabelled slot, a journaled
+    segment without its delta record, a label live at two orders —
+    raises: a corrupted store must fail to open, not mis-answer. The
+    materialized fields (``manifest["labels"]`` — the *surviving*
+    labels in physical order — plus ``label_orders`` / ``slots`` /
+    ``deleted_orders``, entry ``orders``, segment ``orders``/``bounds``)
+    exist only in the returned dict; :func:`_manifest_to_disk` strips
+    them on write.
     """
     generation = manifest.get("generation")
     labels_name = manifest.get("labels_file")
@@ -677,12 +678,10 @@ def _materialize_sidecars(path, manifest):
             f"manifest's shard entries record {base_rows} base rows"
             + _gen_tag(labels_path, generation)
         )
-    # Materialized orders stay plain lists — the materialized manifest
-    # must remain JSON-serializable (callers round-trip read_manifest()).
+    # Base orders stay int64 arrays here (open and commits index with
+    # them); read_manifest() hands its callers plain lists.
     if manifest["kind"] == "single":
-        entry = manifest["shards"][0]
-        entry["labels"] = list(labels)
-        entry["orders"] = list(range(len(labels)))
+        manifest["shards"][0]["orders"] = np.arange(len(labels))
     else:
         assigned = np.zeros(len(labels), dtype=bool)
         for index, entry in enumerate(manifest["shards"]):
@@ -696,8 +695,7 @@ def _materialize_sidecars(path, manifest):
                         + _gen_tag(path / entry["orders_file"], generation)
                     )
                 assigned[orders] = True
-            entry["labels"] = [labels[order] for order in orders]
-            entry["orders"] = orders.tolist()
+            entry["orders"] = orders
         if not bool(assigned.all()):
             raise ValueError(
                 "orders sidecars do not cover every row of the labels file"
@@ -711,8 +709,17 @@ def _materialize_sidecars(path, manifest):
     live = np.ones(len(labels), dtype=bool)
     live[np.asarray(deleted, dtype=np.int64)] = False
     manifest["labels"] = list(compress(labels, live))
-    manifest["label_orders"] = dict(
-        zip(manifest["labels"], np.flatnonzero(live).tolist()))
+    orders = np.flatnonzero(live).tolist()
+    manifest["label_orders"] = dict(zip(manifest["labels"], orders))
+    if len(manifest["label_orders"]) != len(orders):
+        seen = {}  # a label live at two orders: name the file enrolling the later
+        label, order = next(pair for pair in zip(manifest["labels"], orders)
+                            if seen.setdefault(*pair) != pair[1])
+        source = next((path / seg["delta_file"] for entry in manifest["shards"]
+                       for seg in entry["segments"] if order in seg["orders"]), labels_path)
+        raise ValueError(f"label {label!r} is live at physical rows {seen[label]} and "
+                         f"{order} (label collision)"
+                         + _gen_tag(source, _file_generation(source.name, generation)))
     if manifest.get("next_order") != len(labels):
         raise ValueError(
             f"manifest records next_order={manifest.get('next_order')} "
@@ -855,9 +862,7 @@ def _replay_deltas(path, manifest, labels):
     shard_of = np.zeros(len(labels), dtype=np.int64)
     if manifest["kind"] == "sharded":
         for index, entry in enumerate(manifest["shards"]):
-            orders = np.asarray(entry["orders"], dtype=np.int64)
-            if orders.size:
-                shard_of[orders] = index
+            shard_of[entry["orders"]] = index
     dead = set()
     for name in names:
         delta_path = path / name
@@ -940,7 +945,6 @@ def _replay_deltas(path, manifest, labels):
                         f"twice" + tag
                     )
                 batch[order] = (label, part["shard"])
-            segment["labels"] = list(part_labels)
             segment["orders"] = [int(order) for order in part_orders]
             segment["bounds"] = _bounds_block(part.get("bounds"))
         if pending:
@@ -1015,15 +1019,13 @@ def open_store(path, mmap=True):
         for entry in manifest["shards"]
     ]
     if manifest["kind"] == "single":
+        # One shard: its physical rows are the global physical orders, so
+        # the slots label its rows and label_orders indexes them.
         memory = assembled[0][0]
+        memory._labels = manifest["slots"]
+        memory._label_index = dict(manifest["label_orders"])
         if memory._fold_due():
             memory._fold()
-        if list(memory.labels) != list(manifest["labels"]):
-            raise ValueError(
-                "global labels do not match the shard's base+segment labels"
-                + _gen_tag(path / manifest.get("labels_file", MANIFEST_NAME),
-                           manifest.get("generation"))
-            )
     else:
         backend = assembled[0][0].backend
         bounds = [_parsed_bounds(entry["bounds"], backend)
@@ -1082,40 +1084,44 @@ def _parsed_bounds(block, backend):
 
 
 def _entry_parts(entry):
-    """``(record, labels, orders)`` of a materialized shard entry's base
-    rows and of each journaled segment, in physical order."""
-    return [(record, record["labels"], np.asarray(record["orders"], dtype=np.int64))
+    """``(record, orders)`` of a materialized shard entry's base rows and
+    of each journaled segment, in physical order."""
+    return [(record, np.asarray(record["orders"], dtype=np.int64))
             for record in [entry] + entry["segments"]]
 
 
 def _assemble_shard(path, manifest, parts, dead, mmap):
-    """One shard's memory over its base file, then its segments.
+    """One shard's rows, no labels: its base file, then its segments.
 
-    ``parts`` are ``(record, labels, orders)`` per file in physical
-    order (``labels=None`` gives positional placeholders, all a process
-    worker needs). Every row whose global order is in ``dead`` (sorted)
-    is flagged in the shard's dead-row mask as soon as its file is in,
-    never gathered — so a base memmap stays lazy, and a label
-    tombstoned in one file may be re-enrolled by a later one. A file
-    whose rows, dtype, or width disagree with the manifest raises,
-    naming it. Returns the shard and its rows' physical global orders.
+    ``parts`` are ``(record, orders)`` per file in physical order (the
+    single-shard kind gets a still label-free :class:`ItemMemory`). Every
+    row whose global order is in ``dead`` (sorted) is flagged in the
+    shard's dead-row mask as soon as its file is in, never gathered — so
+    a base memmap stays lazy. A file whose rows, dtype, or width
+    disagree with the manifest raises, naming it, and so do orders not
+    strictly increasing across the shard (rows are found by binary
+    search of their orders). Returns the shard and its orders.
     """
     generation = manifest.get("generation")
-    shard, start = None, 0
-    for record, labels, orders in parts:
-        what = "shard" if shard is None else "segment"
+    kind = ItemMemory if manifest["kind"] == "single" else RowMemory
+    shard = kind(manifest["dim"], backend=manifest["backend"])
+    start, last = 0, -1
+    for position, (record, orders) in enumerate(parts):
+        if orders.size and (int(orders[0]) <= last
+                            or bool((np.diff(orders) <= 0).any())):
+            source = path / record["delta_file" if position else "orders_file"]
+            raise ValueError(
+                f"{source} lists shard orders that are not strictly increasing"
+                + _gen_tag(source, _file_generation(source.name, generation))
+            )
+        last = int(orders[-1]) if orders.size else last
+        what = "segment" if position else "shard"
         matrix = _load_matrix(path, record, what, mmap, generation)
-        if labels is None:
-            labels = range(start, start + len(orders))
         try:
-            if shard is None:
-                shard = ItemMemory.from_native(
-                    manifest["dim"], labels, matrix, backend=manifest["backend"])
-            else:
-                shard.extend_native(labels, matrix)
+            shard._take(matrix, what)
         except (ValueError, TypeError) as exc:
-            # from_native/extend_native validate dtype/width against the
-            # backend; name the offending file so it is attributable.
+            # The memory validates dtype/width against the backend; name
+            # the offending file so it is attributable.
             raise ValueError(
                 f"{what} file {path / record['file']} does not match the "
                 f"manifest: {exc}"
@@ -1127,7 +1133,7 @@ def _assemble_shard(path, manifest, parts, dead, mmap):
             if hit.size:
                 shard._kill((hit + start).tolist())
         start += len(orders)
-    return shard, np.concatenate([orders for _, _, orders in parts])
+    return shard, np.concatenate([orders for _, orders in parts])
 
 
 def load_worker_shard(path, shard_index, generation, mmap=True):
@@ -1140,9 +1146,8 @@ def load_worker_shard(path, shard_index, generation, mmap=True):
     the shard's dead-row mask (folded out only if they reach its live
     rows, the memory-wide rule), and the orders are the directory's
     physical ones — exactly what the controller holds, so partials need
-    no translation. Returns ``(ItemMemory, orders)``; the shard carries
-    positional placeholder labels, since query partials only ever use
-    distances plus ``orders``.
+    no translation. Returns ``(RowMemory, orders)``: a label-free shard,
+    since query partials only ever carry distances plus ``orders``.
 
     Raises ``RuntimeError`` when the directory is no longer at
     ``generation`` (it changed under the open store — re-open it), and
@@ -1165,8 +1170,8 @@ def load_worker_shard(path, shard_index, generation, mmap=True):
         )
     entry = shards[shard_index]
     base_rows = sum(int(other["rows"]) for other in shards)
-    parts = [(entry, None, _load_base_orders(path, shard_index, entry,
-                                             base_rows, generation))]
+    parts = [(entry, _load_base_orders(path, shard_index, entry, base_rows,
+                                       generation))]
     deltas = {name: _load_delta(path, name, generation)[0]
               for name in manifest["deltas"]}
     for segment in entry["segments"]:
@@ -1184,7 +1189,7 @@ def load_worker_shard(path, shard_index, generation, mmap=True):
                 + _gen_tag(path / segment["file"],
                            _file_generation(segment["file"], generation))
             )
-        parts.append((segment, None, np.asarray(part["orders"], dtype=np.int64)))
+        parts.append((segment, np.asarray(part["orders"], dtype=np.int64)))
     dead = np.unique(np.asarray([
         order for delta in deltas.values()
         for group in delta["tombstones"] for order in group["orders"]
@@ -1231,8 +1236,11 @@ def _prepare_commit(memory, path, op):
     if cold:
         synced = list(manifest["labels"]) == list(memory.labels)
         if synced and sharded:
-            memory._adopt_orders(manifest["label_orders"], manifest["slots"],
-                                 manifest["deleted_orders"])
+            synced = memory._adopt_orders(
+                [np.setdiff1d(np.concatenate([o for _, o in _entry_parts(entry)]),
+                              manifest["deleted_orders"])  # sorted
+                 for entry in manifest["shards"]],
+                manifest["slots"], manifest["label_orders"], manifest["deleted_orders"])
         manifest = _commit_manifest(manifest, memory)
     else:
         synced = manifest["rows"] == len(memory) and (
@@ -1250,21 +1258,21 @@ def _journal_tombstones(memory, manifest, labels, sharded):
 
     Must run *before* the in-memory delete — shard placement and the
     physical orders come from the live maps (a sharded memory's own
-    orders, which equal the directory's; a single-shard store's cached
-    label → order map). Returns the JSON-ready groups, each naming its
-    rows by (shard, label, physical order). Bounds are never touched: a
-    shrunken group keeps its ball/interval, which stays a valid
-    *superset* — deletes only ever tighten pruning, never loosen it.
+    orders, which equal the directory's, placed by ``_locate``; a
+    single-shard store's cached label → order map). Returns the
+    JSON-ready groups, each naming its rows by (shard, label, physical
+    order). Bounds are never touched: a shrunken group keeps its
+    ball/interval, which stays a valid *superset* — deletes only ever
+    tighten pruning, never loosen it.
     """
     orders_of = memory._order if sharded else manifest["label_orders"]
-    groups = {}
-    for label in labels:
-        index = memory._shard_of[label] if sharded else 0
-        groups.setdefault(index, []).append(label)
+    orders = [int(orders_of[label]) for label in labels]
+    placed = (memory._locate(orders) if sharded
+              else [(0, range(len(labels)), None)] if labels else [])
     return [
-        {"shard": index, "labels": group,
-         "orders": [int(orders_of[label]) for label in group]}
-        for index, group in sorted(groups.items())
+        {"shard": index, "labels": [labels[i] for i in hit],
+         "orders": [orders[i] for i in hit]}
+        for index, hit, _ in placed
     ]
 
 

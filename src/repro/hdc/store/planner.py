@@ -13,11 +13,12 @@ The facade is also a small query planner: batched queries are executed
 in blocks of ``query_block`` rows, so the per-call ``(B, n_shard)``
 similarity temporary stays bounded no matter how large a batch a caller
 throws at it. Results are streams of per-query answers, so block
-boundaries are invisible.
+boundaries are invisible. Queries must be bipolar at every shard count
+(a bare dense :class:`~repro.hdc.item_memory.ItemMemory` scores others).
 
 ``save``/``open`` delegate to :mod:`repro.hdc.store.persistence`:
-``open`` memmaps the shard files, so opening costs only the label maps
-(O(labels), ~1.5 s at one million items) and the vector data pages in
+``open`` memmaps the shard files, so opening costs only the label index
+(O(labels), ~0.3 s at one million items) and the vector data pages in
 on demand. A store opened from a path stays *attached* to it:
 ``add``/``add_many`` journal the new rows as per-shard segment files
 (the append story — reopen, append, query), and :meth:`compact` folds
@@ -30,9 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..item_memory import ItemMemory
+from ..item_memory import ItemMemory, require_bipolar
 from .parallel import resolve_executor, resolve_workers
 from .persistence import (
+    _validate_ingest,
     append_rows,
     delete_rows,
     open_store,
@@ -363,50 +365,40 @@ class AssociativeStore:
             return
         memory = self._memory
         vectors = np.asarray(vectors)
-        validate_batch(labels, vectors, memory, allow_existing=True)
-        sharded = isinstance(memory, ShardedItemMemory)
-        reference = memory.shards[0] if sharded else memory
-        if vectors.ndim != 2 or vectors.shape != (len(labels), memory.dim):
-            raise ValueError(
-                f"expected a ({len(labels)}, {memory.dim}) upsert batch, "
-                f"got {vectors.shape}"
-            )
-        reference._check_rows(vectors, (len(labels), memory.dim))
-        existing = [label for label in labels if label in memory]
-        if sharded:
-            if existing:
-                memory.delete_many(existing)
-            memory.add_many(labels, vectors, chunk_size=chunk_size)
-            return
-        if existing:
-            memory.remove_many(existing)
-        for start in range(0, len(labels), chunk_size):
-            memory.add_many(
-                labels[start : start + chunk_size],
-                np.asarray(vectors[start : start + chunk_size]),
-            )
+        _validate_ingest(memory, labels, vectors,
+                         isinstance(memory, ShardedItemMemory), "upsert",
+                         allow_existing=True)
+        self.delete([label for label in labels if label in memory])
+        self.add_many(labels, vectors, chunk_size=chunk_size)
 
     # -- queries ----------------------------------------------------------- #
 
+    def _bipolar(self, queries):
+        """Refuse a real-valued query that a bare dense ItemMemory scores."""
+        if isinstance(self._memory, ItemMemory) and self.backend_name == "dense":
+            return require_bipolar(queries)
+        return np.asarray(queries)
+
     def _blocks(self, queries):
-        queries = np.asarray(queries)
+        queries = self._bipolar(queries)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise ValueError(f"expected (B, {self.dim}) queries, got {queries.shape}")
         for start in range(0, queries.shape[0], self.query_block):
             yield queries[start : start + self.query_block]
 
     def similarities(self, query):
+        query = self._bipolar(query)
         return self._memory.similarities(query) if isinstance(
             self._memory, ItemMemory
-        ) else self._memory.similarities_batch(np.asarray(query)[None])[0]
+        ) else self._memory.similarities_batch(query[None])[0]
 
     def similarities_batch(self, queries):
         """Full ``(B, n)`` similarity matrix (unbounded — debugging aid)."""
-        return self._memory.similarities_batch(queries)
+        return self._memory.similarities_batch(self._bipolar(queries))
 
     def cleanup(self, query):
         """Best ``(label, similarity)`` for one query."""
-        return self._memory.cleanup(query)
+        return self._memory.cleanup(self._bipolar(query))
 
     def cleanup_batch(self, queries):
         """Best match per query, executed in bounded query blocks.
@@ -424,7 +416,7 @@ class AssociativeStore:
 
     def topk(self, query, k=5):
         """Ranked ``(label, similarity)`` pairs for one query."""
-        return self._memory.topk(query, k=k)
+        return self._memory.topk(self._bipolar(query), k=k)
 
     def topk_batch(self, queries, k=5):
         """Ranked lists per query, executed in bounded query blocks.

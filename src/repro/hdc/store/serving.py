@@ -33,10 +33,9 @@ kernel call are scored independently, and the store's own agreement
 suites pin batch-composition invariance (``query_block`` blocking,
 strict pruning skips). The serving agreement suite
 (``tests/hdc/store/test_serving.py``) pins it end to end across
-executors × backends, under cancellation and backpressure. (Bipolar
-queries are exact-integer dots and therefore exact; real-valued dense
-queries carry the same last-ULP BLAS caveat as the store's own batched
-float path.)
+executors × backends, under cancellation and backpressure. A query of
+the wrong shape or not bipolar is refused at admission, alone: the
+batch kernels would refuse its whole wave.
 
 **Admission control / backpressure**: at most ``max_pending`` requests
 may be *inside* the server (queued or in a dispatched, unfinished
@@ -76,6 +75,8 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from ..item_memory import require_bipolar
 
 __all__ = [
     "StoreServer",
@@ -470,6 +471,7 @@ class StoreServer:
             raise ValueError(
                 f"expected a ({self._store.dim},) query row, got {row.shape}"
             )
+        require_bipolar(row)  # one bad row would fail its whole wave
         timeout = self._resolve_timeout(timeout_ms)
         # Deadline state shared with the timer callback: which admission
         # waiter / result future currently carries this request, so

@@ -1,4 +1,4 @@
-"""Sharded associative memory: N :class:`ItemMemory` shards, one answer.
+"""Sharded associative memory: N label-free row shards, one answer.
 
 ``ShardedItemMemory`` routes labels to shards (:mod:`.routing`), ingests
 in streaming chunks, and answers batched cleanup / top-k queries by
@@ -19,18 +19,20 @@ minus-count interval *or* the geometric centroid + radius ball
 provably cannot beat the bound of the moment it comes up is skipped
 outright, and dispatched shards pass that bound into the kernels'
 adaptive prefix-Hamming early exit. Per-shard scoring runs through
-:class:`ItemMemory`'s blocked Hamming kernels, so the peak temporary is
-bounded by the kernel tile, not the store — the property that lets one
-process serve multi-million-item stores.
+:class:`~repro.hdc.item_memory.RowMemory`'s blocked Hamming kernels, so
+the peak temporary is bounded by the kernel tile, not the store — the
+property that lets one process serve multi-million-item stores.
+The shards hold rows, not labels: the one label index is the store's,
+and a label's row is one ``searchsorted`` of its order per shard away.
 
 The merge operates end-to-end in the **integer distance domain**: each
 shard's partial is a ``(uint Hamming distance, global insertion index)``
 pair per candidate, no per-shard float similarity row is materialized,
 and only the final merged top-k converts to float similarity
 (:func:`.parallel.distances_to_similarities` — the exact float
-expressions of the reference path). Real-valued queries on the dense
-backend fall back to float partials carrying ``(−similarity, index)``;
-both domains merge under the identical ascending contract.
+expressions of the reference path). Queries must be bipolar on both
+backends: a real-valued query has no integer distance, so it is refused
+(a bare dense :class:`~repro.hdc.item_memory.ItemMemory` scores one).
 
 Decision contract (the agreement suite pins this): for any shard count,
 any worker count, and either backend, every ``cleanup`` / ``topk``
@@ -71,8 +73,7 @@ from itertools import compress
 
 import numpy as np
 
-from ..hypervector import is_bipolar
-from ..item_memory import ItemMemory
+from ..item_memory import RowMemory, require_bipolar
 from ..ordering import topk_order
 from .parallel import (
     BoundTracker,
@@ -146,7 +147,7 @@ class ShardedItemMemory:
     dim:
         Hypervector dimensionality.
     num_shards:
-        Number of :class:`ItemMemory` shards (≥ 1).
+        Number of row shards (≥ 1).
     backend:
         HDC storage backend name shared by every shard
         (``"dense"`` / ``"packed"``).
@@ -179,12 +180,11 @@ class ShardedItemMemory:
             raise ValueError("num_shards must be >= 1")
         if routing not in ROUTINGS:
             raise ValueError(f"unknown routing policy {routing!r}; available: {ROUTINGS}")
-        self._shards = [ItemMemory(dim, backend=backend) for _ in range(num_shards)]
+        self._shards = [RowMemory(dim, backend=backend) for _ in range(num_shards)]
         self.dim = self._shards[0].dim
         self.routing = routing
         self._slots = []  # label of every global order, dead slots included
         self._order = {}  # live label -> global (physical) insertion order
-        self._shard_of = {}  # live label -> shard index
         # Global orders deleted since the orders were last renumbered,
         # plus their sorted array (built on first use).
         self._dead_orders = []
@@ -246,10 +246,11 @@ class ShardedItemMemory:
                      routing, pop_bounds, geo_bounds, segment_bounds):
         """Rebuild a sharded memory around opened shards (persistence).
 
-        ``shards`` hold their physical rows, tombstoned ones flagged
-        dead; ``orders`` gives each shard's per-row global physical
-        orders, ``slots`` the label of every order, ``label_orders``
-        each live label's order and ``dead_orders`` the tombstoned ones.
+        ``shards`` (row memories) hold their physical rows, tombstoned
+        ones flagged dead; ``orders`` gives each shard's ascending global
+        physical orders, ``slots`` the label of every order,
+        ``label_orders`` each live label's order and ``dead_orders`` the
+        tombstoned ones.
         ``pop_bounds`` / ``geo_bounds`` are each shard's base-row
         minus-count interval and ``(native centroid, radius)`` ball
         (``None``: unknown, never skipped on), and ``segment_bounds``
@@ -274,12 +275,10 @@ class ShardedItemMemory:
                     live=int(live[start:start + rows].sum()))
                 start += rows
             memory._shard_orders[index] = orders[index]
-            memory._shard_of.update(dict.fromkeys(shard.labels, index))
-        if not len(memory._shard_of) == len(label_orders) == sum(map(len, shards)):
+        if sum(map(len, shards)) != len(label_orders):
             raise ValueError(
-                f"global labels do not match the union of shard labels "
-                f"({sum(map(len, shards))} live shard rows, "
-                f"{len(label_orders)} live labels)"
+                f"{sum(map(len, shards))} live shard rows but "
+                f"{len(label_orders)} live labels"
             )
         memory._slots, memory._order = list(slots), label_orders
         memory._dead_orders = list(dead_orders)
@@ -394,7 +393,7 @@ class ShardedItemMemory:
 
     @property
     def shards(self):
-        """The underlying :class:`ItemMemory` shards (read-only tuple)."""
+        """The label-free :class:`~repro.hdc.item_memory.RowMemory` shards."""
         return tuple(self._shards)
 
     @property
@@ -412,7 +411,22 @@ class ShardedItemMemory:
 
     def shard_of(self, label):
         """Shard index holding ``label``."""
-        return self._shard_of[label]
+        return self._locate([self._order[label]])[0][0]
+
+    def _locate(self, orders):
+        """``(shard, batch positions, physical rows)`` per shard holding any of
+        the live global ``orders``: one ``searchsorted`` per shard."""
+        orders = np.asarray(orders, dtype=np.int64)
+        found = []
+        for index in range(self.num_shards):
+            held = self._orders_of(index)
+            if not held.size:
+                continue
+            rows = np.searchsorted(held, orders).clip(max=held.size - 1)
+            hit = np.flatnonzero(held[rows] == orders)
+            if hit.size:
+                found.append((index, hit, rows[hit]))
+        return found
 
     def index_of(self, label):
         """Rank of ``label`` in global insertion order among the survivors."""
@@ -527,8 +541,7 @@ class ShardedItemMemory:
         centroid = self._geo_centroid[shard_index]
         if centroid is None:
             base_rows = (
-                len(self._shards[shard_index]._labels)
-                - self._segment_rows(shard_index)
+                self._shards[shard_index]._rows - self._segment_rows(shard_index)
             )
             if base_rows != rows.shape[0]:
                 return  # unknown base rows (pre-bounds store) stay unknown
@@ -544,7 +557,7 @@ class ShardedItemMemory:
 
     def _orders_of(self, shard_index):
         """``(physical rows,)`` int64 global orders of one shard's rows."""
-        return self._shard_orders[shard_index][:len(self._shards[shard_index]._labels)]
+        return self._shard_orders[shard_index][:self._shards[shard_index]._rows]
 
     def _dense(self, orders):
         """Global orders with the dead-order gaps below them closed."""
@@ -602,15 +615,13 @@ class ShardedItemMemory:
             plan.append((index, offsets, self.backend.from_bipolar(rows, checked=True)))
         first = len(self._slots)
         for index, offsets, rows in plan:
-            shard_labels = [chunk_labels[o] for o in offsets]
             shard = self._shards[index]
-            shard._append(shard_labels, rows)
+            shard._append_rows(rows)
             self._note_popcounts(index, rows)
             self._note_geometry(index, rows)
-            self._shard_of.update(dict.fromkeys(shard_labels, index))
             # The shard's order buffer grows by doubling, so ingest never
             # reallocates per row.
-            stop = len(shard._labels)
+            stop = shard._rows
             start, buffer = stop - len(offsets), self._shard_orders[index]
             if stop > buffer.shape[0]:
                 grown = np.empty(max(stop, 2 * buffer.shape[0]), dtype=np.int64)
@@ -654,27 +665,24 @@ class ShardedItemMemory:
         for label in labels:
             if label not in self._order:
                 raise ValueError(f"label {label!r} is not stored")
-        by_shard = {}
-        for label in labels:
-            by_shard.setdefault(self._shard_of.pop(label), []).append(label)
-            self._dead_orders.append(self._order.pop(label))
+        orders = [self._order.pop(label) for label in labels]
+        self._dead_orders.extend(orders)
         self._dead_sorted = None
-        for index, shard_labels in by_shard.items():
+        for index, _, rows in self._locate(orders):
             shard = self._shards[index]
-            positions = [shard._label_index[label] for label in shard_labels]
             # Attribute each dying row to its bound group by physical
             # position: base rows come first, then the journaled segment
             # groups in push order.
             groups = self._segment_groups[index]
             if groups:
                 boundaries = np.cumsum(
-                    [len(shard._labels) - self._segment_rows(index)]
+                    [shard._rows - self._segment_rows(index)]
                     + [group["rows"] for group in groups]
                 )
-                for gi in np.searchsorted(boundaries, positions, side="right"):
+                for gi in np.searchsorted(boundaries, rows, side="right"):
                     if gi >= 1:  # 0 = base group (bounds stay as supersets)
                         groups[int(gi) - 1]["live"] -= 1
-            shard._kill(positions)
+            shard._kill(rows.tolist())
             if shard._fold_due():
                 self._fold_shard(index)
         self._version += 1
@@ -706,30 +714,33 @@ class ShardedItemMemory:
         self._dead_orders, self._dead_sorted = [], None
         self._version += 1
 
-    def _adopt_orders(self, label_orders, slots, dead_orders):
+    def _adopt_orders(self, shard_orders, slots, label_orders, dead_orders):
         """Take a store directory's physical orders for the same live
         labels — what a journaled commit does after a cold manifest read
         (say, after the handle saved a dense copy elsewhere), so the
         orders it journals and those process workers return are the
-        directory's."""
+        directory's: each shard's live orders, ascending (False, adopting
+        nothing, when their counts are not this memory's shard sizes)."""
         self._compact()
-        for index, shard in enumerate(self._shards):
-            self._shard_orders[index] = np.fromiter(
-                (label_orders[label] for label in shard.labels),
-                dtype=np.int64, count=len(shard))
+        if [len(orders) for orders in shard_orders] != list(self.shard_sizes):
+            return False
+        self._shard_orders = [np.asarray(orders, dtype=np.int64)
+                              for orders in shard_orders]
         self._slots, self._order = list(slots), dict(label_orders)
         self._dead_orders, self._dead_sorted = list(dead_orders), None
         self._version += 1
+        return True
 
     # -- queries ----------------------------------------------------------- #
 
     def _check_queries(self, queries):
+        """A non-empty store and a bipolar ``(B, dim)`` query block."""
         if not self._order:
             raise LookupError("sharded item memory is empty")
         queries = np.asarray(queries)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise ValueError(f"expected (B, {self.dim}) queries, got {queries.shape}")
-        return queries
+        return require_bipolar(queries, "a sharded store")
 
     def _active_shards(self):
         """Indices of the non-empty shards.
@@ -1020,23 +1031,6 @@ class ShardedItemMemory:
                 self._pruning[key] += value
         return partials
 
-    def _fanout_floats(self, mode, queries, k):
-        """Unbounded float fan-out (real-valued dense queries)."""
-        futures = [self._submit(mode, index, queries, k)
-                   for index in self._active_shards()]
-        return [future.result() for future in futures]
-
-    def _native_queries(self, queries):
-        """Queries in backend-native form for the integer-distance path,
-        or ``None`` when only the float path applies (real-valued dense
-        queries). The packed backend rejects non-bipolar queries with
-        the same error as :class:`ItemMemory`."""
-        if self.backend.name == "packed":
-            return self._shards[0]._pack_query(queries)
-        if is_bipolar(queries):
-            return self.backend.from_bipolar(queries)
-        return None
-
     def similarities_batch(self, queries):
         """Cosine similarities ``(B, n)`` with columns in global insertion order.
 
@@ -1078,23 +1072,16 @@ class ShardedItemMemory:
         ``ItemMemory``.
         """
         queries = self._check_queries(queries)
-        native = self._native_queries(queries)
-        if native is not None:
-            partials = self._fanout_ints("cleanup_ints", native, 1)
-        else:
-            partials = self._fanout_floats("cleanup_floats", queries, 1)
+        native = self.backend.from_bipolar(queries, checked=True)
+        partials = self._fanout_ints("cleanup_ints", native, 1)
         primary = np.stack([p for p, _ in partials])  # (S', B)
         orders = np.stack([o for _, o in partials])  # (S, B)
         best = np.lexsort((orders, primary), axis=0)[0]  # best shard per query
         columns = np.arange(primary.shape[1])
         best_orders = orders[best, columns]
-        best_primary = primary[best, columns]
-        if native is not None:
-            sims = distances_to_similarities(
-                best_primary, self.dim, self.backend.name, queries
-            )
-        else:
-            sims = -best_primary
+        sims = distances_to_similarities(
+            primary[best, columns], self.dim, self.backend.name, queries
+        )
         return [self._slots[order] for order in best_orders], sims
 
     def topk(self, query, k=5):
@@ -1119,23 +1106,16 @@ class ShardedItemMemory:
         """
         queries = self._check_queries(queries)
         k = min(k, len(self))
-        native = self._native_queries(queries)
-        if native is not None:
-            partials = self._fanout_ints("topk_ints", native, k)
-        else:
-            partials = self._fanout_floats("topk_floats", queries, k)
+        native = self.backend.from_bipolar(queries, checked=True)
+        partials = self._fanout_ints("topk_ints", native, k)
         primary = np.concatenate([p for p, _ in partials], axis=1)  # (B, Σk')
         orders = np.concatenate([o for _, o in partials], axis=1)
         selected = topk_order(primary, k, tiebreak=orders)
         rows = np.arange(primary.shape[0])[:, None]
         merged_orders = orders[rows, selected]
-        merged_primary = primary[rows, selected]
-        if native is not None:
-            sims = distances_to_similarities(
-                merged_primary, self.dim, self.backend.name, queries
-            )
-        else:
-            sims = -merged_primary
+        sims = distances_to_similarities(
+            primary[rows, selected], self.dim, self.backend.name, queries
+        )
         return [
             [
                 (self._slots[order], float(sim))

@@ -354,19 +354,22 @@ class TestCorruptedSegments:
         open, not shadow or duplicate the row. (Journal labels live in
         the delta sidecar, so that is where the corruption lands.)"""
         path, segments = self._saved_with_segment(tmp_path, rng)
-        manifest = read_manifest(path)  # materialized labels
+        manifest = read_manifest(path)  # materialized labels and orders
         for index, entry in enumerate(manifest["shards"]):
             if entry["segments"]:
                 delta_path = path / entry["segments"][0]["delta_file"]
                 delta = json.loads(delta_path.read_text())
                 part = next(p for p in delta["entries"] if p["shard"] == index)
-                collision = (entry["labels"] or manifest["labels"])[0]
+                # the label of this shard's first base row
+                collision = manifest["slots"][(entry["orders"] or [0])[0]]
                 part["labels"][0] = collision
                 delta_path.write_text(json.dumps(delta))
                 break
-        with pytest.raises(ValueError,
-                           match="already stored|do not match|duplicate"):
+        with pytest.raises(ValueError, match="label collision") as refused:
             open_store(path)
+        generation = json.loads(delta_path.read_text())["generation"]
+        assert (f"[file {delta_path}, generation {generation}]"
+                in str(refused.value))
 
 
 class TestCrashConsistency:

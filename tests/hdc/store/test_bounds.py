@@ -534,7 +534,8 @@ class TestBoundsUnderMutation:
         fresh = open_store(path)
         assert sum(len(shard._dead) for shard in fresh.shards) == len(victims)
         for index, shard in enumerate(fresh.shards):
-            live, stop = shard._live_mask(), len(shard._labels)
+            live = shard._live_mask()
+            stop = live.size
             for group in reversed(fresh._segment_groups[index]):
                 assert group["live"] == int(live[stop - group["rows"]:stop].sum())
                 stop -= group["rows"]

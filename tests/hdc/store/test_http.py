@@ -271,6 +271,26 @@ class TestErrorMapping:
         for _, payload in answers[-3:]:
             assert "finite" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_non_bipolar_query_is_a_400_alone(self, backend, rng):
+        """A 0.5-valued query sent beside five valid ones gets its own
+        400 at admission; the others get 200 with the reference answers
+        instead of sharing the failure of one batch kernel call."""
+        store, labels, vectors = _store(rng, backend=backend, shards=4,
+                                        items=24)
+        reference = ItemMemory(store.dim, backend=backend)
+        reference.add_many(labels, vectors)
+        jobs = [("POST", "/v1/topk", {"query": _wire(q), "k": 3})
+                for q in vectors[:5]]
+        jobs.insert(2, ("POST", "/v1/topk",
+                        {"query": [0.5] * store.dim, "k": 3}))
+        answers = _serve_jobs(store, jobs, clients=6)
+        status, payload = answers.pop(2)
+        assert status == 400 and "bipolar" in payload["error"]["message"]
+        assert answers == [(200, jsonable_result("topk", reference.topk(q, k=3)))
+                           for q in vectors[:5]]
+        store.memory.close()
+
     def test_unknown_route_404_wrong_method_405(self, rng):
         store, _, vectors = _store(rng, shards=1, items=8)
         jobs = [

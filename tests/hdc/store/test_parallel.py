@@ -11,9 +11,11 @@ anything but the global insertion index, and including the early-exit
 pruning bounds (strict skips can never drop a boundary tie).
 """
 
+import gc
 import importlib
 import os
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -128,31 +130,42 @@ class TestWorkerAgreement:
         assert sharded.cleanup(base[0])[0] == "dup0"
         sharded.close()
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_real_valued_dense_queries_use_float_fallback(self, workers, rng):
-        """Non-bipolar queries have no integer distance; the float-partial
-        fallback must return the same *decisions*. (Sim values may differ
-        in the last ULP: BLAS accumulates a (B,d)@(d,n) matmul differently
-        for different n, so real-valued dots are not associativity-exact —
-        the same caveat the PR 2 sequential merge had. Bipolar queries are
-        exact-integer dots and stay bit-identical; see the other tests.)"""
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shards", (1, 5))
+    def test_real_valued_queries_refused_on_every_surface(self, backend,
+                                                          shards, rng):
+        """The store answers bipolar queries only, at every shard count
+        and on both backends: a real-valued query has no integer
+        distance, and the dense backend would cast 0.5 to 0. Every query
+        surface refuses one with the packed path's guidance, while a bare
+        dense ItemMemory still scores it."""
         dim = 192
         labels = [f"v{i}" for i in range(30)]
         vectors = random_bipolar(30, dim, rng)
-        reference, sharded = _pair(dim, labels, vectors, "dense", 5, workers)
-        queries = rng.normal(size=(7, dim))
-        ref_labels, ref_sims = reference.cleanup_batch(queries)
-        sh_labels, sh_sims = sharded.cleanup_batch(queries)
-        assert sh_labels == ref_labels
-        assert np.allclose(sh_sims, ref_sims, rtol=0, atol=1e-12)
-        ref_topk = reference.topk_batch(queries, k=6)
-        sh_topk = sharded.topk_batch(queries, k=6)
-        for ref_row, sh_row in zip(ref_topk, sh_topk):
-            assert [label for label, _ in sh_row] == [label for label, _ in ref_row]
-            assert np.allclose(
-                [sim for _, sim in sh_row], [sim for _, sim in ref_row],
-                rtol=0, atol=1e-12,
-            )
+        store = AssociativeStore.from_vectors(labels, vectors, backend=backend,
+                                              shards=shards)
+        queries = np.concatenate([vectors[:5], np.full((1, dim), 0.5)])
+        surfaces = (
+            lambda: store.cleanup(queries[-1]),
+            lambda: store.cleanup_batch(queries),
+            lambda: store.topk(queries[-1], k=3),
+            lambda: store.topk_batch(queries, k=3),
+            lambda: store.similarities(queries[-1]),
+            lambda: store.similarities_batch(queries),
+        )
+        for call in surfaces:
+            with pytest.raises(ValueError, match=r"accepts only bipolar .* "
+                               r"ItemMemory\(dim, backend='dense'\)"):
+                call()
+        reference = ItemMemory(dim, backend=backend)
+        reference.add_many(labels, vectors)
+        assert store.topk_batch(queries[:5], k=3) \
+            == reference.topk_batch(queries[:5], k=3)
+        dense = ItemMemory(dim, backend="dense")
+        dense.add_many(labels, vectors)
+        assert len(dense.topk_batch(queries, k=3)) == 6
+        if shards > 1:
+            store.memory.close()
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("executor", EXECUTORS)
@@ -1123,6 +1136,37 @@ class TestStoreScale:
             pytest.skip(f"two threads ran GIL-free NumPy only {capacity:.2f}x "
                         f"faster than one: no second core to overlap on")
         assert median["wide"] <= 0.8 * median["narrow"], median
+
+    @pytest.mark.parametrize("kind, bound", [("int", 145), ("str", 165)])
+    def test_handle_memory_per_item(self, kind, bound, tmp_path):
+        """The fence behind ARCHITECTURE.md's "Handle memory": after
+        ``AssociativeStore.open`` of a saved 100k × 1024 store in 8
+        packed shards, tracemalloc's traced bytes come to at most 145 per
+        item with int labels and 165 with str labels. The vectors stay
+        memmapped and are not traced; the store's one label index
+        (``_slots`` and ``_order``) is most of what is. A label list or
+        dict per shard would push both figures past 250. Fixed at 100k
+        items: per-item bytes depend on the dict's fill."""
+        items, dim, chunk = 100_000, 1024, 25_000
+        rng = np.random.default_rng(109)
+        labels = (list(range(items)) if kind == "int"
+                  else [f"item{i}" for i in range(items)])
+        store = AssociativeStore(dim, backend="packed", shards=8, workers=1)
+        for start in range(0, items, chunk):
+            store.add_many(labels[start:start + chunk],
+                           random_bipolar(chunk, dim, rng))
+        store.save(tmp_path / "store")
+        del store, labels
+        gc.collect()
+        tracemalloc.start()
+        try:
+            opened = AssociativeStore.open(tmp_path / "store", workers=1)
+            gc.collect()
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_item = traced / len(opened)
+        assert per_item <= bound, f"{per_item:.1f} B/item with {kind} labels"
 
     def test_mutation_at_scale(self, store_scale_items, store_scale_executor,
                                tmp_path):

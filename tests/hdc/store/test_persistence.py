@@ -100,7 +100,8 @@ class TestRoundTrip:
         assert manifest["backend"] == "packed"
         assert manifest["num_shards"] == 4
         # The manifest inlines no label maps — the global list lives
-        # in the labels sidecar, shard labels in the orders sidecars.
+        # in the labels sidecar; each orders sidecar names the global
+        # rows its shard holds.
         assert "labels" not in manifest
         labels = json.loads((tmp_path / "store" / manifest["labels_file"]).read_text())
         assert labels == list(memory.labels)
@@ -110,8 +111,7 @@ class TestRoundTrip:
             assert (tmp_path / "store" / entry["file"]).is_file()
             orders = np.load(tmp_path / "store" / entry["orders_file"])
             assert orders.shape == (entry["rows"],)
-            assert [labels[order] for order in orders] \
-                == list(memory.shards[index].labels)
+            assert np.array_equal(orders, memory._orders_of(index))
 
 
 class TestDriftGuards:

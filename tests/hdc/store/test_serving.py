@@ -758,6 +758,31 @@ class TestDeadlines:
         asyncio.run(main())
         store.memory.close()
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shards", (1, 4))
+    def test_bad_query_fails_alone_not_its_wave(self, backend, shards, rng):
+        """Five valid top-k calls and one 0.5-valued query in the same
+        tick: the bad one is refused at admission, so the wave it would
+        have joined (whose batch kernel refuses a whole batch over one
+        non-bipolar row) answers the other five exactly."""
+        store, vectors = _store(rng, backend=backend, shards=shards)
+        expected = [store.topk(vectors[i], k=3) for i in range(5)]
+
+        async def main():
+            async with StoreServer(store) as srv:
+                calls = [srv.topk(vectors[i], k=3) for i in range(5)]
+                calls.insert(2, srv.topk(np.full(store.dim, 0.5), k=3))
+                answers = await asyncio.gather(*calls, return_exceptions=True)
+                refused = answers.pop(2)
+                assert isinstance(refused, ValueError)
+                assert "bipolar" in str(refused)
+                assert answers == expected
+                assert srv.pending == 0
+
+        asyncio.run(main())
+        if shards > 1:
+            store.memory.close()
+
     def test_timeout_parked_on_admission(self, rng):
         """A deadline expiring while the caller is still parked on the
         admission FIFO: ServerTimeout, the FIFO entry is removed, and
