@@ -291,7 +291,17 @@ class RowMemory:
 
     def similarities_batch(self, queries):
         """Cosine similarities of ``(B, dim)`` queries: one ``(B, n)`` call."""
-        sims = self._masked_similarities(queries)
+        return self.similarities_native(self._query_form(queries))
+
+    def similarities_native(self, native_queries):
+        """Cosine similarities ``(B, n)`` of queries already in the form the
+        kernels score (:meth:`_query_form`), over the live rows.
+
+        The sharded store's per-shard similarities primitive: its
+        controller checks and converts the query block once for every
+        shard, as it does for :meth:`topk_native`.
+        """
+        sims = self._scores(native_queries)
         dead = self._dead_rows()
         return sims if dead is None else np.delete(sims, dead, axis=1)
 
@@ -304,6 +314,21 @@ class RowMemory:
             raise ValueError(f"expected (B, {self.dim}) queries, got {queries.shape}")
         return queries
 
+    def _query_form(self, queries):
+        """A checked ``(B, dim)`` query block in the form the kernels
+        score: as given on the dense backend (any real values), packed
+        words on the packed one (bipolar only)."""
+        queries = self._check_batch(queries)
+        if self._backend.name == "dense":
+            return queries
+        return self._pack_query(queries)
+
+    def _scores(self, native_queries):
+        """``(B, physical rows)`` cosine similarities, dead rows included."""
+        if self._backend.name == "dense":
+            return self._dense_similarities(native_queries)
+        return self._backend.cosine(native_queries, self._native_matrix())
+
     def _masked_similarities(self, queries):
         """``(B, physical rows)`` similarities, every dead column ``-inf``.
 
@@ -311,12 +336,7 @@ class RowMemory:
         never win an ``argmax`` or a descending top-``k`` over the live
         rows, and ranking by physical index is ranking by insertion.
         """
-        queries = self._check_batch(queries)
-        if self._backend.name == "dense":
-            sims = self._dense_similarities(queries)
-        else:
-            sims = self._backend.cosine(self._pack_query(queries),
-                                        self._native_matrix())
+        sims = self._scores(self._query_form(queries))
         dead = self._dead_rows()
         if dead is not None:
             sims[:, dead] = -np.inf

@@ -336,14 +336,14 @@ def run_shard_task(mode, shard, orders, queries, k, bounds=None):
     if mode == "topk_ints":
         return shard_topk_ints(shard, queries, k, orders, bounds=bounds)
     if mode == "similarities":
-        return shard.similarities_batch(queries)
+        return shard.similarities_native(queries)
     raise ValueError(f"unknown shard task mode {mode!r}")
 
 
 # -- process-executor tasks --------------------------------------------------- #
 
-#: per-process cache of re-opened shards:
-#: {(path, generation): {shard index: (shard, orders)}}
+#: per-process cache of re-opened shards: {(path, generation): (the
+#: generation's worker chain, {shard index: (shard, orders)})}
 _WORKER_STORES = {}
 
 
@@ -352,21 +352,24 @@ def _worker_shard(path, generation, shard_index):
 
     The cache is keyed by ``(path, generation)`` — an append or compact
     bumps the generation, so workers pick up the new layout on the next
-    task and drop superseded entries for the same path. Attaching reads
-    the manifest, the shard's files and orders sidecar, and the delta
-    chain (:func:`~.persistence.load_worker_shard`), which refuses a
-    directory that moved past ``generation``.
+    task and drop superseded entries for the same path. The first
+    attach of a generation reads its manifest and delta chain
+    (:func:`~.persistence._worker_chain`), which refuses a directory
+    that moved past ``generation``; every shard of that generation then
+    attaches from them (:func:`~.persistence.load_worker_shard` does
+    both for one shard).
     """
-    from .persistence import load_worker_shard  # deferred import: module cycle
+    from .persistence import _attach_worker_shard, _worker_chain  # module cycle
 
     key = (str(path), int(generation))
-    shards = _WORKER_STORES.get(key)
-    if shards is None:
+    cached = _WORKER_STORES.get(key)
+    if cached is None:
         for stale in [k for k in _WORKER_STORES if k[0] == key[0]]:
             del _WORKER_STORES[stale]
-        shards = _WORKER_STORES[key] = {}
+        cached = _WORKER_STORES[key] = (_worker_chain(path, key[1]), {})
+    chain, shards = cached
     if shard_index not in shards:
-        shards[shard_index] = load_worker_shard(path, shard_index, key[1])
+        shards[shard_index] = _attach_worker_shard(chain, shard_index)
     return shards[shard_index]
 
 

@@ -91,7 +91,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..hypervector import pack_bipolar, unpack_bipolar
+from ..hypervector import pack_bits, unpack_bipolar
 from ..item_memory import ItemMemory, RowMemory
 from .faults import active_io
 from .routing import ROUTINGS
@@ -279,9 +279,12 @@ def _centroid_to_hex(backend, native_centroid):
     ``i // 64`` at bit ``i % 64``), serialized as little-endian uint64
     words — ``dim/4`` hex characters regardless of the store backend,
     so a dense store's manifest is byte-identical to its packed twin's.
+    A packed centroid already is those words (its padding bits are
+    zero); a dense one is packed once.
     """
-    bipolar = backend.to_bipolar(np.asarray(native_centroid))
-    return pack_bipolar(bipolar).astype("<u8").tobytes().hex()
+    native = np.asarray(native_centroid)
+    words = native if backend.name == "packed" else pack_bits(native < 0)
+    return words.astype("<u8").tobytes().hex()
 
 
 def _centroid_from_hex(backend, text):
@@ -1154,6 +1157,20 @@ def load_worker_shard(path, shard_index, generation, mmap=True):
     ``FileNotFoundError`` / ``ValueError`` naming the file and the
     generation on any other inconsistency.
     """
+    return _attach_worker_shard(_worker_chain(path, generation), shard_index, mmap)
+
+
+def _worker_chain(path, generation):
+    """What every worker attach of one generation reads in common.
+
+    The raw manifest and its delta chain, each sidecar parsed once,
+    reduced to ``(path, manifest, segment orders, dead orders)``: the
+    global orders of every journaled segment, keyed by ``(delta file,
+    shard, segment file)``, and the sorted tombstoned orders. A worker
+    attaching several shards of one generation reads them once
+    (:func:`~.parallel._worker_shard` keeps the result beside the
+    shards). Raises like :func:`load_worker_shard`.
+    """
     path = Path(path)
     manifest = _read_raw_manifest(path)
     if manifest.get("generation") != generation:
@@ -1162,6 +1179,21 @@ def load_worker_shard(path, shard_index, generation, mmap=True):
             f"but the query expected generation {generation}; the directory "
             f"changed under the open store — re-open it"
         )
+    segment_orders, dead = {}, []
+    for name in manifest["deltas"]:
+        delta = _load_delta(path, name, generation)[0]
+        for part in delta["entries"]:
+            segment_orders.setdefault((name, part["shard"], part["file"]),
+                                      part["orders"])
+        for group in delta["tombstones"]:
+            dead.extend(group["orders"])
+    return path, manifest, segment_orders, np.unique(np.asarray(dead, dtype=np.int64))
+
+
+def _attach_worker_shard(chain, shard_index, mmap=True):
+    """:func:`load_worker_shard` for one shard of a :func:`_worker_chain`."""
+    path, manifest, segment_orders, dead = chain
+    generation = manifest["generation"]
     shards = manifest["shards"]
     if manifest["kind"] != "sharded" or not 0 <= shard_index < len(shards):
         raise ValueError(
@@ -1172,28 +1204,18 @@ def load_worker_shard(path, shard_index, generation, mmap=True):
     base_rows = sum(int(other["rows"]) for other in shards)
     parts = [(entry, _load_base_orders(path, shard_index, entry, base_rows,
                                        generation))]
-    deltas = {name: _load_delta(path, name, generation)[0]
-              for name in manifest["deltas"]}
     for segment in entry["segments"]:
         # Each segment's global orders ride its O(batch)-sized delta.
-        delta = deltas.get(segment.get("delta_file"), {"entries": ()})
-        part = next(
-            (part for part in delta["entries"]
-             if part["shard"] == shard_index and part["file"] == segment["file"]),
-            None,
-        )
-        if part is None or len(part["orders"]) != int(segment["rows"]):
+        orders = segment_orders.get(
+            (segment.get("delta_file"), shard_index, segment["file"]))
+        if orders is None or len(orders) != int(segment["rows"]):
             raise ValueError(
                 f"the delta chain does not record the {segment['rows']} orders "
                 f"of segment {segment['file']!r}"
                 + _gen_tag(path / segment["file"],
                            _file_generation(segment["file"], generation))
             )
-        parts.append((segment, np.asarray(part["orders"], dtype=np.int64)))
-    dead = np.unique(np.asarray([
-        order for delta in deltas.values()
-        for group in delta["tombstones"] for order in group["orders"]
-    ], dtype=np.int64))
+        parts.append((segment, np.asarray(orders, dtype=np.int64)))
     shard, orders = _assemble_shard(path, manifest, parts, dead, mmap)
     if shard._fold_due():
         orders = orders[shard._fold()]
@@ -1319,7 +1341,8 @@ def _ingest_grouped(memory, labels, vectors, sharded, chunk_size):
     try:
         for start in range(0, len(labels), chunk_size):
             plan = memory._ingest_chunk(labels[start : start + chunk_size],
-                                        vectors[start : start + chunk_size])
+                                        vectors[start : start + chunk_size],
+                                        checked=True)
             for index, offsets, rows in plan:
                 group = groups.setdefault(index, ([], []))
                 group[0].extend(start + offset for offset in offsets)

@@ -586,11 +586,12 @@ class ShardedItemMemory:
             chunk = np.asarray(vectors[start : start + chunk_size])
             self._ingest_chunk(chunk_labels, chunk)
 
-    def _ingest_chunk(self, chunk_labels, chunk):
+    def _ingest_chunk(self, chunk_labels, chunk, checked=False):
         """Route one chunk (its labels already checked for duplicates) to
         its shards and commit it.
 
-        Each shard's slice is checked for bipolarity and converted to
+        Each shard's slice is checked for bipolarity (unless ``checked``:
+        the caller validated the whole batch up front) and converted to
         native rows once, and every slice is checked before any shard
         commits, so one non-bipolar row refuses the chunk. Each shard
         then takes its native rows as they are, and the bound folds read
@@ -611,7 +612,8 @@ class ShardedItemMemory:
         plan = []
         for index, offsets in groups.items():
             rows = chunk[offsets]
-            self._shards[index]._check_rows(rows, rows.shape)
+            if not checked:
+                self._shards[index]._check_rows(rows, rows.shape)
             plan.append((index, offsets, self.backend.from_bipolar(rows, checked=True)))
         first = len(self._slots)
         for index, offsets, rows in plan:
@@ -1036,11 +1038,14 @@ class ShardedItemMemory:
 
         Materializes the full matrix — a debugging/agreement aid; the
         bounded-memory paths are :meth:`cleanup_batch` / :meth:`topk_batch`.
+        The block is checked and converted to native queries once, and
+        every shard scores those.
         """
         queries = self._check_queries(queries)
+        native = self.backend.from_bipolar(queries, checked=True)
         out = np.empty((queries.shape[0], len(self)), dtype=np.float64)
         active = self._active_shards()
-        futures = [self._submit("similarities", index, queries, None)
+        futures = [self._submit("similarities", index, native, None)
                    for index in active]
         for index, future in zip(active, futures):
             sims = future.result()

@@ -146,29 +146,98 @@ def mse_loss(prediction, target):
 
 
 # --------------------------------------------------------------------- #
-# convolution / pooling (im2col primitives with hand-written backward)
+# convolution / pooling (window gathers with hand-written backward)
 # --------------------------------------------------------------------- #
 
 
-@lru_cache(maxsize=64)
-def _im2col_indices(channels, kernel_h, kernel_w, out_h, out_w, stride):
-    """Gather indices ``(k, i, j)`` of an im2col over padded NCHW input.
+class _Windows:
+    """The live windows of a conv or pool over an NCHW ``shape``.
 
-    Cached per geometry, so every caller shares one set of arrays; they
-    are read-only, because a write through one caller would corrupt the
-    next one's gather.
+    On each spatial axis only the kernel taps that meet the input at some
+    output position are live: ``[max(0, p − (out − 1)·s), min(k, p + n))``
+    for input size ``n``, kernel ``k``, stride ``s`` and padding ``p``.
+    Every other tap only ever multiplies zero padding. (An output that
+    reads nothing but padding keeps one tap, so the block is never
+    empty.) The padding shifts to match, and the zero canvas the windows
+    read holds only the padding the live taps reach: with none, the
+    canvas is the input itself.
     """
-    i0 = np.repeat(np.arange(kernel_h), kernel_w)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel_w), kernel_h * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kernel_h * kernel_w).reshape(-1, 1)
-    for index in (k, i, j):
-        index.flags.writeable = False
-    return k, i, j
+
+    def __init__(self, shape, kernel_h, kernel_w, stride, padding):
+        self.stride = stride
+        out, taps, canvas, inner, region = [], [], list(shape[:2]), [...], [...]
+        for size, kernel in zip(shape[2:], (kernel_h, kernel_w)):
+            length = (size + 2 * padding - kernel) // stride + 1
+            hi = min(kernel, padding + size)
+            lo = min(max(0, padding - (length - 1) * stride), hi - 1)
+            start = lo - padding  # the input index tap ``lo`` reads at output 0
+            stop = start + (length - 1) * stride + hi - lo
+            before = max(0, -start)
+            out.append(length)
+            taps.append(slice(lo, hi))
+            canvas.append(before + max(size, stop))
+            inner.append(slice(before, before + size))
+            region.append(slice(before + start, before + stop))
+        self.out, self.taps = tuple(out), tuple(taps)
+        self.kernel = tuple(tap.stop - tap.start for tap in taps)
+        self.canvas, self.inner, self.region = tuple(canvas), tuple(inner), tuple(region)
+        self.padded = self.canvas != tuple(shape)
+        self.view_shape = (*shape[:2], *self.out, *self.kernel)
+
+    def over(self, data):
+        """The live windows of NCHW ``data``: a read-only ``(N, C, oh, ow,
+        kh, kw)`` view, of a zero-padded copy when the live taps reach
+        padding.
+
+        Built by ``as_strided`` from this geometry. ``sliding_window_view``
+        builds the same view but re-validates its arguments on every
+        call, at about twice the fixed cost, which a batch-1 forward
+        pays once per conv.
+        """
+        if self.padded:
+            padded = np.zeros(self.canvas, dtype=data.dtype)
+            padded[self.inner] = data
+            data = padded
+        region = data[self.region]
+        batch, channel, row, col = region.strides
+        return np.lib.stride_tricks.as_strided(
+            region, self.view_shape,
+            (batch, channel, row * self.stride, col * self.stride, row, col),
+            writeable=False,
+        )
+
+    def scatter(self, cols, dtype):
+        """Window columns summed back onto the input's shape: the adjoint
+        of the gather from :meth:`over`.
+
+        ``cols`` reshapes to ``(N, C, kh, kw, oh, ow)``. One strided add
+        per tap, taps in order, so every pixel sums its windows in the
+        order ``np.add.at`` over the im2col indices would.
+        """
+        grad = np.zeros(self.canvas, dtype=dtype)
+        region = grad[self.region]
+        (out_h, out_w), (kernel_h, kernel_w), step = self.out, self.kernel, self.stride
+        taps = cols.reshape(*self.canvas[:2], kernel_h, kernel_w, out_h, out_w)
+        for i in range(kernel_h):
+            rows = slice(i, i + (out_h - 1) * step + 1, step)
+            for j in range(kernel_w):
+                region[:, :, rows, j:j + (out_w - 1) * step + 1:step] += taps[:, :, i, j]
+        return grad[self.inner] if self.padded else grad
+
+
+@lru_cache(maxsize=256)
+def _windows(shape, kernel_h, kernel_w, stride, padding):
+    """The :class:`_Windows` of one geometry, shared by every call: a
+    model's layers meet the same few geometries on every forward."""
+    return _Windows(shape, kernel_h, kernel_w, stride, padding)
+
+
+def _tap_block(weight, rows, cols):
+    """The live taps ``weight[:, :, rows, cols]`` as a contiguous
+    ``(F, C·kh·kw)`` matrix: a view of a whole kernel, a copy of a
+    partial block."""
+    block = weight.data[:, :, rows, cols]
+    return np.ascontiguousarray(block.reshape(block.shape[0], -1))
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
@@ -176,39 +245,39 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
 
     Implemented as an im2col primitive with an explicit backward pass;
     this keeps the autograd graph shallow and the inner loop inside BLAS.
-    An unpadded 1×1 convolution reads its columns through a strided view
-    instead of the im2col gather.
+    It works only over the kernel taps that can meet the image: on a map
+    smaller than the kernel, the taps that would only multiply zero
+    padding leave the gather and the matmul, and their weight gradient
+    is 0.
     """
+    return _conv2d(x, weight, bias, stride, padding, _tap_block)
+
+
+def _conv2d(x, weight, bias, stride, padding, tap_block):
+    """:func:`conv2d` taking its live tap matrix from ``tap_block(weight,
+    rows, cols)``, so a deployed :class:`~repro.nn.Conv2d` can hand in
+    the block it keeps."""
     x = _as_tensor(x)
     weight = _as_tensor(weight)
-    batch, in_channels, height, width = x.shape
+    batch, in_channels = x.shape[:2]
     out_channels, weight_channels, kernel_h, kernel_w = weight.shape
     if weight_channels != in_channels:
         raise ValueError(
             f"weight expects {weight_channels} input channels, got {in_channels}"
         )
-    out_h = (height + 2 * padding - kernel_h) // stride + 1
-    out_w = (width + 2 * padding - kernel_w) // stride + 1
+    windows = _windows(x.shape, kernel_h, kernel_w, stride, padding)
+    out_h, out_w = windows.out
     if out_h <= 0 or out_w <= 0:
         raise ValueError("convolution output would be empty; check kernel/stride/padding")
 
-    if padding:
-        x_padded = np.zeros(
-            (batch, in_channels, height + 2 * padding, width + 2 * padding),
-            dtype=x.data.dtype,
-        )
-        x_padded[:, :, padding:-padding, padding:-padding] = x.data
-    else:
-        x_padded = x.data
-    k, i, j = _im2col_indices(in_channels, kernel_h, kernel_w, out_h, out_w, stride)
-    if kernel_h == kernel_w == 1 and not padding:
-        cols = x_padded[:, :, ::stride, ::stride].reshape(batch, in_channels, -1)
-    else:
-        cols = x_padded[:, k, i, j]  # (B, C*kh*kw, oh*ow)
-    w_mat = weight.data.reshape(out_channels, -1)
+    # im2col over the live taps: (B, C*kh*kw, oh*ow) in one reshape copy
+    # (a view for a 1x1 unit-stride conv over a contiguous input)
+    cols = windows.over(x.data).transpose(0, 1, 4, 5, 2, 3).reshape(
+        batch, -1, out_h * out_w)
+    w_mat = tap_block(weight, *windows.taps)
     out = np.matmul(w_mat, cols).reshape(batch, out_channels, out_h, out_w)
     if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1, 1)
+        out += bias.data.reshape(1, -1, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -218,43 +287,51 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
             bias._accumulate(grad_mat.sum(axis=(0, 2)))
         if weight.requires_grad:
             grad_w = np.einsum("bfp,bcp->fc", grad_mat, cols, optimize=True)
-            weight._accumulate(grad_w.reshape(weight.shape))
+            grad_w = grad_w.reshape(out_channels, in_channels, *windows.kernel)
+            if grad_w.shape != weight.shape:  # the dead taps' gradient is 0
+                full = np.zeros(weight.shape, dtype=grad_w.dtype)
+                full[:, :, windows.taps[0], windows.taps[1]] = grad_w
+                grad_w = full
+            weight._accumulate(grad_w)
         if x.requires_grad:
             grad_cols = np.einsum("fc,bfp->bcp", w_mat, grad_mat, optimize=True)
-            grad_x_padded = np.zeros_like(x_padded)
-            np.add.at(grad_x_padded, (slice(None), k, i, j), grad_cols)
-            if padding:
-                grad_x = grad_x_padded[:, :, padding:-padding, padding:-padding]
-            else:
-                grad_x = grad_x_padded
-            x._accumulate(grad_x)
+            x._accumulate(windows.scatter(grad_cols, x.data.dtype))
 
     return Tensor._make(out, parents, backward)
+
+
+def _pool_columns(x, kernel_size, stride):
+    """A pool's windows over ``x`` and its columns ``(B·C, ks·ks, oh·ow)``.
+
+    The columns are copied with the channels innermost and viewed in
+    (channel, tap, output) order, so the average adds each window's taps
+    one after another in tap order at every output size. (Over a
+    tap-innermost copy NumPy switches to pairwise summation when a map
+    pools to one output.)
+    """
+    windows = _windows(x.shape, kernel_size, kernel_size, stride, 0)
+    out_h, out_w = windows.out
+    cols = np.ascontiguousarray(windows.over(x.data).transpose(4, 5, 2, 3, 0, 1))
+    cols = cols.reshape(kernel_size * kernel_size, out_h * out_w, -1)
+    return windows, cols.transpose(2, 0, 1)
 
 
 def max_pool2d(x, kernel_size=2, stride=None):
     """Max pooling over NCHW input."""
     x = _as_tensor(x)
     stride = stride or kernel_size
-    batch, channels, height, width = x.shape
-    out_h = (height - kernel_size) // stride + 1
-    out_w = (width - kernel_size) // stride + 1
-    k, i, j = _im2col_indices(1, kernel_size, kernel_size, out_h, out_w, stride)
-    flat = x.data.reshape(batch * channels, 1, height, width)
-    cols = flat[:, k, i, j]  # (B*C, ks*ks, oh*ow)
+    windows, cols = _pool_columns(x, kernel_size, stride)
     arg = cols.argmax(axis=1)
     out = np.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
-    out = out.reshape(batch, channels, out_h, out_w)
+    out = out.reshape(*x.shape[:2], *windows.out)
 
     def backward(grad):
         if not x.requires_grad:
             return
-        grad_flat = grad.reshape(batch * channels, -1)
         grad_cols = np.zeros_like(cols)
-        np.put_along_axis(grad_cols, arg[:, None, :], grad_flat[:, None, :], axis=1)
-        grad_padded = np.zeros_like(flat)
-        np.add.at(grad_padded, (slice(None), k, i, j), grad_cols)
-        x._accumulate(grad_padded.reshape(x.shape))
+        np.put_along_axis(grad_cols, arg[:, None, :],
+                          grad.reshape(len(cols), 1, -1), axis=1)
+        x._accumulate(windows.scatter(grad_cols, x.data.dtype))
 
     return Tensor._make(out, (x,), backward)
 
@@ -263,23 +340,15 @@ def avg_pool2d(x, kernel_size=2, stride=None):
     """Average pooling over NCHW input."""
     x = _as_tensor(x)
     stride = stride or kernel_size
-    batch, channels, height, width = x.shape
-    out_h = (height - kernel_size) // stride + 1
-    out_w = (width - kernel_size) // stride + 1
-    k, i, j = _im2col_indices(1, kernel_size, kernel_size, out_h, out_w, stride)
-    flat = x.data.reshape(batch * channels, 1, height, width)
-    cols = flat[:, k, i, j]
-    out = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
+    windows, cols = _pool_columns(x, kernel_size, stride)
+    out = cols.mean(axis=1).reshape(*x.shape[:2], *windows.out)
     count = kernel_size * kernel_size
 
     def backward(grad):
         if not x.requires_grad:
             return
-        grad_flat = grad.reshape(batch * channels, 1, -1) / count
-        grad_cols = np.broadcast_to(grad_flat, cols.shape)
-        grad_padded = np.zeros_like(flat)
-        np.add.at(grad_padded, (slice(None), k, i, j), grad_cols)
-        x._accumulate(grad_padded.reshape(x.shape))
+        grad_cols = np.broadcast_to(grad.reshape(len(cols), 1, -1) / count, cols.shape)
+        x._accumulate(windows.scatter(grad_cols, x.data.dtype))
 
     return Tensor._make(out, (x,), backward)
 

@@ -39,9 +39,44 @@ class Conv2d(Module):
             self.bias = Parameter(rng.uniform(-bound, bound, size=out_channels))
         else:
             self.bias = None
+        # Deployed only: (the weight array the blocks came from,
+        # {live tap rows and columns: contiguous tap block}).
+        self._taps = None
 
     def forward(self, x):
-        return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        if self._taps is None:
+            return F.conv2d(x, self.weight, self.bias, stride=self.stride,
+                            padding=self.padding)
+        return F._conv2d(x, self.weight, self.bias, self.stride, self.padding,
+                         self._tap_block)
+
+    def deploy(self):
+        """Keep each partial block of live kernel taps as its own matrix.
+
+        One-way, for stationary inference (``HDCZSC.deploy``). A conv over
+        a map smaller than its kernel multiplies only the taps that meet
+        the image (:func:`~repro.nn.functional.conv2d`), but a strided
+        view of that block still reads every cache line of the full
+        kernel. A deployed conv therefore copies each partial block once,
+        on first use, and multiplies that copy from then on; a whole
+        kernel is never copied. Assigning new weights (``load_state_dict``)
+        or folding a BatchNorm in drops the copies. Returns self.
+        """
+        if self._taps is None:
+            self._taps = (None, {})
+        return self
+
+    def _tap_block(self, weight, rows, cols):
+        """The live tap matrix of a deployed conv, built once per block
+        (a whole kernel's is a view of the weight)."""
+        source, blocks = self._taps
+        if source is not weight.data:
+            source, blocks = weight.data, {}
+            self._taps = (source, blocks)
+        key = (rows.start, rows.stop, cols.start, cols.stop)
+        if key not in blocks:
+            blocks[key] = F._tap_block(weight, rows, cols)
+        return blocks[key]
 
     def absorb_batchnorm(self, bn):
         """Fold the eval-mode ``bn`` applied to this conv's output into it.
@@ -69,6 +104,8 @@ class Conv2d(Module):
         weight = self.weight.data
         weight *= scale.reshape(-1, 1, 1, 1)  # in place: one rounding, no copy
         self.bias = Parameter(shift, dtype=weight.dtype)
+        if self._taps is not None:
+            self._taps = (None, {})  # the kept blocks hold unscaled taps
         return self
 
     def __repr__(self):

@@ -196,7 +196,10 @@ class HDCZSC(nn.Module):
         blocks and stem) folds each eval-mode BatchNorm into its conv,
         in place, and replaces it with ``nn.Identity``, so the deployed
         encoder keeps one copy of its weights and runs one conv per
-        pair. ``num_parameters()`` drops by the folded channel count.
+        pair. Each conv is deployed too (``nn.Conv2d.deploy``): a conv
+        over a map smaller than its kernel keeps its live taps as one
+        contiguous block, built on first use. ``num_parameters()`` drops
+        by the folded channel count.
         To train again, rebuild the model and ``load_state_dict`` a
         snapshot taken before deploying. Deploying twice changes
         nothing.
@@ -205,6 +208,8 @@ class HDCZSC(nn.Module):
         for module in list(self.modules()):
             if hasattr(module, "fold_batchnorm"):
                 module.fold_batchnorm()
+            if isinstance(module, nn.Conv2d):
+                module.deploy()
         self.freeze()
         return self
 

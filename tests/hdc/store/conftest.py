@@ -13,6 +13,7 @@ The serving and HTTP suites run under ``strict_loop_exceptions``.
 import asyncio
 import gc
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -27,6 +28,40 @@ def store_scale_items():
 def store_scale_executor():
     """Fan-out executor for ``store_scale`` tests (CI runs both kinds)."""
     return os.environ.get("STORE_SCALE_EXECUTOR", "thread")
+
+
+@pytest.fixture
+def count_packing(monkeypatch):
+    """A context manager counting the ``is_bipolar`` and ``pack_bits``
+    calls this process makes inside it (every module that imports them
+    by name is wrapped): ``with count_packing() as calls: ...``."""
+    import repro.hdc.backend as backend_module
+    import repro.hdc.hypervector as hypervector_module
+    import repro.hdc.item_memory as item_memory_module
+    import repro.hdc.store.persistence as persistence_module
+
+    @contextmanager
+    def counting():
+        calls = {"is_bipolar": 0, "pack_bits": 0}
+
+        def counted(name):
+            original = getattr(hypervector_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            is_bipolar, pack_bits = counted("is_bipolar"), counted("pack_bits")
+            for module in (hypervector_module, item_memory_module):
+                patch.setattr(module, "is_bipolar", is_bipolar)
+            for module in (hypervector_module, backend_module, persistence_module):
+                patch.setattr(module, "pack_bits", pack_bits, raising=False)
+            yield calls
+
+    return counting
 
 
 @pytest.fixture

@@ -556,50 +556,50 @@ class TestMutationPersistence:
             queries, k=6)
 
     def test_upsert_packs_each_journaled_row_once(
-        self, tmp_path, rng, monkeypatch
+        self, tmp_path, rng, count_packing
     ):
         """A 100-row upsert on an opened 8-shard packed store: the batch
-        is checked once up front and each shard slice once at ingest, and
-        the commit journals the rows the ingest packed. What is left per
-        touched shard is the segment centroid (packed once, and encoded
-        for the delta sidecar through one more check and pack)."""
-        import repro.hdc.backend as backend_module
-        import repro.hdc.hypervector as hypervector_module
-        import repro.hdc.item_memory as item_memory_module
-
+        is checked once up front, each shard slice is packed once at
+        ingest, and the commit journals the rows the ingest packed. What
+        is left per touched shard is the segment centroid, packed once;
+        the delta sidecar's hex is written from those words."""
         path, labels, vectors = self._saved(tmp_path, rng, n=2000, dim=256,
                                             shards=8)
         handle = AssociativeStore.open(path)
-        calls = {"is_bipolar": 0, "pack_bits": 0}
-
-        def counted(name):
-            original = getattr(hypervector_module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        is_bipolar, pack_bits = counted("is_bipolar"), counted("pack_bits")
-        for module in (hypervector_module, item_memory_module):
-            monkeypatch.setattr(module, "is_bipolar", is_bipolar)
-        for module in (hypervector_module, backend_module):
-            monkeypatch.setattr(module, "pack_bits", pack_bits)
         upserted = labels[1950:] + [f"w{i}" for i in range(50)]
         batch = random_bipolar(100, 256, rng)
-        handle.upsert(upserted, batch)
-        monkeypatch.undo()
+        with count_packing() as calls:
+            handle.upsert(upserted, batch)
         assert len(_manifest(path)["shards"]) == 8
         assert all(len(entry["segments"]) == 1
                    for entry in _manifest(path)["shards"])  # all 8 touched
-        assert calls == {"is_bipolar": 1 + 8 + 8, "pack_bits": 8 + 8 + 8}
+        assert calls == {"is_bipolar": 1, "pack_bits": 8 + 8}
         reference = _reference(labels[:1950] + upserted,
                                np.concatenate([vectors[:1950], batch]))
         queries = np.concatenate([vectors[:4], batch[:4]])
         for store in (handle, AssociativeStore.open(path)):
             assert store.topk_batch(queries, k=3) == reference.topk_batch(
                 queries, k=3)
+
+    @pytest.mark.parametrize("backend", ["dense", "packed"])
+    def test_centroid_hex_is_the_packed_bipolar_bytes(self, backend, rng):
+        """A centroid's manifest hex is written straight from its words
+        (packed) or packed once (dense), and reads the same bytes as
+        packing its bipolar form: delta and manifest bytes are those of
+        a bipolar round trip, and decode back to the same row."""
+        from repro.hdc.backend import make_backend
+        from repro.hdc.hypervector import pack_bipolar
+        from repro.hdc.store.persistence import (_centroid_from_hex,
+                                                 _centroid_to_hex)
+
+        for dim in (64, 100, 256):  # 100: padding bits in the last word
+            hdc = make_backend(backend, dim)
+            rows = hdc.from_bipolar(random_bipolar(9, dim, rng))
+            centroid = hdc.centroid(hdc.column_minus_counts(rows), 9)
+            text = _centroid_to_hex(hdc, centroid)
+            expected = pack_bipolar(hdc.to_bipolar(centroid)).astype("<u8")
+            assert text == expected.tobytes().hex()
+            assert np.array_equal(_centroid_from_hex(hdc, text), centroid)
 
     def test_delete_commit_writes_only_a_delta_and_the_manifest(
         self, tmp_path, rng

@@ -183,6 +183,27 @@ class TestWorkerAgreement:
         sharded.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shards", (1, 8))
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_similarities_batch_checks_and_packs_queries_once(
+            self, backend, shards, executor, rng, count_packing):
+        """The controller checks the query block once and converts it
+        once; every shard scores the native queries, as top-k does."""
+        dim = 256
+        labels = [f"v{i}" for i in range(40)]
+        vectors = random_bipolar(40, dim, rng)
+        reference, sharded = _pair(dim, labels, vectors, backend, shards, 2,
+                                   executor=executor)
+        queries = _noisy_queries(vectors, rng, num=4)
+        sharded.similarities_batch(queries)  # a process store spills first
+        with count_packing() as calls:
+            sims = sharded.similarities_batch(queries)
+        assert calls == {"is_bipolar": 1,
+                         "pack_bits": 1 if backend == "packed" else 0}
+        assert np.array_equal(sims, reference.similarities_batch(queries))
+        sharded.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_append_history_never_changes_decisions(self, backend, rng):
         """Incremental adds after the bulk load (the append history of a
         persisted store) must leave decisions identical to one bulk
@@ -888,6 +909,43 @@ class TestProcessPersistedLifecycle:
             assert np.array_equal(attached.native_matrix(), shard.native_matrix())
             assert np.array_equal(orders, memory._orders_of(index))
         memory.close()
+
+    def test_worker_parses_a_generations_delta_chain_once(
+            self, rng, tmp_path, monkeypatch):
+        """A process worker attaching every shard of one generation reads
+        its manifest and delta chain once: 6 delta parses for a 6-delta
+        chain and 8 shards, not one chain per shard. Each shard attaches
+        as ``load_worker_shard`` attaches it alone."""
+        from repro.hdc.store import load_worker_shard, parallel, persistence, \
+            read_manifest
+
+        dim = 128
+        vectors = random_bipolar(230, dim, rng)
+        labels = [f"v{i}" for i in range(200)]
+        AssociativeStore.from_vectors(labels, vectors[:200], backend="packed",
+                                      shards=8).save(tmp_path / "s")
+        opened = AssociativeStore.open(tmp_path / "s")
+        for step in range(3):
+            fresh = [f"w{step}.{i}" for i in range(10)]
+            opened.upsert(labels[10 * step:10 * step + 2] + fresh[2:],
+                          vectors[200 + 10 * step:210 + 10 * step])
+            opened.delete([labels[100 + step], fresh[5]])
+        manifest = read_manifest(tmp_path / "s")
+        assert len(manifest["deltas"]) == 6
+        parsed = []
+        load_delta = persistence._load_delta
+        monkeypatch.setattr(persistence, "_load_delta",
+                            lambda *args: parsed.append(args) or load_delta(*args))
+        monkeypatch.setattr(parallel, "_WORKER_STORES", {})
+        attached = [parallel._worker_shard(tmp_path / "s", manifest["generation"],
+                                           index) for index in range(8)]
+        assert len(parsed) == 6
+        for index, (shard, orders) in enumerate(attached):
+            alone, alone_orders = load_worker_shard(tmp_path / "s", index,
+                                                    manifest["generation"])
+            assert np.array_equal(orders, alone_orders)
+            assert np.array_equal(shard.native_matrix(), alone.native_matrix())
+            assert np.array_equal(shard._live_mask(), alone._live_mask())
 
     def test_worker_attach_refuses_a_moved_generation(self, rng, tmp_path):
         """A worker asked for a generation the directory has left raises
