@@ -2,9 +2,9 @@
 
 A standard HDC component: stores labelled hypervectors and retrieves the
 best-matching stored item for a noisy query. Used in this repository for
-attribute-dictionary analysis and in the HDC example applications, and as
-the single-shard reference implementation underneath the sharded store
-subsystem (:mod:`repro.hdc.store`).
+attribute-dictionary analysis and in the HDC example applications, as
+the scorer of real-valued dense queries, and as the in-memory reference
+whose decisions the store subsystem (:mod:`repro.hdc.store`) must match.
 
 :class:`RowMemory` owns the rows and knows no labels; :class:`ItemMemory`
 adds the label list and label → row index on top.
@@ -19,7 +19,7 @@ Design notes for scale:
   :meth:`cleanup_batch` and :meth:`topk_batch` score ``(B, d)`` queries
   against all ``n`` items in a single matmul (dense) or popcount
   (packed) call;
-- :meth:`from_native` adopts an existing backend-native matrix (for
+- :meth:`RowMemory._take` adopts an existing backend-native matrix (for
   example an ``np.memmap`` over a saved shard file) without copying;
 - deletion is a dead-row mask: :meth:`remove_many` flags rows in place
   (O(batch)), every query skips them, and the memory folds them out in
@@ -94,29 +94,23 @@ class RowMemory:
         """The storage/compute backend holding the stored items."""
         return self._backend
 
-    def _check_native(self, matrix, what, labels=None):
-        """Refuse a native matrix of the wrong width or dtype (and, given
-        ``labels``, a row count that is not theirs, or duplicate labels)."""
+    def _check_native(self, matrix, what):
+        """Refuse a native matrix of the wrong width or dtype."""
         expected = self._backend.from_bipolar(np.ones((0, self.dim), dtype=np.int8))
         if matrix.ndim != 2 or matrix.shape[1:] != expected.shape[1:]:
             raise ValueError(
-                f"expected a native ({'n' if labels is None else len(labels)}, "
-                f"{expected.shape[1]}) {what}, got {matrix.shape}"
+                f"expected a native (n, {expected.shape[1]}) {what}, got {matrix.shape}"
             )
         if matrix.dtype != expected.dtype:
             raise ValueError(
                 f"expected a {expected.dtype} native {what}, got {matrix.dtype}"
             )
-        if labels is not None and matrix.shape[0] != len(labels):
-            raise ValueError(f"{len(labels)} labels but {matrix.shape[0]} {what} rows")
-        if labels is not None and len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate labels in a native {what}")
 
-    def _take(self, matrix, what="store", labels=None):
+    def _take(self, matrix, what="store"):
         """Check a native matrix; an empty memory adopts it without a copy
         (a memmap stays lazy), any other appends one copy of it."""
         matrix = np.asanyarray(matrix)
-        self._check_native(matrix, what, labels)
+        self._check_native(matrix, what)
         if self._rows:
             self._append_rows(np.array(matrix))
             return
@@ -395,24 +389,6 @@ class ItemMemory(RowMemory):
         self._labels = []
         self._label_index = {}
 
-    @classmethod
-    def from_native(cls, dim, labels, matrix, backend="dense"):
-        """Adopt a backend-native ``(n, ·)`` matrix without copying it.
-
-        ``matrix`` must already be in the backend's storage layout
-        (dense: ``(n, dim)`` int8; packed: ``(n, ⌈dim/64⌉)`` uint64) —
-        e.g. a read-only ``np.memmap`` over a saved shard file. The
-        matrix is used as the store directly, so a memmap stays lazy
-        until queried. Rows added afterwards fold in normally (which
-        materializes the memmap into RAM on the next query).
-        """
-        memory = cls(dim, backend=backend)
-        labels = list(labels)
-        memory._take(matrix, labels=labels)
-        memory._labels = labels
-        memory._label_index = {label: i for i, label in enumerate(labels)}
-        return memory
-
     def add(self, label, vector):
         """Store ``vector`` under ``label``.
 
@@ -488,20 +464,6 @@ class ItemMemory(RowMemory):
         self._labels = list(compress(self._labels, keep))
         self._label_index = {label: i for i, label in enumerate(self._labels)}
         return keep
-
-    def extend_native(self, labels, matrix):
-        """Append backend-native rows (say, a saved segment file's) without
-        converting through bipolar; they fold in behind the store on the
-        next query. Validates like :meth:`from_native` (dtype, width,
-        row/label alignment, duplicate labels) before any state changes.
-        """
-        labels = list(labels)
-        matrix = np.asanyarray(matrix)
-        self._check_native(matrix, "segment", labels)
-        for label in labels:
-            if label in self._label_index:
-                raise ValueError(f"label {label!r} already stored")
-        self._append(labels, np.array(matrix))  # one copy: the file may be a memmap
 
     def remove_many(self, labels):
         """Delete stored rows by label: O(batch), nothing moves.

@@ -12,7 +12,7 @@ Callers ranking by similarity *descending* pass the negated
 similarities; positions are insertion order for similarity rows, so the
 default tie-break is exactly the documented "earliest-inserted label
 wins" behaviour. Keeping one implementation (pinned directly by
-``tests/hdc/test_ordering.py``) is what guarantees the single-shard
+``tests/hdc/test_ordering.py``) is what guarantees the ``ItemMemory``
 reference and the sharded merge can never drift apart on ties.
 """
 

@@ -26,16 +26,17 @@ into a layered subsystem (see ``docs/ARCHITECTURE.md``, "Store layer"):
   injection point and checks survivors reopen to a legal state.
 - :class:`ShardedItemMemory` (:mod:`.sharded`) — label-routed shards
   with streaming ingestion and fan-out/merge queries, decision-identical
-  to a single ``ItemMemory`` for any shard *and worker* count.
+  to a single ``ItemMemory`` for any shard *and worker* count; the
+  facade holds one at every shard count (``shards=1`` is one shard).
 - :mod:`.parallel` — the shard executor (a thread or process pool) and
   the integer-distance-domain query partials the fan-out merges.
 - :mod:`.persistence` — packed shard files + JSON manifest, reopened
   lazily via ``np.memmap``; appends journal per-shard segment files.
 - :mod:`.routing` — stable hash / round-robin shard placement.
 
-``ItemMemory`` itself stays in :mod:`repro.hdc.item_memory` as the
-single-shard reference implementation the agreement suite pins the
-subsystem against.
+``ItemMemory`` itself stays in :mod:`repro.hdc.item_memory` as the bare
+in-memory reference the agreement suite pins the subsystem against, and
+the scorer of real-valued dense queries.
 """
 
 from .parallel import (

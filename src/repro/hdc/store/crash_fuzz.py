@@ -217,8 +217,8 @@ def run_schedule(schedule, path, start_step=0, end_step=None):
 def fingerprint(path, executor="thread", workers=1):
     """Digest of a store directory's *logical* state.
 
-    Covers the global label order, every shard's live labels (a sharded
-    store's via its slots) and native row bytes, and top-k answers — so two
+    Covers the global label order, every shard's live labels (via the
+    store's slots) and native row bytes, and top-k answers — so two
     directories fingerprint equal iff they answer identically, while
     physical debris (orphaned temp/segment files a crash legally leaves
     behind) does not participate. Raises whatever ``open`` raises: the
@@ -229,13 +229,11 @@ def fingerprint(path, executor="thread", workers=1):
     digest = hashlib.sha256()
     digest.update(json.dumps(list(store.labels)).encode())
     memory = store.memory
-    sharded = hasattr(memory, "shards")
-    for index, shard in enumerate(memory.shards if sharded else [memory]):
+    for index, shard in enumerate(memory.shards):
         # Live rows only: a tombstoned row stays in place until compact,
         # which must not move the logical state.
         live = shard._live_mask()
-        labels = ([memory._slots[order] for order in memory._orders_of(index)[live]]
-                  if sharded else list(shard.labels))
+        labels = [memory._slots[order] for order in memory._orders_of(index)[live]]
         digest.update(json.dumps(labels).encode())
         digest.update(np.ascontiguousarray(shard.native_matrix()[live]).tobytes())
     rng = np.random.default_rng(0xF1D0)

@@ -72,8 +72,9 @@ sleeps.
 numbers, which round-trip doubles exactly — so an answer fetched over
 the wire is *bit-identical* to the same query issued directly against
 the store (``tests/hdc/store/test_http.py`` pins this across executors ×
-backends on tie-heavy inputs, and the CI ``http_smoke`` step re-checks
-it over a persisted store).
+backends on tie-heavy inputs, and the CI HTTP smoke step,
+``python -m repro.hdc.store.smoke http``, re-checks it over a persisted
+store).
 
 **Shutdown** propagates the serving layer's drain: :meth:`stop` (or
 leaving the ``async with`` block) first refuses *new* requests with
@@ -86,8 +87,8 @@ already-running one is left running.
 Protocol support is deliberately minimal: ``HTTP/1.1`` (keep-alive by
 default, ``Connection: close`` honored) and ``HTTP/1.0`` (close by
 default), ``Content-Length`` bodies only. :class:`JSONHTTPClient` is the
-matching minimal keep-alive client used by the tests, the smoke check,
-the benchmark and the demo.
+matching minimal keep-alive client used by the tests, the smoke
+module's ``http`` stage, the benchmark and the demo.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ all implemented here:
 
 - **Fan-out** — per-shard Hamming kernels are independent, so
   :class:`ShardExecutor` runs them as submitted tasks: inline for a
-  1-wide thread executor, on a reused ``ThreadPoolExecutor``, or — with
-  ``kind="process"`` — on a ``ProcessPoolExecutor`` that sidesteps the
-  GIL entirely. The default width is every core this process may run on
+  1-wide thread executor (or a lone shard's only task), on a reused
+  ``ThreadPoolExecutor``, or — with ``kind="process"`` — on a
+  ``ProcessPoolExecutor`` that sidesteps the GIL entirely. The default
+  width is every core this process may run on
   (:func:`available_cores`, its CPU affinity). The store layer keeps
   that many kernel calls in flight and starts the next shard whenever
   one finishes (a list schedule, never a barrier), and a shard that
@@ -34,7 +35,7 @@ all implemented here:
   materialized; only the final merged top-k converts, and
   :func:`distances_to_similarities` reproduces the reference backends'
   float expressions operand for operand, so the conversion is
-  bit-identical to the single-shard ``ItemMemory`` path.
+  bit-identical to the reference ``ItemMemory`` path.
 - **Early-exit bounds** — :class:`BoundTracker` carries the current
   k-th-best distance per query across the fan-out. Shards whose best
   possible distance — lower-bounded by *two* independent layers
@@ -131,7 +132,8 @@ class ShardExecutor:
     :class:`~concurrent.futures.Future`; the store layer's fan-out keeps
     the executor's width of them in flight and reacts to each
     completion. A 1-wide thread executor runs every task inline on the
-    calling thread (the future comes back done). :meth:`map` is
+    calling thread (the future comes back done), and so does any thread
+    executor for the one task of a lone shard's fan-out. :meth:`map` is
     :meth:`submit` over a list, with results in submission order. The
     pool is created lazily on the first pooled task and reused across
     queries; :meth:`close` (also called on garbage collection) shuts it
@@ -178,13 +180,16 @@ class ShardExecutor:
             max_workers=self.workers, thread_name_prefix="repro-shard"
         )
 
-    def submit(self, fn, item):
+    def submit(self, fn, item, inline=False):
         """Start ``fn(item)``; returns its :class:`~concurrent.futures.Future`.
 
-        A 1-wide thread executor runs it inline, so the returned future
-        is already done (holding the result or the raised exception).
+        A 1-wide thread executor runs it inline, and so does any thread
+        executor when ``inline`` (the store layer's fan-out asks for its
+        only task), so the returned future is already done (holding the
+        result or the raised exception). A process executor ignores
+        ``inline`` and always uses its pool.
         """
-        inline = self.kind == "thread" and self.workers == 1
+        inline = self.kind == "thread" and (inline or self.workers == 1)
         with self._lock:
             if self._closed:
                 raise RuntimeError(
@@ -351,9 +356,12 @@ def _worker_shard(path, generation, shard_index):
     """Re-open one shard (memmap) inside a worker process, with caching.
 
     The cache is keyed by ``(path, generation)`` — an append or compact
-    bumps the generation, so workers pick up the new layout on the next
-    task and drop superseded entries for the same path. The first
-    attach of a generation reads its manifest and delta chain
+    bumps the generation, and an in-memory store re-spills to a new
+    directory after a mutation, so workers pick up the new layout on
+    the next task. A pool belongs to one memory, which has one
+    attachment at a time, so a new key drops every other entry (and
+    with it the superseded files' maps). The first attach of a
+    generation reads its manifest and delta chain
     (:func:`~.persistence._worker_chain`), which refuses a directory
     that moved past ``generation``; every shard of that generation then
     attaches from them (:func:`~.persistence.load_worker_shard` does
@@ -364,8 +372,7 @@ def _worker_shard(path, generation, shard_index):
     key = (str(path), int(generation))
     cached = _WORKER_STORES.get(key)
     if cached is None:
-        for stale in [k for k in _WORKER_STORES if k[0] == key[0]]:
-            del _WORKER_STORES[stale]
+        _WORKER_STORES.clear()
         cached = _WORKER_STORES[key] = (_worker_chain(path, key[1]), {})
     chain, shards = cached
     if shard_index not in shards:
@@ -391,7 +398,7 @@ def process_shard_task(task):
 def distances_to_similarities(distances, dim, backend_name, queries):
     """Merged integer distances → the reference float similarities.
 
-    Reproduces the exact float expressions of the single-shard paths so
+    Reproduces the exact float expressions of the reference paths so
     the conversion is bit-identical to ``ItemMemory``:
 
     - packed: ``(d − 2·ham) / d`` (``PackedBackend.dot`` → ``cosine``);

@@ -75,10 +75,12 @@ The normative field-by-field spec lives in ``docs/STORE_FORMAT.md``.
 
 This build reads exactly :data:`FORMAT_VERSION`; a manifest of any
 other ``format_version`` is refused at open with a ``ValueError`` that
-names the version, the manifest file, and the generation. A CI smoke
-step (``python -m repro.hdc.store.smoke``) re-opens — and appends to,
-and compacts — a freshly saved store in new processes so format drift
-fails the build.
+names the version, the manifest file, and the generation. Writers emit
+only kind ``"sharded"``, at every shard count; a v5 ``"single"``
+manifest is still read as a one-shard store (:func:`_load_base_orders`)
+until the v6 bump. A CI smoke step (``python -m repro.hdc.store.smoke
+store``) re-opens — and appends to, mutates, and compacts — a freshly
+saved store in new processes so format drift fails the build.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ from pathlib import Path
 import numpy as np
 
 from ..hypervector import pack_bits, unpack_bipolar
-from ..item_memory import ItemMemory, RowMemory
+from ..item_memory import RowMemory
 from .faults import active_io
 from .routing import ROUTINGS
 from .sharded import DEFAULT_CHUNK_SIZE, ShardedItemMemory, validate_batch
@@ -338,29 +340,25 @@ def _next_generation(path):
 
 
 def save_store(memory, path):
-    """Write an :class:`ItemMemory` or :class:`ShardedItemMemory` to ``path``.
+    """Write a :class:`ShardedItemMemory` (any shard count) to ``path``.
 
     Creates the directory (parents included) and writes *contiguous*
-    shard files — the memory first folds out every dead row (and a
-    sharded memory renumbers its global orders densely), so saving over
-    a store that has journaled append, replacement, or tombstone commits
-    folds them all in (survivors only, bounds recomputed exactly) and
-    deletes the journal, i.e. this is also the compaction primitive. The
-    manifest it wrote stays on the memory, so the next commit against
-    ``path`` skips the cold re-read. Returns the manifest path.
+    shard files, always as manifest kind ``"sharded"`` — the memory
+    first folds out every dead row and renumbers its global orders
+    densely, so saving over a store that has journaled append,
+    replacement, or tombstone commits folds them all in (survivors only,
+    bounds recomputed exactly) and deletes the journal, i.e. this is
+    also the compaction primitive. The manifest it wrote stays on the
+    memory, so the next commit against ``path`` skips the cold re-read.
+    Returns the manifest path.
     """
-    if isinstance(memory, ItemMemory):
-        kind, shards, routing = "single", [memory], None
-        if memory._dead:
-            memory._fold()
-    elif isinstance(memory, ShardedItemMemory):
-        kind, shards, routing = "sharded", list(memory.shards), memory.routing
-        memory._compact()
-    else:
+    if not isinstance(memory, ShardedItemMemory):
         raise TypeError(
-            f"cannot save {type(memory).__name__}; expected ItemMemory or "
+            f"cannot save {type(memory).__name__}; expected a "
             f"ShardedItemMemory (AssociativeStore saves via .save())"
         )
+    memory._compact()
+    shards = memory.shards
     labels = list(memory.labels)
     _check_labels(labels)
 
@@ -379,14 +377,13 @@ def save_store(memory, path):
         filename = _shard_filename(index, generation)
         native = shard.native_matrix()
         _save_array(path / filename, native)
-        entry = {"file": filename, "rows": len(shard), "segments": []}
-        if kind == "sharded":
-            # Per-shard global insertion orders (dense after the fold,
-            # ascending) as a normative sidecar .npy: the global rows the
-            # shard holds. Open and process workers attach through it
-            # without a label list per shard.
-            entry["orders_file"] = _orders_filename(index, generation)
-            _save_array(path / entry["orders_file"], memory._orders_of(index))
+        # Per-shard global insertion orders (dense after the fold,
+        # ascending) as a normative sidecar .npy: the global rows the
+        # shard holds. Open and process workers attach through it
+        # without a label list per shard.
+        entry = {"file": filename, "rows": len(shard), "segments": [],
+                 "orders_file": _orders_filename(index, generation)}
+        _save_array(path / entry["orders_file"], memory._orders_of(index))
         if len(shard):
             # Exact per-shard pruning bounds, both layers recomputed from
             # the full matrix: the minus-count interval
@@ -406,10 +403,10 @@ def save_store(memory, path):
     manifest = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "dim": int(shards[0].dim),
-        "backend": shards[0].backend.name,
-        "routing": routing,
+        "kind": "sharded",
+        "dim": int(memory.dim),
+        "backend": memory.backend.name,
+        "routing": memory.routing,
         "num_shards": len(shards),
         "generation": generation,
         "rows": len(labels),
@@ -427,32 +424,25 @@ def save_store(memory, path):
         if stale.name not in current:
             _unlink_stale(stale)
     _collect_stale_sidecars(path, manifest)
-    if kind == "single":
-        manifest["label_orders"] = {label: i for i, label in enumerate(labels)}
     memory._manifest_cache = (path, manifest)
-    if isinstance(memory, ShardedItemMemory):
-        # The saved directory is now a faithful copy of this memory:
-        # process-executor workers may re-open it instead of spilling.
-        # Adopt the freshly recomputed bounds in memory too, so the open
-        # handle prunes with the same (possibly tighter) bounds a fresh
-        # reopen would see — compact() is how a store with unknown
-        # bounds starts skipping without a round trip through open().
-        # The journaled segment groups folded into the fresh base
-        # bounds, so they reset alongside.
-        memory._attach(path, generation)
-        memory._pop_bounds = [
-            (entry["bounds"]["minus_min"], entry["bounds"]["minus_max"])
-            if len(shard) else memory.EMPTY_POP_BOUNDS
-            for entry, shard in zip(shard_entries, shards)
-        ]
-        memory._geo_centroid = [
-            None if geo is None else geo[0] for geo in fresh_geo
-        ]
-        memory._geo_radius = [
-            None if geo is None else int(geo[1]) for geo in fresh_geo
-        ]
-        memory._segment_groups = [[] for _ in shard_entries]
-        memory._invalidate_bound_state()
+    # The saved directory is now a faithful copy of this memory:
+    # process-executor workers may re-open it instead of spilling.
+    # Adopt the freshly recomputed bounds in memory too, so the open
+    # handle prunes with the same (possibly tighter) bounds a fresh
+    # reopen would see — compact() is how a store with unknown
+    # bounds starts skipping without a round trip through open().
+    # The journaled segment groups folded into the fresh base
+    # bounds, so they reset alongside.
+    memory._attach(path, generation)
+    memory._pop_bounds = [
+        (entry["bounds"]["minus_min"], entry["bounds"]["minus_max"])
+        if len(shard) else memory.EMPTY_POP_BOUNDS
+        for entry, shard in zip(shard_entries, shards)
+    ]
+    memory._geo_centroid = [None if geo is None else geo[0] for geo in fresh_geo]
+    memory._geo_radius = [None if geo is None else int(geo[1]) for geo in fresh_geo]
+    memory._segment_groups = [[] for _ in shard_entries]
+    memory._invalidate_bound_state()
     return manifest_path
 
 
@@ -562,9 +552,17 @@ def _read_raw_manifest(path):
             f"store format version {version!r} is not supported (this build "
             f"reads version {FORMAT_VERSION} only)" + tag
         )
-    if manifest.get("kind") not in ("single", "sharded"):
-        raise ValueError(f"unknown store kind {manifest.get('kind')!r}" + tag)
-    if manifest["kind"] == "sharded" and manifest.get("routing") not in ROUTINGS:
+    kind = manifest.get("kind")
+    if kind == "single":
+        # v5's one-shard layout, still read (see _load_base_orders)
+        if manifest.get("num_shards") != 1:
+            raise ValueError(
+                f"a {kind!r} manifest records num_shards="
+                f"{manifest.get('num_shards')!r}, not one shard" + tag
+            )
+    elif kind != "sharded":
+        raise ValueError(f"unknown store kind {kind!r}" + tag)
+    elif manifest.get("routing") not in ROUTINGS:
         raise ValueError(
             f"unknown routing policy {manifest.get('routing')!r}" + tag
         )
@@ -600,9 +598,8 @@ def _cached_manifest(memory, path):
     Materializing a manifest is O(store) — the label sidecar parse plus
     the orders/delta replay — and a handle doing high-rate commits
     would otherwise pay it once per commit. Save, open and every commit
-    therefore leave the on-disk manifest dict on the handle (plus, for
-    a single-shard store, its label → physical order map; a sharded
-    memory holds those orders itself); the next commit reuses it after
+    therefore leave the on-disk manifest dict on the handle (the memory
+    holds the physical orders itself); the next commit reuses it after
     one cheap raw read confirms the on-disk ``generation`` is
     unchanged. Any foreign commit — another handle's append, a compact,
     a directory swap — bumps the generation and misses the cache, and
@@ -683,27 +680,23 @@ def _materialize_sidecars(path, manifest):
         )
     # Base orders stay int64 arrays here (open and commits index with
     # them); read_manifest() hands its callers plain lists.
-    if manifest["kind"] == "single":
-        manifest["shards"][0]["orders"] = np.arange(len(labels))
-    else:
-        assigned = np.zeros(len(labels), dtype=bool)
-        for index, entry in enumerate(manifest["shards"]):
-            orders = _load_base_orders(path, index, entry, len(labels),
-                                       generation)
-            if orders.size:
-                if bool(assigned[orders].any()):
-                    raise ValueError(
-                        f"orders sidecars assign a global row to shard {index} "
-                        f"and to an earlier shard"
-                        + _gen_tag(path / entry["orders_file"], generation)
-                    )
-                assigned[orders] = True
-            entry["orders"] = orders
-        if not bool(assigned.all()):
-            raise ValueError(
-                "orders sidecars do not cover every row of the labels file"
-                + _gen_tag(labels_path, generation)
-            )
+    assigned = np.zeros(len(labels), dtype=bool)
+    for index, entry in enumerate(manifest["shards"]):
+        orders = _load_base_orders(path, manifest, index, len(labels))
+        if orders.size:
+            if bool(assigned[orders].any()):
+                raise ValueError(
+                    f"orders sidecars assign a global row to shard {index} "
+                    f"and to an earlier shard"
+                    + _gen_tag(path / entry["orders_file"], generation)
+                )
+            assigned[orders] = True
+        entry["orders"] = orders
+    if not bool(assigned.all()):
+        raise ValueError(
+            "orders sidecars do not cover every row of the labels file"
+            + _gen_tag(labels_path, generation)
+        )
     deleted = _replay_deltas(path, manifest, labels)
     # ``labels`` is now the full *physical* slot list (tombstoned slots
     # keep their label); the surviving view is what readers consume.
@@ -740,8 +733,17 @@ def _materialize_sidecars(path, manifest):
         )
 
 
-def _load_base_orders(path, index, entry, num_labels, generation=None):
-    """One shard entry's validated base global-orders array."""
+def _load_base_orders(path, manifest, index, num_labels):
+    """One shard entry's validated base global-orders array.
+
+    Open and worker attach both read it here. A v5 ``"single"``
+    manifest — one shard, no orders sidecar, no routing — reads as one
+    shard whose base orders are ``0..rows−1``; the v6 format bump
+    deletes that fallback.
+    """
+    entry, generation = manifest["shards"][index], manifest.get("generation")
+    if manifest["kind"] == "single":
+        return np.arange(int(entry["rows"]), dtype=np.int64)
     orders_name = entry.get("orders_file")
     if not isinstance(orders_name, str):
         raise ValueError(
@@ -863,9 +865,8 @@ def _replay_deltas(path, manifest, labels):
     # Physical order → owning shard, extended as appends replay, so a
     # tombstone's shard attribution validates in O(1).
     shard_of = np.zeros(len(labels), dtype=np.int64)
-    if manifest["kind"] == "sharded":
-        for index, entry in enumerate(manifest["shards"]):
-            shard_of[entry["orders"]] = index
+    for index, entry in enumerate(manifest["shards"]):
+        shard_of[entry["orders"]] = index
     dead = set()
     for name in names:
         delta_path = path / name
@@ -1001,8 +1002,8 @@ def _load_matrix(path, entry, what, mmap, generation=None):
 def open_store(path, mmap=True):
     """Reopen a saved store; vector data loads lazily via ``np.memmap``.
 
-    Returns an :class:`ItemMemory` (kind ``"single"``) or a
-    :class:`ShardedItemMemory` (kind ``"sharded"``). With ``mmap=True``
+    Returns a :class:`ShardedItemMemory` attached to ``path`` (a v5
+    ``"single"`` directory opens as a one-shard one). With ``mmap=True``
     (default) each shard's *base* matrix is an ``np.load(...,
     mmap_mode="r")`` view — no vector data is materialized until
     queried, so opening costs only the label-map rebuild (O(labels)).
@@ -1021,43 +1022,25 @@ def open_store(path, mmap=True):
         _assemble_shard(path, manifest, _entry_parts(entry), dead, mmap)
         for entry in manifest["shards"]
     ]
-    if manifest["kind"] == "single":
-        # One shard: its physical rows are the global physical orders, so
-        # the slots label its rows and label_orders indexes them.
-        memory = assembled[0][0]
-        memory._labels = manifest["slots"]
-        memory._label_index = dict(manifest["label_orders"])
-        if memory._fold_due():
-            memory._fold()
-    else:
-        backend = assembled[0][0].backend
-        bounds = [_parsed_bounds(entry["bounds"], backend)
-                  for entry in manifest["shards"]]
-        memory = ShardedItemMemory._from_shards(
-            [shard for shard, _ in assembled],
-            [orders for _, orders in assembled],
-            manifest["slots"], manifest["label_orders"],
-            manifest["deleted_orders"], manifest["routing"],
-            [pop for pop, _ in bounds], [geo for _, geo in bounds],
-            # one group per journaled segment, from its delta's block
-            [[(int(segment["rows"]), *_parsed_bounds(segment["bounds"], backend))
-              for segment in entry["segments"]]
-             for entry in manifest["shards"]],
-        )
-        memory._attach(path, manifest["generation"])
+    backend = assembled[0][0].backend
+    bounds = [_parsed_bounds(entry["bounds"], backend)
+              for entry in manifest["shards"]]
+    memory = ShardedItemMemory._from_shards(
+        [shard for shard, _ in assembled],
+        [orders for _, orders in assembled],
+        manifest["slots"], manifest["label_orders"],
+        manifest["deleted_orders"],
+        manifest["routing"] or "hash",  # one shard needs no routing
+        [pop for pop, _ in bounds], [geo for _, geo in bounds],
+        # one group per journaled segment, from its delta's block
+        [[(int(segment["rows"]), *_parsed_bounds(segment["bounds"], backend))
+          for segment in entry["segments"]]
+         for entry in manifest["shards"]],
+    )
+    memory._attach(path, manifest["generation"])
     # The memory mirrors the directory: its first commit needs no re-read.
-    memory._manifest_cache = (path, _commit_manifest(manifest, memory))
+    memory._manifest_cache = (path, _manifest_to_disk(manifest))
     return memory
-
-
-def _commit_manifest(manifest, memory):
-    """The manifest a commit works on: the on-disk fields, plus (for a
-    single-shard store, whose rows renumber when it folds) the label →
-    physical order map. A sharded memory holds the physical orders."""
-    out = _manifest_to_disk(manifest)
-    if isinstance(memory, ItemMemory):
-        out["label_orders"] = manifest["label_orders"]
-    return out
 
 
 def _parsed_bounds(block, backend):
@@ -1096,8 +1079,7 @@ def _entry_parts(entry):
 def _assemble_shard(path, manifest, parts, dead, mmap):
     """One shard's rows, no labels: its base file, then its segments.
 
-    ``parts`` are ``(record, orders)`` per file in physical order (the
-    single-shard kind gets a still label-free :class:`ItemMemory`). Every
+    ``parts`` are ``(record, orders)`` per file in physical order. Every
     row whose global order is in ``dead`` (sorted) is flagged in the
     shard's dead-row mask as soon as its file is in, never gathered — so
     a base memmap stays lazy. A file whose rows, dtype, or width
@@ -1106,8 +1088,7 @@ def _assemble_shard(path, manifest, parts, dead, mmap):
     search of their orders). Returns the shard and its orders.
     """
     generation = manifest.get("generation")
-    kind = ItemMemory if manifest["kind"] == "single" else RowMemory
-    shard = kind(manifest["dim"], backend=manifest["backend"])
+    shard = RowMemory(manifest["dim"], backend=manifest["backend"])
     start, last = 0, -1
     for position, (record, orders) in enumerate(parts):
         if orders.size and (int(orders[0]) <= last
@@ -1195,15 +1176,14 @@ def _attach_worker_shard(chain, shard_index, mmap=True):
     path, manifest, segment_orders, dead = chain
     generation = manifest["generation"]
     shards = manifest["shards"]
-    if manifest["kind"] != "sharded" or not 0 <= shard_index < len(shards):
+    if not 0 <= shard_index < len(shards):
         raise ValueError(
-            f"{manifest['kind']} store has no worker shard {shard_index}"
+            f"store has no worker shard {shard_index}"
             + _gen_tag(path / MANIFEST_NAME, generation)
         )
     entry = shards[shard_index]
     base_rows = sum(int(other["rows"]) for other in shards)
-    parts = [(entry, _load_base_orders(path, shard_index, entry, base_rows,
-                                       generation))]
+    parts = [(entry, _load_base_orders(path, manifest, shard_index, base_rows))]
     for segment in entry["segments"]:
         # Each segment's global orders ride its O(batch)-sized delta.
         orders = segment_orders.get(
@@ -1226,24 +1206,18 @@ def _prepare_commit(memory, path, op):
     """Shared preamble of every journaled commit (append/delete/upsert).
 
     Resolves the manifest — the handle's cached one (O(1) checks) or a
-    cold read — and validates it against the open ``memory`` (kind,
-    dim, backend, contents). A cold read compares every label and, for
-    a sharded memory, hands it the directory's physical orders
-    (:meth:`ShardedItemMemory._adopt_orders`), so a handle that saved
-    elsewhere or met a foreign compaction journals the right orders.
-    Returns ``(path, manifest, sharded)``.
+    cold read — and validates it against the open ``memory`` (dim,
+    backend, contents). A cold read compares every label and hands the
+    memory the directory's physical orders
+    (:meth:`ShardedItemMemory._adopt_orders`, which also refuses another
+    shard layout), so a handle that saved elsewhere or met a foreign
+    compaction journals the right orders. Returns ``(path, manifest)``.
     """
     path = Path(path)
-    sharded = isinstance(memory, ShardedItemMemory)
     manifest = _cached_manifest(memory, path)
     cold = manifest is None
     if cold:
         manifest = _read_manifest(path)
-    kind = "sharded" if sharded else "single"
-    if manifest["kind"] != kind:
-        raise ValueError(
-            f"cannot {op} a {kind} store to a {manifest['kind']} manifest"
-        )
     if manifest["dim"] != memory.dim or manifest["backend"] != memory.backend.name:
         raise ValueError(
             f"open store (dim={memory.dim}, backend={memory.backend.name!r}) does "
@@ -1252,54 +1226,47 @@ def _prepare_commit(memory, path, op):
         )
     # Out-of-sync guard. The cached manifest is this handle's own last
     # save/open/commit, which left it describing exactly this memory, so
-    # equal row counts (and, sharded, physical order counts) prove
-    # equality in O(1) — keeping the steady-state commit O(batch). A
-    # cold manifest gets the full element-wise comparison.
+    # equal row and physical order counts prove equality in O(1) —
+    # keeping the steady-state commit O(batch). A cold manifest gets the
+    # full element-wise comparison.
     if cold:
-        synced = list(manifest["labels"]) == list(memory.labels)
-        if synced and sharded:
-            synced = memory._adopt_orders(
-                [np.setdiff1d(np.concatenate([o for _, o in _entry_parts(entry)]),
-                              manifest["deleted_orders"])  # sorted
-                 for entry in manifest["shards"]],
-                manifest["slots"], manifest["label_orders"], manifest["deleted_orders"])
-        manifest = _commit_manifest(manifest, memory)
+        synced = list(manifest["labels"]) == list(memory.labels) and memory._adopt_orders(
+            [np.setdiff1d(np.concatenate([o for _, o in _entry_parts(entry)]),
+                          manifest["deleted_orders"])  # sorted
+             for entry in manifest["shards"]],
+            manifest["slots"], manifest["label_orders"], manifest["deleted_orders"])
+        manifest = _manifest_to_disk(manifest)
     else:
-        synced = manifest["rows"] == len(memory) and (
-            not sharded or manifest["next_order"] == len(memory._slots))
+        synced = (manifest["rows"] == len(memory)
+                  and manifest["next_order"] == len(memory._slots))
     if not synced:
         raise ValueError(
-            "on-disk manifest is out of sync with the open store; "
-            "re-open or compact() before committing"
+            f"cannot {op}: the on-disk manifest is out of sync with the open "
+            f"store; re-open or compact() before committing"
         )
-    return path, manifest, sharded
+    return path, manifest
 
 
-def _journal_tombstones(memory, manifest, labels, sharded):
+def _journal_tombstones(memory, labels):
     """Per-shard tombstone groups for ``labels``: O(batch).
 
     Must run *before* the in-memory delete — shard placement and the
-    physical orders come from the live maps (a sharded memory's own
-    orders, which equal the directory's, placed by ``_locate``; a
-    single-shard store's cached label → order map). Returns the
+    physical orders come from the live maps (the memory's own orders,
+    which equal the directory's, placed by ``_locate``). Returns the
     JSON-ready groups, each naming its rows by (shard, label, physical
     order). Bounds are never touched: a shrunken group keeps its
     ball/interval, which stays a valid *superset* — deletes only ever
     tighten pruning, never loosen it.
     """
-    orders_of = memory._order if sharded else manifest["label_orders"]
-    orders = [int(orders_of[label]) for label in labels]
-    placed = (memory._locate(orders) if sharded
-              else [(0, range(len(labels)), None)] if labels else [])
+    orders = [int(memory._order[label]) for label in labels]
     return [
         {"shard": index, "labels": [labels[i] for i in hit],
          "orders": [orders[i] for i in hit]}
-        for index, hit, _ in placed
+        for index, hit, _ in memory._locate(orders)
     ]
 
 
-def _validate_ingest(memory, labels, vectors, sharded, what,
-                     allow_existing=False):
+def _validate_ingest(memory, labels, vectors, what, allow_existing=False):
     """Validate a whole ingest batch up front — labels (alignment,
     duplicates in-batch and, unless ``allow_existing``, against the
     store) and rows (shape, bipolarity). The in-memory ingest streams
@@ -1307,19 +1274,18 @@ def _validate_ingest(memory, labels, vectors, sharded, what,
     commit earlier chunks to RAM with nothing journaled, leaving the
     open handle permanently diverged from disk."""
     validate_batch(labels, vectors, memory, allow_existing=allow_existing)
-    reference_shard = memory.shards[0] if sharded else memory
     if vectors.ndim != 2 or vectors.shape != (len(labels), memory.dim):
         raise ValueError(
             f"expected a ({len(labels)}, {memory.dim}) {what} batch, "
             f"got {vectors.shape}"
         )
-    reference_shard._check_rows(vectors, (len(labels), memory.dim))
+    memory.shards[0]._check_rows(vectors, (len(labels), memory.dim))
 
 
-def _ingest_grouped(memory, labels, vectors, sharded, chunk_size):
+def _ingest_grouped(memory, labels, vectors, chunk_size):
     """Add one validated batch; returns ``{shard: (batch offsets, native rows)}``.
 
-    A sharded memory routes with its own ingest
+    The memory routes with its own ingest
     (:meth:`ShardedItemMemory._ingest_chunk`, over *dense* insertion
     orders), so journal placement can never diverge; placement then
     persists via the journal and is never re-derived on load. The native
@@ -1327,10 +1293,6 @@ def _ingest_grouped(memory, labels, vectors, sharded, chunk_size):
     they are: the batch was checked once up front, and no row is packed
     twice.
     """
-    if not sharded:
-        native = memory.backend.from_bipolar(vectors, checked=True)
-        memory._append(labels, native)
-        return {0: (list(range(len(labels))), native)}
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     groups = {}
@@ -1353,17 +1315,16 @@ def _ingest_grouped(memory, labels, vectors, sharded, chunk_size):
             for index, (offsets, blocks) in groups.items()}
 
 
-def _commit(memory, path, manifest, sharded, op, base_rows,
-            add_labels=(), groups=None, remove_labels=(), tombstones=()):
+def _commit(memory, path, manifest, op, base_rows,
+            add_labels=(), groups=None, tombstones=()):
     """Write one commit: segment files + delta sidecar + manifest swap.
 
     ``base_rows`` is the *surviving* row count before this commit;
     ``add_labels`` and ``groups`` (per shard, the batch offsets and
     native rows :func:`_ingest_grouped` made) describe rows entering at
-    the end of the physical order, ``remove_labels``/``tombstones`` the
-    rows leaving it. The delta sidecar carries both sides, so replay
-    reconstructs the commit from O(batch) bytes, and every step here is
-    O(batch) too.
+    the end of the physical order, ``tombstones`` the rows leaving it.
+    The delta sidecar carries both sides, so replay reconstructs the
+    commit from O(batch) bytes, and every step here is O(batch) too.
     """
     generation = int(manifest["generation"]) + 1
     next_order = int(manifest["next_order"])
@@ -1388,12 +1349,10 @@ def _commit(memory, path, manifest, sharded, op, base_rows,
             "orders": [next_order + offset for offset in offsets],
             "bounds": bounds,
         })
-        if sharded:
-            memory._push_segment_bounds(
-                index, len(offsets),
-                (bounds["minus_min"], bounds["minus_max"]),
-                centroid, bounds["radius"],
-            )
+        memory._push_segment_bounds(
+            index, len(offsets), (bounds["minus_min"], bounds["minus_max"]),
+            centroid, bounds["radius"],
+        )
     _write_json(path / delta_name, {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
@@ -1404,12 +1363,6 @@ def _commit(memory, path, manifest, sharded, op, base_rows,
         "entries": delta_entries,
         "tombstones": list(tombstones),
     })
-    if not sharded:
-        label_orders = manifest["label_orders"]
-        for label in remove_labels:
-            del label_orders[label]
-        for offset, label in enumerate(add_labels):
-            label_orders[label] = next_order + offset
     manifest["rows"] = len(memory)
     manifest["next_order"] = next_order + len(add_labels)
     manifest["deltas"].append(delta_name)
@@ -1418,8 +1371,7 @@ def _commit(memory, path, manifest, sharded, op, base_rows,
     # The dict now mirrors the directory exactly: keep it on the handle
     # so the next commit skips the O(store) re-materialization.
     memory._manifest_cache = (path, manifest)
-    if sharded:
-        memory._attach(path, generation)
+    memory._attach(path, generation)
     return manifest_path
 
 
@@ -1444,15 +1396,13 @@ def append_rows(memory, path, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
     """
     labels = list(labels)
     _check_labels(labels)  # journalable before anything commits
-    path, manifest, sharded = _prepare_commit(memory, path, "append")
+    path, manifest = _prepare_commit(memory, path, "append")
     base = len(memory)
     vectors = np.asarray(vectors)
-    _validate_ingest(memory, labels, vectors, sharded, "append")
-    groups = _ingest_grouped(memory, labels, vectors, sharded, chunk_size)
-    return _commit(
-        memory, path, manifest, sharded, "append", base,
-        add_labels=labels, groups=groups,
-    )
+    _validate_ingest(memory, labels, vectors, "append")
+    groups = _ingest_grouped(memory, labels, vectors, chunk_size)
+    return _commit(memory, path, manifest, "append", base,
+                   add_labels=labels, groups=groups)
 
 
 def delete_rows(memory, path, labels):
@@ -1473,7 +1423,7 @@ def delete_rows(memory, path, labels):
     path.
     """
     labels = list(labels)
-    path, manifest, sharded = _prepare_commit(memory, path, "delete")
+    path, manifest = _prepare_commit(memory, path, "delete")
     if not labels:
         return path / MANIFEST_NAME
     if len(set(labels)) != len(labels):
@@ -1481,22 +1431,13 @@ def delete_rows(memory, path, labels):
     for label in labels:
         if label not in memory:
             raise ValueError(f"label {label!r} is not stored")
-    tombstones = _journal_tombstones(memory, manifest, labels, sharded)
+    tombstones = _journal_tombstones(memory, labels)
     base = len(memory)
-    _delete_in_memory(memory, labels, sharded)
-    return _commit(
-        memory, path, manifest, sharded, "delete", base,
-        remove_labels=labels, tombstones=tombstones,
-    )
-
-
-def _delete_in_memory(memory, labels, sharded):
-    """Flag ``labels`` dead in RAM, keeping a sharded memory's global
-    orders equal to the directory's (no renumber until compact)."""
-    if sharded:
-        memory._delete(labels)
-    else:
-        memory.remove_many(labels)
+    # Flag the rows dead without the renumber: the memory's global
+    # orders stay the directory's until compact.
+    memory._delete(labels)
+    return _commit(memory, path, manifest, "delete", base,
+                   tombstones=tombstones)
 
 
 def upsert_rows(memory, path, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
@@ -1515,20 +1456,15 @@ def upsert_rows(memory, path, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
     """
     labels = list(labels)
     _check_labels(labels)  # journalable before anything commits
-    path, manifest, sharded = _prepare_commit(memory, path, "upsert")
+    path, manifest = _prepare_commit(memory, path, "upsert")
     if not labels:
         return path / MANIFEST_NAME
     vectors = np.asarray(vectors)
-    _validate_ingest(memory, labels, vectors, sharded, "upsert",
-                     allow_existing=True)
+    _validate_ingest(memory, labels, vectors, "upsert", allow_existing=True)
     existing = [label for label in labels if label in memory]
-    tombstones = _journal_tombstones(memory, manifest, existing, sharded)
+    tombstones = _journal_tombstones(memory, existing)
     base = len(memory)  # surviving rows before either side applies
-    if existing:
-        _delete_in_memory(memory, existing, sharded)
-    groups = _ingest_grouped(memory, labels, vectors, sharded, chunk_size)
-    return _commit(
-        memory, path, manifest, sharded, "upsert", base,
-        add_labels=labels, groups=groups,
-        remove_labels=existing, tombstones=tombstones,
-    )
+    memory._delete(existing)
+    groups = _ingest_grouped(memory, labels, vectors, chunk_size)
+    return _commit(memory, path, manifest, "upsert", base, add_labels=labels,
+                   groups=groups, tombstones=tombstones)

@@ -1,20 +1,18 @@
 """``AssociativeStore`` — the retrieval facade consumers talk to.
 
-One object, one query surface, regardless of how the store is laid out:
-
-- ``shards=1`` (default) keeps the single contiguous
-  :class:`~repro.hdc.item_memory.ItemMemory` — the reference
-  implementation;
-- ``shards=N`` routes storage and fan-out through
-  :class:`~repro.hdc.store.sharded.ShardedItemMemory`, with decisions
-  guaranteed identical by the agreement suite.
+One object, one query surface, one kind of store: every layout is a
+:class:`~repro.hdc.store.sharded.ShardedItemMemory` — ``shards=1``
+(default) is a one-shard one, whose fan-out runs its lone shard with no
+bounds and no merge — with decisions guaranteed identical to the
+reference :class:`~repro.hdc.item_memory.ItemMemory` by the agreement
+suite.
 
 The facade is also a small query planner: batched queries are executed
 in blocks of ``query_block`` rows, so the per-call ``(B, n_shard)``
 similarity temporary stays bounded no matter how large a batch a caller
 throws at it. Results are streams of per-query answers, so block
-boundaries are invisible. Queries must be bipolar at every shard count
-(a bare dense :class:`~repro.hdc.item_memory.ItemMemory` scores others).
+boundaries are invisible. Queries must be bipolar (a bare dense
+:class:`~repro.hdc.item_memory.ItemMemory` scores others).
 
 ``save``/``open`` delegate to :mod:`repro.hdc.store.persistence`:
 ``open`` memmaps the shard files, so opening costs only the label index
@@ -31,8 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..item_memory import ItemMemory, require_bipolar
-from .parallel import resolve_executor, resolve_workers
 from .persistence import (
     _validate_ingest,
     append_rows,
@@ -41,13 +37,13 @@ from .persistence import (
     save_store,
     upsert_rows,
 )
-from .sharded import DEFAULT_CHUNK_SIZE, ShardedItemMemory, validate_batch
+from .sharded import DEFAULT_CHUNK_SIZE, ShardedItemMemory
 
 __all__ = ["AssociativeStore"]
 
 
 class AssociativeStore:
-    """Facade over the single-shard and sharded associative memories.
+    """Facade over a sharded associative memory (one shard by default).
 
     **Determinism contract**: every query decision — labels, ranks, and
     float similarity values — is bit-identical across all construction
@@ -74,17 +70,18 @@ class AssociativeStore:
     backend:
         HDC storage backend (``"dense"`` / ``"packed"``).
     shards:
-        Shard count; ``1`` uses the reference :class:`ItemMemory`.
+        Shard count (``1``: one shard, no pruning bounds, no merge).
     routing:
-        Shard routing policy (ignored when ``shards == 1``).
+        Shard routing policy (moot for one shard).
     query_block:
         Max queries scored per underlying call — bounds the similarity
         temporary at ``query_block × largest-shard`` entries.
     workers:
         Pool width of the sharded query fan-out: an int ≥ 1, or the
         default (``None``, or ``"auto"``) — every core this process may
-        run on. Never changes decisions, only wall-clock. With one shard
-        there is nothing to fan out and the value is ignored.
+        run on. Never changes decisions, only wall-clock. One shard's
+        queries split across the width too; a batch that makes one slice
+        runs on the calling thread.
     executor:
         Fan-out executor kind: ``"thread"`` (default) or ``"process"``
         (true multi-core; persisted shards re-open via ``np.memmap``
@@ -94,20 +91,12 @@ class AssociativeStore:
 
     def __init__(self, dim, backend="dense", shards=1, routing="hash",
                  query_block=1024, workers=None, executor="thread"):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         if query_block < 1:
             raise ValueError("query_block must be >= 1")
-        resolve_workers(workers)  # validate even when ignored below
-        resolve_executor(executor)
-        if shards == 1:
-            memory = ItemMemory(dim, backend=backend)
-        else:
-            memory = ShardedItemMemory(
-                dim, num_shards=shards, backend=backend, routing=routing,
-                workers=workers, executor=executor,
-            )
-        self._memory = memory
+        self._memory = ShardedItemMemory(
+            dim, num_shards=shards, backend=backend, routing=routing,
+            workers=workers, executor=executor,
+        )
         self._path = None
         self._auto_compact_segments = None
         self.query_block = int(query_block)
@@ -146,8 +135,8 @@ class AssociativeStore:
         The returned store is attached to ``path``: subsequent
         ``add``/``add_many`` calls journal the rows to per-shard segment
         files and :meth:`compact` rewrites contiguous shards.
-        ``workers``/``executor`` set the sharded fan-out (ignored for
-        single-shard stores). ``auto_compact_segments=N`` makes the
+        ``workers``/``executor`` set the fan-out.
+        ``auto_compact_segments=N`` makes the
         handle :meth:`compact` itself whenever an append leaves the
         journal holding more than ``N`` segment files — bounded journal
         growth without explicit compaction calls.
@@ -155,12 +144,8 @@ class AssociativeStore:
         if auto_compact_segments is not None and int(auto_compact_segments) < 1:
             raise ValueError("auto_compact_segments must be >= 1 (or None)")
         memory = open_store(path, mmap=mmap)
-        if isinstance(memory, ShardedItemMemory):
-            memory.executor = executor
-            memory.workers = workers
-        else:
-            resolve_workers(workers)
-            resolve_executor(executor)
+        memory.executor = executor
+        memory.workers = workers
         store = cls._wrap(memory, query_block=query_block)
         store._path = Path(path)
         if auto_compact_segments is not None:
@@ -171,7 +156,7 @@ class AssociativeStore:
 
     @property
     def memory(self):
-        """The underlying :class:`ItemMemory` / :class:`ShardedItemMemory`."""
+        """The underlying :class:`ShardedItemMemory`."""
         return self._memory
 
     @property
@@ -184,25 +169,21 @@ class AssociativeStore:
 
     @property
     def num_shards(self):
-        memory = self._memory
-        return memory.num_shards if isinstance(memory, ShardedItemMemory) else 1
+        return self._memory.num_shards
 
     @property
     def routing(self):
-        memory = self._memory
-        return memory.routing if isinstance(memory, ShardedItemMemory) else None
+        return self._memory.routing
 
     @property
     def workers(self):
-        """Fan-out pool width (1 for single-shard stores)."""
-        memory = self._memory
-        return memory.workers if isinstance(memory, ShardedItemMemory) else 1
+        """Fan-out pool width."""
+        return self._memory.workers
 
     @property
     def executor(self):
-        """Fan-out executor kind (``"thread"`` for single-shard stores)."""
-        memory = self._memory
-        return memory.executor if isinstance(memory, ShardedItemMemory) else "thread"
+        """Fan-out executor kind (``"thread"`` / ``"process"``)."""
+        return self._memory.executor
 
     @property
     def auto_compact_segments(self):
@@ -211,7 +192,7 @@ class AssociativeStore:
 
     @property
     def pruning_stats(self):
-        """Shard-skip counters of the bounded fan-out (``None`` unsharded).
+        """Shard-skip counters of the bounded fan-out.
 
         **Cumulative** across every query since construction (or the
         last :meth:`reset_pruning_stats`) — lifetime telemetry, not
@@ -219,23 +200,18 @@ class AssociativeStore:
         :attr:`ShardedItemMemory.pruning_stats
         <repro.hdc.store.sharded.ShardedItemMemory.pruning_stats>` for
         the per-layer key breakdown (``skipped_minus`` /
-        ``skipped_centroid``). Single-shard stores have no fan-out to
-        prune and return ``None``.
+        ``skipped_centroid``). A one-shard store counts one task per
+        batch and never skips.
         """
-        memory = self._memory
-        return memory.pruning_stats if isinstance(memory, ShardedItemMemory) else None
+        return self._memory.pruning_stats
 
     def reset_pruning_stats(self):
         """Zero the cumulative pruning counters; returns the final snapshot.
 
         The documented way to scope :attr:`pruning_stats` to a workload:
-        reset, run the queries, read. Returns ``None`` on single-shard
-        stores (there are no counters). Never changes decisions.
+        reset, run the queries, read. Never changes decisions.
         """
-        memory = self._memory
-        if isinstance(memory, ShardedItemMemory):
-            return memory.reset_pruning_stats()
-        return None
+        return self._memory.reset_pruning_stats()
 
     @property
     def path(self):
@@ -304,16 +280,7 @@ class AssociativeStore:
                         chunk_size=chunk_size)
             self._maybe_auto_compact()
             return
-        memory = self._memory
-        if isinstance(memory, ShardedItemMemory):
-            memory.add_many(labels, vectors, chunk_size=chunk_size)
-            return
-        labels = validate_batch(labels, vectors, memory)
-        for start in range(0, len(labels), chunk_size):
-            memory.add_many(
-                labels[start : start + chunk_size],
-                np.asarray(vectors[start : start + chunk_size]),
-            )
+        self._memory.add_many(labels, vectors, chunk_size=chunk_size)
 
     def delete(self, labels):
         """Remove labelled rows (tombstone-journaled when persisted).
@@ -333,13 +300,7 @@ class AssociativeStore:
         if self._path is not None:
             delete_rows(self._memory, self._path, labels)
             return
-        if not labels:
-            return
-        memory = self._memory
-        if isinstance(memory, ShardedItemMemory):
-            memory.delete_many(labels)
-        else:
-            memory.remove_many(labels)
+        self._memory.delete_many(labels)
 
     def upsert(self, labels, vectors, chunk_size=DEFAULT_CHUNK_SIZE):
         """Insert-or-replace labelled rows (journaled when persisted).
@@ -365,40 +326,29 @@ class AssociativeStore:
             return
         memory = self._memory
         vectors = np.asarray(vectors)
-        _validate_ingest(memory, labels, vectors,
-                         isinstance(memory, ShardedItemMemory), "upsert",
-                         allow_existing=True)
+        _validate_ingest(memory, labels, vectors, "upsert", allow_existing=True)
         self.delete([label for label in labels if label in memory])
         self.add_many(labels, vectors, chunk_size=chunk_size)
 
     # -- queries ----------------------------------------------------------- #
 
-    def _bipolar(self, queries):
-        """Refuse a real-valued query that a bare dense ItemMemory scores."""
-        if isinstance(self._memory, ItemMemory) and self.backend_name == "dense":
-            return require_bipolar(queries)
-        return np.asarray(queries)
-
     def _blocks(self, queries):
-        queries = self._bipolar(queries)
+        queries = np.asarray(queries)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise ValueError(f"expected (B, {self.dim}) queries, got {queries.shape}")
         for start in range(0, queries.shape[0], self.query_block):
             yield queries[start : start + self.query_block]
 
     def similarities(self, query):
-        query = self._bipolar(query)
-        return self._memory.similarities(query) if isinstance(
-            self._memory, ItemMemory
-        ) else self._memory.similarities_batch(query[None])[0]
+        return self._memory.similarities_batch(np.asarray(query)[None])[0]
 
     def similarities_batch(self, queries):
         """Full ``(B, n)`` similarity matrix (unbounded — debugging aid)."""
-        return self._memory.similarities_batch(self._bipolar(queries))
+        return self._memory.similarities_batch(queries)
 
     def cleanup(self, query):
         """Best ``(label, similarity)`` for one query."""
-        return self._memory.cleanup(self._bipolar(query))
+        return self._memory.cleanup(query)
 
     def cleanup_batch(self, queries):
         """Best match per query, executed in bounded query blocks.
@@ -416,7 +366,7 @@ class AssociativeStore:
 
     def topk(self, query, k=5):
         """Ranked ``(label, similarity)`` pairs for one query."""
-        return self._memory.topk(self._bipolar(query), k=k)
+        return self._memory.topk(query, k=k)
 
     def topk_batch(self, queries, k=5):
         """Ranked lists per query, executed in bounded query blocks.

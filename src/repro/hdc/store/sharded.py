@@ -12,9 +12,12 @@ executor is wide (capped at the visible cores) stay in flight, and
 each completion starts the next shard, so no worker idles while a
 shard is left. The most promising shard (the seed) runs first, and it
 and the last shard — each of which would otherwise run alone — split
-their queries across the width. Every completed shard tightens a
-shared k-th-best bound: a shard whose recorded bounds — the
-minus-count interval *or* the geometric centroid + radius ball
+their queries across the width. (A lone shard — one shard, or one
+non-empty one — computes no bounds and merges nothing, and a batch
+that makes one query slice runs on the calling thread.) Every
+completed shard tightens a shared k-th-best bound: a shard whose
+recorded bounds — the minus-count interval *or* the geometric
+centroid + radius ball
 (``d(q, x) >= max(|minus(q) − band|, d(q, centroid) − radius)``) —
 provably cannot beat the bound of the moment it comes up is skipped
 outright, and dispatched shards pass that bound into the kernels'
@@ -918,10 +921,11 @@ class ShardedItemMemory:
                 minus_lower[index] = minus_only if minus_known else None
         return lower, minus_lower
 
-    def _submit(self, mode, index, queries, k, bounds=None):
+    def _submit(self, mode, index, queries, k, bounds=None, inline=False):
         """Start one shard's ``mode`` task over ``queries`` on the executor.
 
-        The thread executor runs it on the live shard; the process
+        The thread executor runs it on the live shard — on the calling
+        thread when ``inline`` (the fan-out's only task); the process
         executor sends the task tuple (the query slice included) to a
         worker that re-opens the shard from the persisted twin.
         """
@@ -932,7 +936,7 @@ class ShardedItemMemory:
         shard, orders = self._shards[index], self._orders_of(index)
         return self._executor.submit(
             lambda _: run_shard_task(mode, shard, orders, queries, k, bounds),
-            None)
+            None, inline)
 
     @staticmethod
     def _skips(index, lower, minus_lower, tracker, counts):
@@ -972,17 +976,19 @@ class ShardedItemMemory:
         counters accumulate in batch-local variables and fold into
         :attr:`pruning_stats` once, under the stats lock, when the batch
         completes — concurrent batches stay exact.
+
+        A lone active shard has nothing to skip and nobody to bound: it
+        computes no lower bounds and keeps no tracker, and when its
+        queries make one slice that task runs on the calling thread
+        (thread executor).
         """
         counts = dict.fromkeys(
             ("tasks", "skipped", "skipped_minus", "skipped_centroid",
              "bounded"), 0,
         )
         active = self._active_shards()
-        tracker = BoundTracker(
-            native.shape[0], 1 if mode == "cleanup_ints" else k, self.dim + 1
-        )
         lower, minus_lower = {}, {}
-        if self.prune:
+        if self.prune and len(active) > 1:
             query_minus = self.backend.minus_counts(native)
             lower, minus_lower = self._lower_bounds(active, native, query_minus)
         order = sorted(
@@ -1001,11 +1007,17 @@ class ShardedItemMemory:
         # shard then carries a real k-th best into its kernel, and which
         # shards the seed alone lets skip does not depend on timing.
         counts["tasks"] += 1
-        seed = [(rows, self._submit(mode, order[0], native[rows], k))
+        inline = len(active) == 1 and len(split) == 1
+        seed = [(rows, self._submit(mode, order[0], native[rows], k,
+                                    inline=inline))
                 for rows in split]
         partials = [join_partials([(rows, f.result()) for rows, f in seed])]
-        tracker.update(partials[0][0])
         queue, ready, running, parts = deque(order[1:]), deque(), {}, {}
+        if queue:
+            tracker = BoundTracker(
+                native.shape[0], 1 if mode == "cleanup_ints" else k, self.dim + 1
+            )
+            tracker.update(partials[0][0])
         while queue or ready or running:
             while len(running) < width and (ready or queue):
                 if ready:
@@ -1045,7 +1057,8 @@ class ShardedItemMemory:
         native = self.backend.from_bipolar(queries, checked=True)
         out = np.empty((queries.shape[0], len(self)), dtype=np.float64)
         active = self._active_shards()
-        futures = [self._submit("similarities", index, native, None)
+        futures = [self._submit("similarities", index, native, None,
+                                inline=len(active) == 1)
                    for index in active]
         for index, future in zip(active, futures):
             sims = future.result()
@@ -1079,13 +1092,17 @@ class ShardedItemMemory:
         queries = self._check_queries(queries)
         native = self.backend.from_bipolar(queries, checked=True)
         partials = self._fanout_ints("cleanup_ints", native, 1)
-        primary = np.stack([p for p, _ in partials])  # (S', B)
-        orders = np.stack([o for _, o in partials])  # (S, B)
-        best = np.lexsort((orders, primary), axis=0)[0]  # best shard per query
-        columns = np.arange(primary.shape[1])
-        best_orders = orders[best, columns]
+        if len(partials) == 1:  # a lone shard's, or the seed's: the answer
+            best_distances, best_orders = partials[0]
+        else:
+            primary = np.stack([p for p, _ in partials])  # (S', B)
+            orders = np.stack([o for _, o in partials])  # (S, B)
+            best = np.lexsort((orders, primary), axis=0)[0]  # best shard per query
+            columns = np.arange(primary.shape[1])
+            best_distances = primary[best, columns]
+            best_orders = orders[best, columns]
         sims = distances_to_similarities(
-            primary[best, columns], self.dim, self.backend.name, queries
+            best_distances, self.dim, self.backend.name, queries
         )
         return [self._slots[order] for order in best_orders], sims
 
@@ -1113,13 +1130,21 @@ class ShardedItemMemory:
         k = min(k, len(self))
         native = self.backend.from_bipolar(queries, checked=True)
         partials = self._fanout_ints("topk_ints", native, k)
-        primary = np.concatenate([p for p, _ in partials], axis=1)  # (B, Σk')
-        orders = np.concatenate([o for _, o in partials], axis=1)
-        selected = topk_order(primary, k, tiebreak=orders)
-        rows = np.arange(primary.shape[0])[:, None]
-        merged_orders = orders[rows, selected]
+        if len(partials) == 1:
+            # One partial (a lone shard, or a seed that let every other
+            # shard skip) holds k real rows its kernel ranked by
+            # (distance, row), and a shard's rows ascend with their
+            # global orders: nothing to merge.
+            merged_distances, merged_orders = partials[0]
+        else:
+            primary = np.concatenate([p for p, _ in partials], axis=1)  # (B, Σk')
+            orders = np.concatenate([o for _, o in partials], axis=1)
+            selected = topk_order(primary, k, tiebreak=orders)
+            rows = np.arange(primary.shape[0])[:, None]
+            merged_distances = primary[rows, selected]
+            merged_orders = orders[rows, selected]
         sims = distances_to_similarities(
-            primary[rows, selected], self.dim, self.backend.name, queries
+            merged_distances, self.dim, self.backend.name, queries
         )
         return [
             [

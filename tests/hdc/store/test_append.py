@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.hdc import ItemMemory, random_bipolar
+from repro.hdc import random_bipolar
 from repro.hdc.store import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -24,12 +24,7 @@ from repro.hdc.store import (
     save_store,
     upsert_rows,
 )
-
-
-def _reference(labels, vectors, backend="packed", dim=None):
-    memory = ItemMemory(dim or vectors.shape[1], backend=backend)
-    memory.add_many(labels, vectors)
-    return memory
+from store_helpers import fresh_memory as _reference
 
 
 def _manifest(path):
@@ -231,6 +226,41 @@ class TestFormatVersion:
         assert f"version {version} is not supported" in message
         assert str(tmp_path / "store" / MANIFEST_NAME) in message
         assert "generation 0" in message
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_single_kind_directory_still_works(self, executor, tmp_path, rng):
+        """A v5 ``"single"`` directory (kind "single", routing null, no
+        orders sidecar) opens as a one-shard store, answers like a fresh
+        ItemMemory, takes a delete and an upsert, and its compact()
+        rewrites it as kind "sharded" with an orders sidecar."""
+        path, vectors = tmp_path / "store", random_bipolar(18, 128, rng)
+        AssociativeStore.from_vectors(range(16), vectors[:16], backend="packed").save(path)
+        manifest = _manifest(path)
+        (path / manifest["shards"][0].pop("orders_file")).unlink()
+        _write_manifest(path, {**manifest, "kind": "single", "routing": None})
+        store = AssociativeStore.open(path, workers=2, executor=executor)
+        state, queries = dict(zip(range(16), vectors)), random_bipolar(5, 128, rng)
+
+        def agrees(store):
+            reference = _reference(list(state), np.stack(list(state.values())))
+            assert store.labels == reference.labels
+            assert store.topk_batch(queries, k=4) == reference.topk_batch(queries, k=4)
+            assert store.cleanup_batch(queries)[0] == reference.cleanup_batch(queries)[0]
+
+        agrees(store)
+        store.delete([3, 7])
+        store.upsert([5, 16], vectors[16:])
+        del state[3], state[7], state[5]
+        state.update({5: vectors[16], 16: vectors[17]})
+        agrees(store)
+        assert _manifest(path)["kind"] == "single"  # commits journal as is
+        agrees(AssociativeStore.open(path, executor=executor))
+        store.compact()
+        manifest = _manifest(path)
+        assert manifest["kind"] == "sharded" and manifest["routing"] == "hash"
+        assert (path / manifest["shards"][0]["orders_file"]).is_file()
+        agrees(AssociativeStore.open(path, executor=executor))
+        store.memory.close()
 
     @pytest.mark.parametrize("damage", [
         "shards", "num_shards", "dim", "backend", "generation",

@@ -5,7 +5,7 @@ The second pruning layer's contract, two ways:
 - **decisions never move** — on cluster-sharded stores whose per-shard
   minus-count intervals fully overlap (the workload the minus bound
   cannot prune), the geometric bound skips shards while every answer
-  stays bit-identical to the single-shard reference, pruned or not;
+  stays bit-identical to the reference ``ItemMemory``, pruned or not;
 - **bounds stay exact** — the persisted radius is exactly
   ``max_row d(row, centroid)`` for the persisted centroid, through
   chunked ingest, journaled appends, compaction, and a fresh-process
@@ -28,9 +28,7 @@ from repro.hdc.store import (
     save_store,
 )
 from repro.hdc.store.persistence import _centroid_from_hex
-
-BACKENDS = ("dense", "packed")
-EXECUTORS = ("thread", "process")
+from store_helpers import BACKENDS, EXECUTORS, fresh_memory
 
 
 def _cluster_store(rng, dim=128, shards=4, per_shard=20, backend="packed",
@@ -50,8 +48,7 @@ def _cluster_store(rng, dim=128, shards=4, per_shard=20, backend="packed",
     for row, columns in enumerate(flips):
         vectors[row, columns] *= -1
     labels = [f"v{i}" for i in range(items)]
-    reference = ItemMemory(dim, backend=backend)
-    reference.add_many(labels, vectors)
+    reference = fresh_memory(labels, vectors, backend=backend)
     sharded = ShardedItemMemory(dim, num_shards=shards, backend=backend,
                                 routing="round_robin", executor=executor)
     sharded.add_many(labels, vectors, chunk_size=13)
@@ -92,8 +89,7 @@ def _assert_manifest_bounds_exact(path):
     ``max_row d(row, centroid)``."""
     manifest = read_manifest(path)
     memory = open_store(path, mmap=False)
-    shards = memory.shards if isinstance(memory, ShardedItemMemory) else [memory]
-    for index, (entry, shard) in enumerate(zip(manifest["shards"], shards)):
+    for index, (entry, shard) in enumerate(zip(manifest["shards"], memory.shards)):
         if not len(shard):
             continue
         native = shard.native_matrix()  # base rows, then segments in order
@@ -389,31 +385,28 @@ class TestResetPruningStats:
         sharded.cleanup_batch(queries)
         assert sharded.pruning_stats["tasks"] == once["tasks"]  # fresh epoch
 
-    def test_facade_reset_delegates_and_single_shard_returns_none(self, rng):
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_facade_reset_delegates_at_every_shard_count(self, shards, rng):
         vectors = random_bipolar(12, 64, rng)
         store = AssociativeStore.from_vectors(
-            [f"v{i}" for i in range(12)], vectors, shards=3, backend="packed")
+            [f"v{i}" for i in range(12)], vectors, shards=shards, backend="packed")
         store.cleanup_batch(vectors[:2])
         snapshot = store.reset_pruning_stats()
-        assert snapshot["batches"] >= 1
+        assert snapshot["batches"] == 1
         assert store.pruning_stats["batches"] == 0
-        single = AssociativeStore.from_vectors(["a"], vectors[:1])
-        assert single.reset_pruning_stats() is None
-        assert single.pruning_stats is None
 
 
 _CHILD = """
 import json, sys
 import numpy as np
-from repro.hdc.store import ShardedItemMemory, open_store, read_manifest
+from repro.hdc.store import open_store, read_manifest
 from repro.hdc.store.persistence import _centroid_from_hex
 
 path, query_path = sys.argv[1], sys.argv[2]
 memory = open_store(path)
 manifest = read_manifest(path)
-shards = memory.shards if isinstance(memory, ShardedItemMemory) else [memory]
 radii_exact = []
-for entry, shard in zip(manifest["shards"], shards):
+for entry, shard in zip(manifest["shards"], memory.shards):
     bounds = entry["bounds"]
     if bounds["centroid"] is None or not len(shard):
         radii_exact.append(None)
@@ -484,9 +477,7 @@ def _assert_segment_bounds_exact_over_committed_rows(path):
     even after later tombstones thin the segment — bounds are write-once
     supersets, recomputed only at compact."""
     manifest = read_manifest(path)
-    memory = open_store(path, mmap=False)
-    backend = (memory.shards[0].backend
-               if isinstance(memory, ShardedItemMemory) else memory.backend)
+    backend = open_store(path, mmap=False).backend
     checked = 0
     for entry in manifest["shards"]:
         for segment in entry.get("segments", ()):

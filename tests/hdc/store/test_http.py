@@ -16,12 +16,12 @@ No pytest-asyncio: each test drives its own ``asyncio.run``.
 
 import asyncio
 import json
-import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.hdc import ItemMemory, random_bipolar
+from repro.hdc import random_bipolar
 from repro.hdc.store import (
     ROUTES,
     AssociativeStore,
@@ -35,65 +35,17 @@ from repro.hdc.store import (
     TransportError,
     jsonable_result,
 )
+from store_helpers import BACKENDS, EXECUTORS, fresh_memory, noisy_queries
+from store_helpers import GatedStore as _GatedStore
+from store_helpers import build_store as _store
 
 pytestmark = pytest.mark.usefixtures("strict_loop_exceptions")
-
-BACKENDS = ("dense", "packed")
-EXECUTORS = ("thread", "process")
-
-
-def _noisy_queries(vectors, rng, num=18, flip_fraction=0.15):
-    dim = vectors.shape[1]
-    queries = vectors[rng.integers(0, len(vectors), size=num)].copy()
-    flips = rng.integers(0, dim, size=(num, int(dim * flip_fraction)))
-    for row, columns in enumerate(flips):
-        queries[row, columns] *= -1
-    return queries
-
-
-def _store(rng, backend="packed", shards=3, executor="thread", dim=256,
-           items=48):
-    labels = [f"item{i}" for i in range(items)]
-    vectors = random_bipolar(items, dim, rng)
-    store = AssociativeStore.from_vectors(
-        labels, vectors, backend=backend, shards=shards, workers=2,
-        executor=executor,
-    )
-    return store, labels, vectors
+_noisy_queries = partial(noisy_queries, num=18, flip_fraction=0.15)
 
 
 def _wire(query):
     """A query row as it travels in a JSON body."""
     return [int(v) for v in query]
-
-
-class _GatedStore:
-    """Duck-typed store whose batch kernels block until released."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    @property
-    def dim(self):
-        return self._inner.dim
-
-    def _gate(self):
-        self.entered.set()
-        assert self.release.wait(timeout=10), "test never released the gate"
-
-    def cleanup_batch(self, queries):
-        self._gate()
-        return self._inner.cleanup_batch(queries)
-
-    def topk_batch(self, queries, k=5):
-        self._gate()
-        return self._inner.topk_batch(queries, k=k)
-
-    def similarities_batch(self, queries):
-        self._gate()
-        return self._inner.similarities_batch(queries)
 
 
 def _serve_jobs(store, jobs, clients=6, **server_kwargs):
@@ -154,13 +106,13 @@ async def _raw_roundtrip(port, data):
 class TestWireAgreement:
     """Served-over-the-wire answers == solo ItemMemory calls, bit for bit."""
 
+    @pytest.mark.parametrize("shards", (1, 3))
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_wire_answers_bit_identical(self, backend, executor, rng):
-        store, labels, vectors = _store(rng, backend=backend,
+    def test_wire_answers_bit_identical(self, backend, executor, shards, rng):
+        store, labels, vectors = _store(rng, backend=backend, shards=shards,
                                         executor=executor)
-        reference = ItemMemory(vectors.shape[1], backend=backend)
-        reference.add_many(labels, vectors)
+        reference = fresh_memory(labels, vectors, backend=backend)
         queries = _noisy_queries(vectors, rng)
 
         jobs, expected = [], []
@@ -190,8 +142,7 @@ class TestWireAgreement:
             labels, vectors, backend="packed", shards=8, workers=2,
             executor=executor,
         )
-        reference = ItemMemory(dim, backend="packed")
-        reference.add_many(labels, vectors)
+        reference = fresh_memory(labels, vectors)
         queries = np.concatenate([base, base])
 
         jobs, expected = [], []
@@ -278,8 +229,7 @@ class TestErrorMapping:
         instead of sharing the failure of one batch kernel call."""
         store, labels, vectors = _store(rng, backend=backend, shards=4,
                                         items=24)
-        reference = ItemMemory(store.dim, backend=backend)
-        reference.add_many(labels, vectors)
+        reference = fresh_memory(labels, vectors, backend=backend)
         jobs = [("POST", "/v1/topk", {"query": _wire(q), "k": 3})
                 for q in vectors[:5]]
         jobs.insert(2, ("POST", "/v1/topk",
@@ -409,8 +359,7 @@ class TestWireMutations:
         dim = 128
         store, labels, vectors = _store(rng, executor=executor, dim=dim,
                                         items=24)
-        reference = ItemMemory(dim, backend="packed")
-        reference.add_many(labels, vectors)
+        reference = fresh_memory(labels, vectors)
         queries = _noisy_queries(vectors, rng, num=6)
         batch = random_bipolar(2, dim, rng)
 
@@ -428,8 +377,7 @@ class TestWireMutations:
         # surviving (label, vector) sequence, the upsert batch last.
         kept = [i for i, label in enumerate(labels)
                 if label not in ("item3", "item17", "item5")]
-        reference = ItemMemory(dim, backend="packed")
-        reference.add_many([labels[i] for i in kept], vectors[kept])
+        reference = fresh_memory([labels[i] for i in kept], vectors[kept])
         reference.add_many(["item5", "new0"], batch)
         for q in queries:
             jobs.append(("POST", "/v1/topk", {"query": _wire(q), "k": 5}))

@@ -4,7 +4,7 @@ The decision contract of the parallel query path (in the spirit of
 ``test_sharded.py``, which pins the layout dimension): for any executor
 kind (thread pool / process pool), any worker count, any shard count,
 and both backends, every cleanup / top-k / top-k-batch decision must be
-*bit-identical* to the single-shard reference ``ItemMemory`` holding the
+*bit-identical* to the in-memory reference ``ItemMemory`` holding the
 same items in the same insertion order — including tie-heavy inputs
 where out-of-order shard completion would reorder a merge that keyed on
 anything but the global insertion index, and including the early-exit
@@ -17,6 +17,7 @@ import os
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,31 +27,11 @@ from repro.hdc import ItemMemory, random_bipolar
 from repro.hdc.store import AssociativeStore, ShardedItemMemory, resolve_workers
 from repro.hdc.store.parallel import (ShardExecutor, available_cores,
                                       distances_to_similarities)
+from store_helpers import BACKENDS, EXECUTORS, SHARD_COUNTS, fresh_memory, noisy_queries
+from store_helpers import pair as _pair
 
 WORKER_COUNTS = (1, 2)
-SHARD_COUNTS = (1, 3, 8)
-BACKENDS = ("dense", "packed")
-EXECUTORS = ("thread", "process")
-
-
-def _noisy_queries(vectors, rng, num=6, flip_fraction=0.2):
-    dim = vectors.shape[1]
-    queries = vectors[rng.integers(0, len(vectors), size=num)].copy()
-    flips = rng.integers(0, dim, size=(num, int(dim * flip_fraction)))
-    for row, columns in enumerate(flips):
-        queries[row, columns] *= -1
-    return queries
-
-
-def _pair(dim, labels, vectors, backend, shards, workers, routing="hash",
-          executor="thread"):
-    reference = ItemMemory(dim, backend=backend)
-    reference.add_many(labels, vectors)
-    sharded = ShardedItemMemory(dim, num_shards=shards, backend=backend,
-                                routing=routing, workers=workers,
-                                executor=executor)
-    sharded.add_many(labels, vectors, chunk_size=7)  # odd chunks on purpose
-    return reference, sharded
+_noisy_queries = partial(noisy_queries, num=6, flip_fraction=0.2)
 
 
 class TestWorkerAgreement:
@@ -157,15 +138,12 @@ class TestWorkerAgreement:
             with pytest.raises(ValueError, match=r"accepts only bipolar .* "
                                r"ItemMemory\(dim, backend='dense'\)"):
                 call()
-        reference = ItemMemory(dim, backend=backend)
-        reference.add_many(labels, vectors)
+        reference = fresh_memory(labels, vectors, backend=backend)
         assert store.topk_batch(queries[:5], k=3) \
             == reference.topk_batch(queries[:5], k=3)
-        dense = ItemMemory(dim, backend="dense")
-        dense.add_many(labels, vectors)
+        dense = fresh_memory(labels, vectors, backend="dense")
         assert len(dense.topk_batch(queries, k=3)) == 6
-        if shards > 1:
-            store.memory.close()
+        store.memory.close()
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("executor", EXECUTORS)
@@ -211,8 +189,7 @@ class TestWorkerAgreement:
         dim = 128
         labels = [f"v{i}" for i in range(30)]
         vectors = random_bipolar(30, dim, rng)
-        reference = ItemMemory(dim, backend=backend)
-        reference.add_many(labels, vectors)
+        reference = fresh_memory(labels, vectors, backend=backend)
         sharded = ShardedItemMemory(dim, num_shards=3, backend=backend, workers=2)
         sharded.add_many(labels[:18], vectors[:18], chunk_size=5)
         sharded.add_many(labels[18:27], vectors[18:27])
@@ -370,15 +347,12 @@ class TestMutationAcrossExecutors:
 
 
 class TestFacadeAndExecutor:
-    def test_store_facade_threads_workers(self, rng):
+    @pytest.mark.parametrize("shards", [1, 4])  # one shard's queries split too
+    def test_store_facade_threads_workers(self, shards, rng):
         vectors = random_bipolar(20, 128, rng)
-        labels = [f"v{i}" for i in range(20)]
-        store = AssociativeStore.from_vectors(labels, vectors, shards=4,
-                                              backend="packed", workers=3)
-        assert store.workers == 3
-        assert store.stats()["workers"] == 3
-        single = AssociativeStore.from_vectors(labels, vectors, workers=3)
-        assert single.workers == 1  # nothing to fan out
+        store = AssociativeStore.from_vectors([f"v{i}" for i in range(20)], vectors,
+                                              shards=shards, backend="packed", workers=3)
+        assert store.workers == store.stats()["workers"] == 3
         assert store.cleanup(vectors[7])[0] == "v7"
 
     def test_workers_is_settable_on_a_live_memory(self, rng):
@@ -395,15 +369,13 @@ class TestFacadeAndExecutor:
                  else os.cpu_count() or 1)
         vectors = random_bipolar(20, 128, rng)
         labels = [f"v{i}" for i in range(20)]
-        store = AssociativeStore.from_vectors(labels, vectors, shards=4,
-                                              backend="packed")
+        store = AssociativeStore.from_vectors(labels, vectors, backend="packed")
         assert store.workers == cores
         assert ShardedItemMemory(64, num_shards=2).workers == cores
         store.save(tmp_path / "store")
         reopened = AssociativeStore.open(tmp_path / "store")
         assert reopened.workers == cores
         assert reopened.memory._executor.cores == cores
-        assert AssociativeStore.from_vectors(labels, vectors).workers == 1
 
     def test_resolve_workers(self):
         assert resolve_workers(None) == available_cores()
@@ -438,8 +410,7 @@ class TestFacadeAndExecutor:
         vectors = random_bipolar(12, dim, rng)
         queries = random_bipolar(3, dim, rng)
         for backend in BACKENDS:
-            memory = ItemMemory(dim, backend=backend)
-            memory.add_many(list(range(12)), vectors)
+            memory = fresh_memory(list(range(12)), vectors, backend=backend)
             distances = memory.distances_batch(queries)
             sims = distances_to_similarities(distances, dim, backend, queries)
             assert np.array_equal(sims, memory.similarities_batch(queries))
@@ -562,8 +533,7 @@ class TestEarlyExitPruning:
             vectors.append(row)
         vectors = np.stack(vectors)
         labels = [f"v{i}" for i in range(len(vectors))]
-        reference = ItemMemory(dim, backend=backend)
-        reference.add_many(labels, vectors)
+        reference = fresh_memory(labels, vectors, backend=backend)
         sharded = ShardedItemMemory(dim, num_shards=shards, backend=backend,
                                     routing="round_robin", workers=workers,
                                     executor=executor)
@@ -620,15 +590,14 @@ class TestEarlyExitPruning:
         ranked = sharded.topk(row, k=2)
         assert [name for name, _ in ranked] == ["first", "second"]
 
-    def test_facade_surfaces_pruning_stats(self, rng):
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_facade_surfaces_pruning_stats(self, shards, rng):
         vectors = random_bipolar(12, 64, rng)
         store = AssociativeStore.from_vectors(
-            [f"v{i}" for i in range(12)], vectors, shards=3, backend="packed")
+            [f"v{i}" for i in range(12)], vectors, shards=shards, backend="packed")
         store.cleanup_batch(vectors[:2])
         stats = store.pruning_stats
-        assert stats is not None and stats["batches"] >= 1
-        single = AssociativeStore.from_vectors(["a"], vectors[:1])
-        assert single.pruning_stats is None
+        assert stats["batches"] == 1 and stats["tasks"] >= 1
 
     def test_opened_pre_bounds_store_never_skips(self, rng, tmp_path):
         """A manifest whose non-empty shards carry ``null`` bounds (every
@@ -672,8 +641,7 @@ class TestEarlyExitPruning:
         base = random_bipolar(2, dim, rng)
         vectors = np.tile(base, (8, 1))  # tie-heavy: 8 copies of each
         labels = [f"dup{i}" for i in range(16)]
-        reference = ItemMemory(dim, backend=backend)
-        reference.add_many(labels, vectors)
+        reference = fresh_memory(labels, vectors, backend=backend)
         sharded = ShardedItemMemory(dim, num_shards=4, backend=backend,
                                     routing="round_robin", workers=2)
         sharded.add_many(labels, vectors)
@@ -714,14 +682,14 @@ class TestWorkConservingSchedule:
     sees the same schedule as a 2-core one."""
 
     @staticmethod
-    def _store(monkeypatch, rng, executor):
+    def _store(monkeypatch, rng, executor, shards=8, backend="packed"):
         import repro.hdc.store.parallel as parallel_module
 
         monkeypatch.setattr(parallel_module, "available_cores", lambda: 2)
         dim = 256
         labels = [f"item{i}" for i in range(800)]
         vectors = random_bipolar(800, dim, rng)
-        reference, sharded = _pair(dim, labels, vectors, "packed", 8, 2,
+        reference, sharded = _pair(dim, labels, vectors, backend, shards, 2,
                                    executor=executor)
         assert sharded._executor.cores == 2 and all(sharded.shard_sizes)
         return reference, sharded, vectors
@@ -734,9 +702,9 @@ class TestWorkConservingSchedule:
         submits, seed = [], []
         original = sharded._submit
 
-        def submit(mode, index, queries, k, bounds=None):
+        def submit(mode, index, queries, k, bounds=None, inline=False):
             settled = all(future.done() for future in seed)
-            future = original(mode, index, queries, k, bounds)
+            future = original(mode, index, queries, k, bounds, inline)
             if bounds is None:
                 seed.append(future)
             submits.append((index, len(queries), bounds is None, settled))
@@ -848,6 +816,45 @@ class TestWorkConservingSchedule:
         assert all(n == 1 for _, n, *_ in submits)
         sharded.close()
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_lone_shard_skips_the_fan_out_machinery(self, backend,
+                                                      monkeypatch, rng):
+        """One shard computes no bounds, keeps no tracker and merges
+        nothing; a batch that makes one slice runs on the calling thread
+        and makes no pool, and 64 queries run as two slices."""
+        import threading
+
+        import repro.hdc.store.sharded as sharded_module
+
+        reference, sharded, vectors = self._store(monkeypatch, rng, "thread",
+                                                  shards=1, backend=backend)
+        monkeypatch.setattr(sharded, "_lower_bounds", None)  # a call fails
+        monkeypatch.setattr(sharded_module, "BoundTracker", None)
+        calls, kernel = [], type(sharded.backend)
+        original = kernel.hamming_topk
+        monkeypatch.setattr(kernel, "hamming_topk", lambda self, queries, *args, **kw: (
+            calls.append((len(queries), threading.get_ident()))
+            or original(self, queries, *args, **kw)))
+        one = _noisy_queries(vectors, rng, num=1)
+        assert sharded.topk_batch(one, k=5) == reference.topk_batch(one, k=5)
+        assert calls == [(1, threading.get_ident())]  # one call, this thread
+        assert np.array_equal(sharded.similarities_batch(one),
+                              reference.similarities_batch(one))
+        assert sharded._executor._pool is None
+        calls.clear()
+        batch = _noisy_queries(vectors, rng, num=64)
+        got_labels, got_sims = sharded.cleanup_batch(batch)
+        ref_labels, ref_sims = reference.cleanup_batch(batch)
+        assert got_labels == ref_labels and np.array_equal(got_sims, ref_sims)
+        assert sorted(n for n, _ in calls) == [32, 32]  # two slices at width 2
+        assert sharded.topk_batch(batch, k=5) == reference.topk_batch(batch, k=5)
+        stats = sharded.pruning_stats
+        assert stats["batches"] == stats["tasks"] == 3
+        assert stats["skipped"] == stats["bounded"] == 0
+        sharded.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            sharded.topk_batch(one, k=5)  # the inline task still refuses
+
 
 class TestProcessPersistedLifecycle:
     """The process executor across the save → open → append → compact cycle."""
@@ -862,8 +869,7 @@ class TestProcessPersistedLifecycle:
         opened = AssociativeStore.open(tmp_path / "s", workers=2,
                                        executor="process")
         assert opened.executor == "process"
-        reference = ItemMemory(dim, backend="packed")
-        reference.add_many(labels[:30], vectors[:30])
+        reference = fresh_memory(labels[:30], vectors[:30])
         queries = _noisy_queries(vectors[:30], rng)
         assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(queries)[0]
         # journaled append bumps the generation; workers must follow
@@ -1006,8 +1012,7 @@ class TestProcessPersistedLifecycle:
                                   memory._orders_of(index)[shard._live_mask()])
         survivors = [i for i in range(40) if labels[i] not in
                      ("v2", "v9", "v4", "v31")]
-        reference = ItemMemory(dim, backend="packed")
-        reference.add_many([labels[i] for i in survivors], vectors[survivors])
+        reference = fresh_memory([labels[i] for i in survivors], vectors[survivors])
         queries = _noisy_queries(vectors, rng)
         assert opened.cleanup_batch(queries)[0] == reference.cleanup_batch(queries)[0]
         assert opened.topk_batch(queries, k=6) == reference.topk_batch(queries, k=6)
@@ -1049,6 +1054,39 @@ class TestProcessPersistedLifecycle:
         assert sharded._attachment != first_spill
         sharded.close()
 
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc")
+    def test_workers_keep_only_the_live_spill(self, monkeypatch, rng):
+        """Each add re-spills an in-memory store; a worker that sees a new
+        attachment drops every other, so once every worker has read the
+        live spill it maps no other spill file and no deleted one."""
+        import repro.hdc.store.parallel as parallel_module
+
+        monkeypatch.setattr(parallel_module, "available_cores", lambda: 2)
+        vectors = random_bipolar(104, 128, rng)
+        _, sharded = _pair(128, [f"v{i}" for i in range(100)], vectors[:100],
+                           "packed", 2, 2, executor="process")
+        queries, spills = _noisy_queries(vectors, rng, num=64), set()
+        for step in range(4):
+            sharded.add(f"late{step}", vectors[100 + step])
+            sharded.topk_batch(queries, k=5)
+            spills.add(sharded._spill_dir.name)
+        live = sharded._spill_dir.name + "/"
+
+        def stale():
+            """Spill files a worker maps that are not the live spill's."""
+            return [path for pid in sharded._executor._pool._processes
+                    for line in Path(f"/proc/{pid}/maps").read_text().splitlines()
+                    for path in [line.split(maxsplit=5)[-1]]
+                    if any(spill in path for spill in spills)
+                    and (not path.startswith(live) or path.endswith("(deleted)"))]
+
+        for _ in range(50):  # until every worker has read the live spill
+            if not stale():
+                break
+            sharded.topk_batch(queries, k=5)
+        assert not stale()
+        sharded.close()
+
 
 @pytest.mark.store_scale
 class TestStoreScale:
@@ -1064,8 +1102,7 @@ class TestStoreScale:
         items = store_scale_items
         vectors = random_bipolar(items, dim, rng)
         labels = list(range(items))
-        reference = ItemMemory(dim, backend="packed")
-        reference.add_many(labels, vectors)
+        reference = fresh_memory(labels, vectors)
         sharded = ShardedItemMemory(dim, num_shards=8, backend="packed", workers=4,
                                     executor=store_scale_executor)
         sharded.add_many(labels, vectors)
@@ -1090,8 +1127,7 @@ class TestStoreScale:
         batch, commits = 64, 4
         vectors = random_bipolar(items + batch * commits, dim, rng)
         labels = list(range(items + batch * commits))
-        reference = ItemMemory(dim, backend="packed")
-        reference.add_many(labels[:items], vectors[:items])
+        reference = fresh_memory(labels[:items], vectors[:items])
         store = AssociativeStore(dim, backend="packed", shards=8)
         store.add_many(labels[:items], vectors[:items])
         store.save(tmp_path / "store")
@@ -1258,8 +1294,7 @@ class TestStoreScale:
         # the end — exactly what a fresh build from scratch would hold.
         survivors = [i for i in range(items)
                      if i not in deleted and i not in set(refreshed)]
-        reference = ItemMemory(dim, backend="packed")
-        reference.add_many(survivors, vectors[survivors])
+        reference = fresh_memory(survivors, vectors[survivors])
         reference.add_many(refreshed, new_vectors)
 
         queries = _noisy_queries(vectors, rng, num=16, flip_fraction=0.125)

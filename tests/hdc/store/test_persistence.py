@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.hdc import ItemMemory, random_bipolar
+from repro.hdc import random_bipolar
+from repro.hdc.item_memory import RowMemory
 from repro.hdc.store import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -42,16 +43,6 @@ class TestRoundTrip:
         assert np.array_equal(new_sims, ref_sims)
         assert reopened.topk_batch(queries, k=7) == memory.topk_batch(queries, k=7)
 
-    def test_single_item_memory_roundtrip(self, tmp_path, rng):
-        memory = ItemMemory(128, backend="packed")
-        vectors = random_bipolar(9, 128, rng)
-        memory.add_many(list(range(9)), vectors)  # int labels survive JSON
-        save_store(memory, tmp_path / "single")
-        reopened = open_store(tmp_path / "single")
-        assert isinstance(reopened, ItemMemory)
-        assert reopened.labels == memory.labels
-        assert reopened.cleanup(vectors[3]) == memory.cleanup(vectors[3])
-
     def test_memmap_is_lazy_and_appendable(self, tmp_path, rng):
         memory = _build_sharded(rng, backend="packed")
         save_store(memory, tmp_path / "store")
@@ -84,10 +75,12 @@ class TestRoundTrip:
         assert remaining == sorted(entry["file"] for entry in manifest["shards"])
         assert len(remaining) == 2
 
-    def test_from_native_does_not_freeze_callers_array(self, rng):
+    def test_take_does_not_freeze_callers_array(self, rng):
         matrix = np.ascontiguousarray(random_bipolar(3, 32, rng))
-        memory = ItemMemory.from_native(32, list("abc"), matrix)
-        assert memory.cleanup(matrix[1])[0] == "b"
+        memory = RowMemory(32)
+        memory._take(matrix)  # adopted as a frozen zero-copy view
+        assert not memory.native_matrix().flags.writeable
+        assert np.shares_memory(memory.native_matrix(), matrix)
         matrix[0, 0] = -matrix[0, 0]  # caller's copy stays writable
 
     def test_save_creates_manifest_and_shard_files(self, tmp_path, rng):

@@ -3,20 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.hdc import AssociativeStore, ItemMemory, random_bipolar
+from repro.hdc import AssociativeStore, random_bipolar
 from repro.hdc.store import ShardedItemMemory
 
 
 class TestFacade:
-    def test_single_shard_uses_reference_item_memory(self):
-        store = AssociativeStore(64)
-        assert isinstance(store.memory, ItemMemory)
-        assert store.num_shards == 1 and store.routing is None
-
-    def test_sharded_dispatch(self):
-        store = AssociativeStore(64, shards=4, routing="round_robin")
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_every_shard_count_is_a_sharded_memory(self, shards):
+        store = AssociativeStore(64, shards=shards, routing="round_robin")
         assert isinstance(store.memory, ShardedItemMemory)
-        assert store.num_shards == 4 and store.routing == "round_robin"
+        assert store.num_shards == shards and store.routing == "round_robin"
 
     def test_from_vectors_and_queries(self, rng):
         vectors = random_bipolar(20, 128, rng)
@@ -45,8 +41,9 @@ class TestFacade:
         assert np.array_equal(b_sims, w_sims)
         assert blocked.topk_batch(queries, k=4) == whole.topk_batch(queries, k=4)
 
-    def test_streaming_add_many_chunks(self, rng):
-        store = AssociativeStore(64, shards=1)
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_streaming_add_many_chunks(self, shards, rng):
+        store = AssociativeStore(64, shards=shards)
         vectors = random_bipolar(10, 64, rng)
         store.add_many([f"v{i}" for i in range(10)], vectors, chunk_size=3)
         assert store.labels == tuple(f"v{i}" for i in range(10))
@@ -95,7 +92,7 @@ class TestFacadePersistence:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_save_open_roundtrip(self, shards, tmp_path, rng):
         vectors = random_bipolar(25, 256, rng)
-        labels = [f"v{i}" for i in range(25)]
+        labels = list(range(25))  # int labels survive JSON
         store = AssociativeStore.from_vectors(labels, vectors, shards=shards,
                                               backend="packed")
         store.save(tmp_path / "store")
@@ -113,5 +110,5 @@ class TestFacadePersistence:
         store = AssociativeStore.from_vectors(list("abcd"), vectors)
         store.save(tmp_path / "store")
         reopened = AssociativeStore.open(tmp_path / "store", mmap=False)
-        assert not isinstance(reopened.memory.native_matrix(), np.memmap)
+        assert not isinstance(reopened.memory.shards[0].native_matrix(), np.memmap)
         assert reopened.cleanup(vectors[2])[0] == "c"

@@ -14,12 +14,12 @@ No pytest-asyncio: each test drives its own ``asyncio.run``.
 """
 
 import asyncio
-import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.hdc import ItemMemory, random_bipolar
+from repro.hdc import random_bipolar
 from repro.hdc.store import (
     AssociativeStore,
     ServerClosed,
@@ -27,31 +27,12 @@ from repro.hdc.store import (
     ServerTimeout,
     StoreServer,
 )
+from store_helpers import BACKENDS, EXECUTORS, fresh_memory, noisy_queries
+from store_helpers import GatedStore as _GatedStore
+from store_helpers import build_store as _store
 
 pytestmark = pytest.mark.usefixtures("strict_loop_exceptions")
-
-BACKENDS = ("dense", "packed")
-EXECUTORS = ("thread", "process")
-
-
-def _noisy_queries(vectors, rng, num=24, flip_fraction=0.15):
-    dim = vectors.shape[1]
-    queries = vectors[rng.integers(0, len(vectors), size=num)].copy()
-    flips = rng.integers(0, dim, size=(num, int(dim * flip_fraction)))
-    for row, columns in enumerate(flips):
-        queries[row, columns] *= -1
-    return queries
-
-
-def _store(rng, backend="packed", shards=3, executor="thread", dim=256,
-           items=48):
-    labels = [f"item{i}" for i in range(items)]
-    vectors = random_bipolar(items, dim, rng)
-    store = AssociativeStore.from_vectors(
-        labels, vectors, backend=backend, shards=shards, workers=2,
-        executor=executor,
-    )
-    return store, vectors
+_noisy_queries = partial(noisy_queries, num=24, flip_fraction=0.15)
 
 
 async def _until(condition, timeout=10.0):
@@ -61,51 +42,6 @@ async def _until(condition, timeout=10.0):
     while not condition():
         assert loop.time() < deadline, "condition never held"
         await asyncio.sleep(0.001)
-
-
-class _GatedStore:
-    """Duck-typed store whose batch kernels block until released.
-
-    Lets a test hold a wave *mid-dispatch* deterministically: the wave's
-    executor thread parks on ``release`` and the test observes ``entered``
-    before cancelling / stopping / overflowing the queue. The server runs
-    every store call on its one dispatch thread, so a held wave keeps
-    every later request out of the store.
-    ``calls`` lists the kernel calls in the order they entered.
-    """
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        self.calls = []
-
-    @property
-    def dim(self):
-        return self._inner.dim
-
-    def _gate(self, call):
-        self.calls.append(call)
-        self.entered.set()
-        assert self.release.wait(timeout=10), "test never released the gate"
-
-    def cleanup_batch(self, queries):
-        self._gate("cleanup")
-        return self._inner.cleanup_batch(queries)
-
-    def topk_batch(self, queries, k=5):
-        self._gate(("topk", k))
-        return self._inner.topk_batch(queries, k=k)
-
-    def similarities_batch(self, queries):
-        self._gate("similarities")
-        return self._inner.similarities_batch(queries)
-
-    def delete(self, labels):  # mutations bypass the gate on purpose
-        return self._inner.delete(labels)
-
-    def upsert(self, labels, vectors):
-        return self._inner.upsert(labels, vectors)
 
 
 class _GatedDelete(_GatedStore):
@@ -122,10 +58,11 @@ class _GatedDelete(_GatedStore):
 class TestServedAgreement:
     """Concurrent single requests == sequential direct calls, bit for bit."""
 
+    @pytest.mark.parametrize("shards", (1, 3))
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_concurrent_requests_bit_identical(self, backend, executor, rng):
-        store, vectors = _store(rng, backend=backend, executor=executor)
+    def test_concurrent_requests_bit_identical(self, backend, executor, shards, rng):
+        store, _, vectors = _store(rng, backend=backend, shards=shards, executor=executor)
         queries = _noisy_queries(vectors, rng)
         expected_cleanup = [store.cleanup(q) for q in queries]
         expected_topk = [store.topk(q, k=5) for q in queries]
@@ -152,20 +89,7 @@ class TestServedAgreement:
             stats["flushed_size"] + stats["flushed_idle"]
             + stats["flushed_drain"] == stats["waves"]
         )
-        if store.num_shards > 1:
-            store.memory.close()
-
-    def test_single_shard_store_serves_identically(self, rng):
-        """The facade's ItemMemory path (shards=1) through the server."""
-        store, vectors = _store(rng, shards=1)
-        queries = _noisy_queries(vectors, rng, num=12)
-        expected = [store.cleanup(q) for q in queries]
-
-        async def main():
-            async with StoreServer(store, max_batch=4) as srv:
-                return await asyncio.gather(*[srv.cleanup(q) for q in queries])
-
-        assert asyncio.run(main()) == expected
+        store.memory.close()
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_tie_heavy_duplicates_resolve_identically(self, executor, rng):
@@ -179,8 +103,7 @@ class TestServedAgreement:
             labels, vectors, backend="packed", shards=8, workers=2,
             executor=executor,
         )
-        reference = ItemMemory(dim, backend="packed")
-        reference.add_many(labels, vectors)
+        reference = fresh_memory(labels, vectors)
         queries = np.concatenate([base, base])
         expected_cleanup = [reference.cleanup(q) for q in queries]
         expected_topk = [reference.topk(q, k=24) for q in queries]
@@ -201,7 +124,7 @@ class TestServedAgreement:
     def test_mixed_kinds_and_ks_batch_separately_but_agree(self, rng):
         """Interleaved cleanup / topk(k=3) / topk(k=7) / similarities:
         groups must never mix kinds or ks, and all answers must agree."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         queries = _noisy_queries(vectors, rng, num=8)
 
         async def main():
@@ -230,7 +153,7 @@ class TestWorkConserving:
     an idle server never waits, and no timer is armed."""
 
     def test_lone_request_enters_the_kernel_within_two_ticks(self, rng):
-        store, vectors = _store(rng, shards=1, items=8)
+        store, _, vectors = _store(rng, shards=1, items=8)
         gated = _GatedStore(store)
         armed = []
 
@@ -258,7 +181,7 @@ class TestWorkConserving:
         assert armed == []  # no flush timer, at any point
 
     def test_arrivals_during_a_busy_wave_ride_one_next_wave(self, rng):
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
         queries = _noisy_queries(vectors, rng, num=6)
 
@@ -285,7 +208,7 @@ class TestWorkConserving:
         store.memory.close()
 
     def test_same_tick_burst_coalesces(self, rng):
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         queries = _noisy_queries(vectors, rng, num=12)
 
         async def main():
@@ -301,7 +224,7 @@ class TestWorkConserving:
         store.memory.close()
 
     def test_queued_groups_dispatch_oldest_first(self, rng):
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
 
         async def main():
@@ -326,7 +249,7 @@ class TestWorkConserving:
     def test_reads_during_a_delete_ride_one_wave_after_it(self, rng):
         """A running mutation holds the worker too: reads arriving while
         it commits queue, then ride one wave against the new snapshot."""
-        store, vectors = _store(rng, items=24, dim=128)
+        store, _, vectors = _store(rng, items=24, dim=128)
         queries = _noisy_queries(vectors, rng, num=5)
         gated = _GatedDelete(store)
 
@@ -359,7 +282,7 @@ class TestWorkConserving:
         ``max_batch`` while a delete is inside the store flush at once,
         but their wave enters the store only after the delete returns,
         so it answers against the new snapshot."""
-        store, vectors = _store(rng, items=24, dim=128)
+        store, _, vectors = _store(rng, items=24, dim=128)
         queries = _noisy_queries(vectors, rng, num=4)
         gated = _GatedDelete(store)
 
@@ -392,7 +315,7 @@ class TestCancellation:
         """A request cancelled after its wave dispatched: the wave still
         completes, every other request gets its exact answer, the
         cancelled caller sees CancelledError, and the slots drain."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
         queries = _noisy_queries(vectors, rng, num=3)
         expected = [store.cleanup(q) for q in queries]
@@ -422,7 +345,7 @@ class TestCancellation:
         """A request cancelled while queued behind a busy worker leaves
         the queue immediately; the survivors ride the next wave and
         answer exactly."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
         queries = _noisy_queries(vectors, rng, num=3)
         expected = [store.cleanup(q) for q in queries]
@@ -453,7 +376,7 @@ class TestCancellation:
         store.memory.close()
 
     def test_cancelling_every_queued_request_dissolves_the_group(self, rng):
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
 
         async def main():
@@ -482,7 +405,7 @@ class TestBackpressure:
         """admission='wait': a burst far over max_pending completes in
         full, bit-identically, with the high-water mark respecting the
         bound."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         queries = _noisy_queries(vectors, rng, num=64)
         expected = [store.cleanup(q) for q in queries]
 
@@ -501,7 +424,7 @@ class TestBackpressure:
     def test_reject_admission_raises_overloaded_and_recovers(self, rng):
         """admission='reject': requests beyond max_pending fail fast with
         ServerOverloaded while admitted ones still answer exactly."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
         queries = _noisy_queries(vectors, rng, num=6)
         expected = [store.cleanup(q) for q in queries]
@@ -532,7 +455,7 @@ class TestShutdown:
     def test_stop_drains_queued_and_inflight_requests(self, rng):
         """Graceful shutdown: accepted requests all resolve (drain wave),
         and requests after stop() raise ServerClosed."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
         queries = _noisy_queries(vectors, rng, num=5)
         expected = [store.cleanup(q) for q in queries]
@@ -558,7 +481,7 @@ class TestShutdown:
     def test_stop_fails_parked_admission_waiters(self, rng):
         """A caller parked on admission when the server stops gets
         ServerClosed — never a hang, never a silent drop."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
 
         async def main():
@@ -580,7 +503,7 @@ class TestShutdown:
         store.memory.close()
 
     def test_stop_is_idempotent_and_start_after_stop_refuses(self, rng):
-        store, _ = _store(rng, shards=1, items=4)
+        store, _, _ = _store(rng, shards=1, items=4)
 
         async def main():
             srv = StoreServer(store)
@@ -608,7 +531,7 @@ class TestAdmissionShutdownRaces:
         ``woken`` synchronously, and the test's own wakeup (scheduled
         first) runs before ``woken`` resumes — exactly the window where
         the second cancel must not swallow the token."""
-        store, vectors = _store(rng, shards=1, items=8)
+        store, _, vectors = _store(rng, shards=1, items=8)
         gated = _GatedStore(store)
         expected = [store.cleanup(vectors[1]), store.topk(vectors[0], k=5),
                     store.topk(vectors[1], k=5), store.cleanup(vectors[3])]
@@ -653,7 +576,7 @@ class TestAdmissionShutdownRaces:
         until its (arbitrarily distant) deadline. The subclass holds
         open the loop tick a woken admission waiter pays between its
         wake and the enqueue."""
-        store, vectors = _store(rng, shards=1, items=8)
+        store, _, vectors = _store(rng, shards=1, items=8)
 
         class _GatedAdmission(StoreServer):
             def __init__(self, *args, **kwargs):
@@ -689,7 +612,7 @@ class TestDeadlines:
     server's liveness are all unaffected."""
 
     def test_timeout_validation(self, rng):
-        store, vectors = _store(rng, shards=1, items=4)
+        store, _, vectors = _store(rng, shards=1, items=4)
         with pytest.raises(ValueError, match="default_timeout_ms"):
             StoreServer(store, default_timeout_ms=0)
         with pytest.raises(ValueError, match="default_timeout_ms"):
@@ -710,7 +633,7 @@ class TestDeadlines:
         """A deadline firing while the request is queued behind a busy
         worker: the request fails with ServerTimeout, its slot frees at
         once, its group never dispatches, and the server keeps serving."""
-        store, vectors = _store(rng, shards=1, items=8)
+        store, _, vectors = _store(rng, shards=1, items=8)
         gated = _GatedStore(store)
 
         async def main():
@@ -734,7 +657,7 @@ class TestDeadlines:
         """Expiry while the request's wave is mid-kernel: the timed-out
         caller gets ServerTimeout, the co-batched request in the *same
         wave* still receives its exact answer, and the slots drain."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
         expected = store.cleanup(vectors[1])
 
@@ -765,7 +688,7 @@ class TestDeadlines:
         tick: the bad one is refused at admission, so the wave it would
         have joined (whose batch kernel refuses a whole batch over one
         non-bipolar row) answers the other five exactly."""
-        store, vectors = _store(rng, backend=backend, shards=shards)
+        store, _, vectors = _store(rng, backend=backend, shards=shards)
         expected = [store.topk(vectors[i], k=3) for i in range(5)]
 
         async def main():
@@ -780,14 +703,13 @@ class TestDeadlines:
                 assert srv.pending == 0
 
         asyncio.run(main())
-        if shards > 1:
-            store.memory.close()
+        store.memory.close()
 
     def test_timeout_parked_on_admission(self, rng):
         """A deadline expiring while the caller is still parked on the
         admission FIFO: ServerTimeout, the FIFO entry is removed, and
         the in-flight request is untouched."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
         expected = store.cleanup(vectors[0])
 
@@ -809,7 +731,7 @@ class TestDeadlines:
         store.memory.close()
 
     def test_default_timeout_applies_and_per_request_overrides(self, rng):
-        store, vectors = _store(rng, shards=1, items=8)
+        store, _, vectors = _store(rng, shards=1, items=8)
         gated = _GatedStore(store)
 
         async def main():
@@ -836,7 +758,7 @@ class TestDeadlines:
         """Deadlines outrank shutdown: a request whose deadline expires
         while its wave drains inside stop() raises ServerTimeout — not
         ServerClosed — and the drain still completes cleanly."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
         expected = store.cleanup(vectors[1])
 
@@ -862,7 +784,7 @@ class TestDeadlines:
 
 class TestRestartability:
     def test_start_after_stop_leaves_no_half_initialized_pool(self, rng):
-        store, _ = _store(rng, shards=1, items=4)
+        store, _, _ = _store(rng, shards=1, items=4)
 
         async def main():
             srv = StoreServer(store)
@@ -885,7 +807,7 @@ class TestRestartability:
     def test_concurrent_stops_during_inflight_drain(self, rng):
         """Two stop() calls racing an in-flight wave: both complete, the
         wave's requests all resolve, and a third stop stays a no-op."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
         expected = [store.cleanup(q) for q in vectors[:3]]
 
@@ -911,7 +833,7 @@ class TestRestartability:
         """reset_stats concurrent with an in-flight wave: the wave was
         counted when it flushed, so the closing snapshot keeps it and
         its late completion leaks no increments into the new epoch."""
-        store, vectors = _store(rng)
+        store, _, vectors = _store(rng)
         gated = _GatedStore(store)
 
         async def main():
@@ -941,7 +863,7 @@ class TestRestartability:
 
 class TestValidationAndStats:
     def test_constructor_validation(self, rng):
-        store, _ = _store(rng, shards=1, items=4)
+        store, _, _ = _store(rng, shards=1, items=4)
         with pytest.raises(ValueError, match="max_batch"):
             StoreServer(store, max_batch=0)
         with pytest.raises(ValueError, match="max_pending"):
@@ -950,7 +872,7 @@ class TestValidationAndStats:
             StoreServer(store, admission="drop-newest")
 
     def test_requests_validate_before_queueing(self, rng):
-        store, vectors = _store(rng, shards=1, items=4)
+        store, _, vectors = _store(rng, shards=1, items=4)
 
         async def main():
             async with StoreServer(store) as srv:
@@ -966,7 +888,7 @@ class TestValidationAndStats:
         asyncio.run(main())
 
     def test_unstarted_server_refuses_requests(self, rng):
-        store, vectors = _store(rng, shards=1, items=4)
+        store, _, vectors = _store(rng, shards=1, items=4)
         srv = StoreServer(store)
 
         async def main():
@@ -976,7 +898,7 @@ class TestValidationAndStats:
         asyncio.run(main())
 
     def test_reset_stats_scopes_a_workload(self, rng):
-        store, vectors = _store(rng, shards=1, items=8)
+        store, _, vectors = _store(rng, shards=1, items=8)
 
         async def main():
             async with StoreServer(store, max_batch=4) as srv:
@@ -998,7 +920,7 @@ class TestServedMutations:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_served_mutation_history_bit_identical(self, executor, rng):
-        store, vectors = _store(rng, executor=executor, items=24, dim=128)
+        store, _, vectors = _store(rng, executor=executor, items=24, dim=128)
         queries = _noisy_queries(vectors, rng, num=12)
         expected_before = [store.topk(q, k=5) for q in queries]
         batch = random_bipolar(2, 128, rng)
@@ -1020,8 +942,7 @@ class TestServedMutations:
         assert all(label not in ("item3", "item17")
                    for row in after for label, _ in row)
         assert stats["mutations"] == 2
-        if store.num_shards > 1:
-            store.memory.close()
+        store.memory.close()
 
     def test_served_tie_break_moves_when_the_winner_is_deleted(self, rng):
         """Tie-heavy duplicates through the server: deleting the
@@ -1054,7 +975,7 @@ class TestServedMutations:
         """A mutation arriving mid-wave waits for the wave to drain: the
         executing wave answers against the old generation, the mutation
         applies after, and parked queries then see the new one."""
-        store, vectors = _store(rng, shards=1, items=8, dim=64)
+        store, _, vectors = _store(rng, shards=1, items=8, dim=64)
         gated = _GatedStore(store)
         expected = store.topk(vectors[0], k=3)
 
@@ -1081,7 +1002,7 @@ class TestServedMutations:
         neither a read nor a second delete may enter the store while the
         first delete is still applying, and the cancelled one still
         lands and counts."""
-        store, vectors = _store(rng, items=24, dim=128)
+        store, _, vectors = _store(rng, items=24, dim=128)
         gated = _GatedDelete(store)
 
         async def main():
@@ -1113,7 +1034,7 @@ class TestServedMutations:
         store.memory.close()
 
     def test_mutations_refused_after_stop_and_before_start(self, rng):
-        store, _ = _store(rng, shards=1, items=4)
+        store, _, _ = _store(rng, shards=1, items=4)
         srv = StoreServer(store)
 
         async def main():

@@ -3,9 +3,11 @@
 The behavioural contract of the store subsystem (in the spirit of
 ``tests/hdc/test_backend.py``): for any shard count, either routing
 policy, and both backends, every cleanup / top-k decision must be
-*bit-identical* to the single-shard reference ``ItemMemory`` holding the
+*bit-identical* to the in-memory reference ``ItemMemory`` holding the
 same items in the same insertion order.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,27 +15,10 @@ import pytest
 from repro.hdc import ItemMemory, random_bipolar
 from repro.hdc.store import ShardedItemMemory
 from repro.hdc.store.routing import hash_shard, route_label
+from store_helpers import BACKENDS, SHARD_COUNTS, fresh_memory, noisy_queries
+from store_helpers import pair as _pair
 
-SHARD_COUNTS = (1, 3, 8)
-BACKENDS = ("dense", "packed")
-
-
-def _noisy_queries(vectors, rng, num=6, flip_fraction=0.2):
-    dim = vectors.shape[1]
-    queries = vectors[rng.integers(0, len(vectors), size=num)].copy()
-    flips = rng.integers(0, dim, size=(num, int(dim * flip_fraction)))
-    for row, columns in enumerate(flips):
-        queries[row, columns] *= -1
-    return queries
-
-
-def _pair(dim, labels, vectors, backend, shards, routing="hash"):
-    reference = ItemMemory(dim, backend=backend)
-    reference.add_many(labels, vectors)
-    sharded = ShardedItemMemory(dim, num_shards=shards, backend=backend,
-                                routing=routing)
-    sharded.add_many(labels, vectors, chunk_size=7)  # odd chunks on purpose
-    return reference, sharded
+_noisy_queries = partial(noisy_queries, num=6, flip_fraction=0.2)
 
 
 class TestAgreement:
@@ -250,8 +235,7 @@ class TestMutationAgreement:
         vectors = random_bipolar(n, dim, rng)
         sharded = ShardedItemMemory(dim, num_shards=4, backend=backend)
         sharded.add_many(labels, vectors)
-        single = ItemMemory(dim, backend=backend)
-        single.add_many(labels, vectors)
+        single = fresh_memory(labels, vectors, backend=backend)
         model = list(zip(labels, vectors))
         queries = _noisy_queries(vectors, rng)
         for start in range(0, n - batch, batch):
